@@ -6,8 +6,10 @@ psi = phi1 - phi2 with both parts increasing submodular.  Both fix
 phi1(empty) = phi2(empty) = 0.  The optimum minimizes phi1(J); the
 optimal values are the plus-norm and minus-norm of psi.
 
-All optimizers run on an exact rational simplex, so returned objectives
-are exact.  Decomposition LPs are capped at n <= 10 ground elements.
+Every optimum comes from :func:`setdecomp.simplex.solve_min_nonneg`: a
+HiGHS solution certified exactly over the rationals, or exact pivoting
+when certification fails, so returned objectives are exact.
+Decomposition LPs are capped at n <= 10 ground elements.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .alternating import is_weakly_infinite_alternating
@@ -28,7 +31,7 @@ from .core import (
     to_rational,
 )
 from .coverage import CoverageCoefficients, from_coefficients, to_coefficients
-from .simplex import solve_min_nonneg
+from .simplex import ExactnessError, solve_min_nonneg
 
 LP_MAX_N = 10
 
@@ -93,25 +96,26 @@ def _check_input(psi: SetFunction, kind: str) -> None:
 
 def _build_rows(
     psi: SetFunction, kind: str, c_bound: Optional[Fraction]
-) -> Tuple[List[List[Fraction]], List[Fraction]]:
+) -> Tuple[List[Dict[int, int]], List[Fraction]]:
     """Constraint system A x >= b over variables phi1(X), X != empty.
 
-    Monotone steps of phi1 are merged with the steps forced by the shape
-    of phi2, and likewise for the local submodularity rows.
+    Each row is sparse, {variable: coefficient} with at most 4 entries,
+    all +-1; variable j represents phi1 of mask j+1 and phi1(empty) = 0
+    drops out.  Monotone steps of phi1 are merged with the steps forced
+    by the shape of phi2, and likewise for the local submodularity rows.
     """
     g = psi.ground
     n = g.n
-    nvars = g.size - 1  # variable j represents phi1 of mask j+1
-    rows: List[List[Fraction]] = []
+    vals = psi.values
+    # psi = num / d over ints, so each right-hand side costs one Fraction
+    d = lcm(*(v.denominator for v in vals))
+    num = [v.numerator * (d // v.denominator) for v in vals]
+    rows: List[Dict[int, int]] = []
     rhs: List[Fraction] = []
-    one = Fraction(1)
 
-    def new_row() -> List[Fraction]:
-        return [_ZERO] * nvars
-
-    def add(row: List[Fraction], mask: int, coef: Fraction) -> None:
-        if mask:
-            row[mask - 1] += coef
+    def add(row: Dict[int, int], b: Fraction) -> None:
+        rows.append(row)
+        rhs.append(b)
 
     # steps: phi1(X+u) - phi1(X) >= max(0, psi(X+u) - psi(X))
     for x in range(g.size):
@@ -119,11 +123,10 @@ def _build_rows(
             if x >> u & 1:
                 continue
             xu = x | 1 << u
-            row = new_row()
-            add(row, xu, one)
-            add(row, x, -one)
-            rows.append(row)
-            rhs.append(max(_ZERO, psi.values[xu] - psi.values[x]))
+            row = {xu - 1: 1}
+            if x:
+                row[x - 1] = -1
+            add(row, Fraction(max(0, num[xu] - num[x]), d))
 
     # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X)
     for x in range(g.size):
@@ -135,48 +138,27 @@ def _build_rows(
                     continue
                 xu, xv = x | 1 << u, x | 1 << v
                 xuv = xu | 1 << v
-                s_psi = (
-                    psi.values[xu] + psi.values[xv]
-                    - psi.values[xuv] - psi.values[x]
-                )
-                row = new_row()
-                add(row, xu, one)
-                add(row, xv, one)
-                add(row, xuv, -one)
-                add(row, x, -one)
+                s_psi = num[xu] + num[xv] - num[xuv] - num[x]
+                row = {xu - 1: 1, xv - 1: 1, xuv - 1: -1}
+                if x:
+                    row[x - 1] = -1
                 if kind == "sum":
                     # 0 <= s_phi1 <= s_psi
-                    rows.append(row)
-                    rhs.append(_ZERO)
-                    rows.append([-c for c in row])
-                    rhs.append(-s_psi)
+                    add(row, _ZERO)
+                    add({j: -a for j, a in row.items()}, Fraction(-s_psi, d))
                 else:
                     # s_phi1 >= max(0, s_psi)
-                    rows.append(row)
-                    rhs.append(max(_ZERO, s_psi))
+                    add(row, Fraction(max(0, s_psi), d))
 
     if c_bound is not None:
         # both parts boxed inside [-bound, bound]
         bound = c_bound * norm_inf(psi)
         for x in range(1, g.size):
-            row = new_row()
-            add(row, x, -one)
-            rows.append(row)  # -phi1(X) >= -bound
-            rhs.append(-bound)
-            # phi2 in terms of phi1: sum kind psi - phi1, diff kind phi1 - psi
-            row = new_row()
-            if kind == "sum":
-                add(row, x, one)  # psi(X) - phi1(X) <= bound
-                rows.append(row)
-                rhs.append(psi.values[x] - bound)
-                rows.append([-c for c in row])
-                rhs.append(-bound - psi.values[x])
-            else:
-                add(row, x, one)  # phi1(X) - psi(X) <= bound, and >= -bound
-                rows.append(row)
-                rhs.append(psi.values[x] - bound)
-                rows.append([-c for c in row])
-                rhs.append(-bound - psi.values[x])
+            add({x - 1: -1}, -bound)  # -phi1(X) >= -bound
+            # phi2 is psi - phi1 (sum) or phi1 - psi (diff); either way
+            # |phi1(X) - psi(X)| <= bound
+            add({x - 1: 1}, vals[x] - bound)
+            add({x - 1: -1}, -bound - vals[x])
     return rows, rhs
 
 
@@ -184,14 +166,15 @@ def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
     g = psi.ground
     nvars = g.size - 1
     rows, rhs = _build_rows(psi, kind, c_bound)
-    costs = [_ZERO] * nvars
-    costs[g.full_mask - 1] = Fraction(1)
+    costs = [0] * nvars
+    costs[g.full_mask - 1] = 1
     status, value, x, _ = solve_min_nonneg(rows, rhs, costs)
     if status != "optimal":
         return None
-    phi1 = SetFunction(g, tuple([_ZERO] + [x[j] for j in range(nvars)]))
+    if value != x[g.full_mask - 1]:
+        raise ExactnessError("LP optimum is not phi1(J)")
+    phi1 = SetFunction(g, tuple([_ZERO] + x))
     phi2 = psi - phi1 if kind == "sum" else phi1 - psi
-    assert value is not None
     return Decomposition(phi1=phi1, phi2=phi2, kind=kind, objective=value)
 
 
@@ -199,9 +182,11 @@ def optimal_sum_decomposition(psi: SetFunction) -> Decomposition:
     """Minimize phi1(J) over sum-decompositions; the optimum is the plus-norm."""
     _check_input(psi, "sum")
     dec = _solve(psi, "sum", None)
-    assert dec is not None  # phi1 = max-cumulative envelope is always feasible
+    if dec is None:  # phi1 = max-cumulative envelope is always feasible
+        raise ExactnessError("sum-decomposition LP reported infeasible")
     # phi1 >= psi holds in every feasible point: phi2 decreases from 0
-    assert all(a >= b for a, b in zip(dec.phi1.values, psi.values))
+    if any(a < b for a, b in zip(dec.phi1.values, psi.values)):
+        raise ExactnessError("optimal phi1 does not dominate psi")
     return dec
 
 

@@ -29,7 +29,7 @@ from .core import (
     MAX_GROUND,
 )
 from .decompose import Decomposition, optimal_sum_decomposition
-from .simplex import LinearProgram, solve_lp, solve_min_nonneg
+from .simplex import ExactnessError, LinearProgram, solve_lp, solve_min_nonneg
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -480,22 +480,19 @@ def triangle_lps(g: WeightedGraph) -> TriangleLPResult:
             nonneg=True,
         )
     )
-    assert sol.status == "optimal"
+    if sol.status != "optimal":  # x = 0 is feasible and the capacities bound it
+        raise ExactnessError(f"triangle packing LP ended {sol.status}")
     nu = sol.value
     packing = {t: sol.assignment[j] for j, t in enumerate(tris)}
 
     # cover: min sum w(e) y(e) subject to hitting every triangle
-    crows = []
-    rhs = []
-    for t in tris:
-        row = [_ZERO] * len(edges)
-        for e in tri_edges(t):
-            row[eidx[e]] = _ONE
-        crows.append(row)
-        rhs.append(_ONE)
+    crows = [{eidx[e]: 1 for e in tri_edges(t)} for t in tris]
+    rhs = [1] * len(tris)
     status, tau, y, _ = solve_min_nonneg(crows, rhs, [w for _, _, w in g.edges])
-    assert status == "optimal" and tau is not None
-    assert nu == tau  # LP duality ties packing and cover optima
+    if status != "optimal":  # y = 1 on every edge is feasible
+        raise ExactnessError(f"triangle cover LP ended {status}")
+    if nu != tau:  # LP duality ties packing and cover optima
+        raise ExactnessError(f"packing optimum {nu} differs from cover optimum {tau}")
     cover = {e: y[i] for i, e in enumerate(edges)}
     return TriangleLPResult(nu_star=nu, tau_star=tau, packing=packing, cover=cover)
 
@@ -512,13 +509,14 @@ def clique_bound(g: WeightedGraph) -> Fraction:
     rhs = []
     for u, v, w in g.edges:
         emask = 1 << u | 1 << v
-        row = [_ONE if emask & ~k == 0 else _ZERO for k in cliques]
+        row = {j: 1 for j, k in enumerate(cliques) if emask & ~k == 0}
         rows.append(row)
         rhs.append(w)
-        rows.append([-c for c in row])
+        rows.append({j: -1 for j in row})
         rhs.append(-w)
     status, value, _, _ = solve_min_nonneg(rows, rhs, costs)
-    assert status == "optimal" and value is not None  # z on edges is feasible
+    if status != "optimal":  # z on edges is feasible
+        raise ExactnessError(f"clique LP ended {status}")
     return value
 
 

@@ -7,23 +7,27 @@ Two entry points:
   (free variables allowed).  Returns status, optimum, assignment and a
   certificate (dual vector, Farkas vector, or improving ray).
 
-* :func:`solve_min_nonneg` -- a structured route for the large
-  decomposition LPs: min c.x, A x >= b, x >= 0 with c >= 0.  The dual
-  (max b.y, A^T y <= c, y >= 0) is solved instead, starting from the
-  always-feasible slack basis, which keeps the tableau at
-  (#vars) x (#rows) instead of the other way around.  The primal
-  solution is read off the reduced costs of the slack columns.
+* :func:`solve_min_nonneg` -- the route for the structured LPs
+  (decompositions, triangle cover, clique bound): min c.x, A x >= b,
+  x >= 0 with c >= 0 and A given as sparse rows.  HiGHS solves it in
+  floating point; the primal/dual pair is rounded to rationals and
+  trusted only after an exact certificate over the sparse rows passes
+  (primal and dual feasibility, equal objectives).  When no rounding
+  passes, or HiGHS reports no optimum, the LP is solved by exact
+  pivoting on its dual instead.
 
-Internally gmpy2 rationals are used when available; they are
-arbitrary-precision and exact, and an order of magnitude faster than
-Fraction in the pivot loop.
+Exact pivoting uses gmpy2 rationals when the optional ``exact`` extra is
+installed; they are an order of magnitude faster than Fraction in the
+pivot loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from math import lcm
+from numbers import Rational
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 try:
     from gmpy2 import mpq as _mpq
@@ -37,6 +41,10 @@ Relation = str  # "<=", "=", ">="
 # Dantzig pricing until this many iterations, then Bland (guarantees
 # termination); both deterministic.
 _BLAND_SWITCH = 20000
+
+
+class ExactnessError(RuntimeError):
+    """An exactness check on an LP result failed; the result is not trusted."""
 
 
 @dataclass
@@ -237,7 +245,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             if not need_art[i]:
                 allowed1[art_col[i]] = False
         status, objrow1, _ = _min_simplex(full_rows, basis, costs1, allowed1)
-        assert status == "optimal"  # phase-1 objective is bounded below by 0
+        if status != "optimal":  # the phase-1 objective is bounded below by 0
+            raise ExactnessError(f"phase 1 ended {status}")
         if -objrow1[-1] > 0:
             # Farkas: y_i = cost(art_i) - reduced(art_i); y.b > 0, y.A <= 0
             farkas = []
@@ -265,7 +274,8 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     status, objrow2, enter = _min_simplex(full_rows, basis, costs2, allowed2)
 
     if status == "unbounded":
-        assert enter is not None
+        if enter is None:
+            raise ExactnessError("unbounded phase 2 without an improving column")
         direction = [zero] * ncols
         direction[enter] = one
         for r, b in enumerate(basis):
@@ -298,112 +308,157 @@ def _assemble(xs: List, n: int, split: bool) -> List[Fraction]:
 
 # -- structured route ----------------------------------------------------
 
-# floating-point presolve kicks in above this m*n size; its output is
-# only a guess and is certified exactly before being trusted
-_PRESOLVE_CELLS = 20000
+SparseRow = Mapping[int, Rational]
 
 
-def _verified_guess(rows, rhs, costs, xf, yf, limit) -> Optional[Tuple]:
-    """Round a floating primal/dual pair to rationals and certify it.
+def _round(values: List[float], limit: int) -> List[Fraction]:
+    # LP vertices repeat few distinct values; round each once
+    exact = {v: Fraction(v).limit_denominator(limit) for v in set(values)}
+    return [exact[v] for v in values]
 
-    Accepts only if x is feasible, y is dual feasible and the objectives
-    agree exactly; weak duality then proves optimality.
+
+def _scaled(values: Sequence[Rational]) -> Tuple[int, List[int]]:
+    """A common denominator d and the integers d * v."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _certify(
+    rows: Sequence[SparseRow],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
+    x: Sequence[Fraction],
+    y: Sequence[Fraction],
+) -> bool:
+    """Exact check that x is primal optimal and y dual optimal.
+
+    Checks x >= 0, y >= 0, A x >= b, A^T y <= c and c.x == b.y; weak
+    duality then proves both optimal.  x, y, rhs and costs are each
+    scaled to integers by their common denominator, so every sum runs
+    over Python ints when the coefficients are ints.
     """
-    x = [Fraction(v).limit_denominator(limit) for v in xf]
-    y = [Fraction(v).limit_denominator(limit) for v in yf]
     if any(v < 0 for v in x) or any(v < 0 for v in y):
-        return None
-    xq = [_mpq(v) for v in x]
-    yq = [_mpq(v) for v in y]
-    rowq = [[_mpq(a) for a in row] for row in rows]
-    bq = [_mpq(v) for v in rhs]
-    cq = [_mpq(v) for v in costs]
-    zero = _mpq(0)
-    for row, b in zip(rowq, bq):
-        if sum((a * v for a, v in zip(row, xq) if a), zero) < b:
-            return None
-    for j in range(len(cq)):
-        z = sum((rowq[i][j] * yq[i] for i in range(len(rowq)) if rowq[i][j]), zero)
-        if z > cq[j]:
-            return None
-    primal = sum((c * v for c, v in zip(cq, xq)), zero)
-    dual = sum((b * v for b, v in zip(bq, yq)), zero)
-    if primal != dual:
-        return None
-    return Fraction(primal), x, y
+        return False
+    dx, px = _scaled(x)
+    dy, qy = _scaled(y)
+    db, bs = _scaled(rhs)
+    dc, cs = _scaled(costs)
+    # rows[i].x >= b_i  <=>  (sum a px) * db >= bs_i * dx
+    for row, b in zip(rows, bs):
+        if sum(a * px[j] for j, a in row.items()) * db < b * dx:
+            return False
+    # column j of A^T y <= c_j  <=>  (sum a qy) * dc <= cs_j * dy
+    col = [0] * len(cs)
+    for row, q in zip(rows, qy):
+        if q:
+            for j, a in row.items():
+                col[j] += a * q
+    if any(t * dc > c * dy for t, c in zip(col, cs)):
+        return False
+    primal = sum(c * p for c, p in zip(cs, px) if c)
+    dual = sum(b * q for b, q in zip(bs, qy) if q)
+    return primal * db * dy == dual * dc * dx
 
 
-def _float_presolve(rows, rhs, costs) -> Optional[Tuple]:
-    try:
-        import numpy as _np
-        from scipy.optimize import linprog as _linprog
-    except ImportError:  # pragma: no cover
+def _certified_guess(
+    rows: Sequence[SparseRow],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
+) -> Optional[Tuple]:
+    """Solve with HiGHS and return the rounded pair if it certifies."""
+    if not costs:  # HiGHS rejects an LP without variables
         return None
-    a_ub = -_np.array(rows, dtype=float)
-    b_ub = -_np.array(rhs, dtype=float)
-    res = _linprog(
-        _np.array(costs, dtype=float),
+    import numpy as np
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    indptr = [0]
+    indices: List[int] = []
+    data: List[float] = []
+    for row in rows:
+        indices.extend(row)
+        data.extend(-float(a) for a in row.values())
+        indptr.append(len(indices))
+    a_ub = csr_matrix(
+        (np.array(data, dtype=float), np.array(indices, dtype=np.int64), indptr),
+        shape=(len(rows), len(costs)),
+    )
+    res = linprog(
+        np.array([float(v) for v in costs]),
         A_ub=a_ub,
-        b_ub=b_ub,
+        b_ub=np.array([-float(v) for v in rhs]),
         bounds=(0, None),
         method="highs",
     )
     if not res.success:
         return None
-    yf = [-v for v in res.ineqlin.marginals]
+    xf = res.x.tolist()
+    yf = (-res.ineqlin.marginals).tolist()
     for limit in (10**6, 10**12):
-        got = _verified_guess(rows, rhs, costs, list(res.x), yf, limit)
-        if got is not None:
-            return got
+        x = _round(xf, limit)
+        y = _round(yf, limit)
+        if _certify(rows, rhs, costs, x, y):
+            value = Fraction(sum(c * v for c, v in zip(costs, x) if c))
+            return "optimal", value, x, y
     return None
 
 
-def solve_min_nonneg(
-    rows: List[List[Fraction]],
-    rhs: List[Fraction],
-    costs: List[Fraction],
+def _solve_exact(
+    rows: Sequence[SparseRow],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
 ) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
-    """min costs.x subject to rows[i].x >= rhs[i], x >= 0, costs >= 0.
-
-    Solved via the dual; returns (status, value, x, y) where status is
-    "optimal" or "infeasible".
-    """
+    """Exact pivoting on the dual (max b.y, A^T y <= c, y >= 0), starting
+    from the always-feasible slack basis; the tableau is (#vars) x
+    (#rows + #vars).  The primal solution is read off the reduced costs
+    of the slack columns."""
     n = len(costs)
     m = len(rows)
-    c = [_mpq(v) for v in costs]
-    if any(v < 0 for v in c):
-        raise ValueError("structured route requires nonnegative costs")
-    if m * n >= _PRESOLVE_CELLS:
-        got = _float_presolve(rows, rhs, costs)
-        if got is not None:
-            value, x, duals = got
-            return "optimal", value, x, duals
-    b = [_mpq(v) for v in rhs]
-
-    # dual tableau: n rows (one per primal variable), columns = m dual
-    # variables + n slacks + rhs
     zero = _mpq(0)
     one = _mpq(1)
-    ncols = m + n
-    tab: List[List] = []
+    c = [_mpq(v) for v in costs]
+    b = [_mpq(v) for v in rhs]
+    # one tableau row per primal variable: m dual columns, n slacks, rhs
+    tab: List[List] = [[zero] * (m + n) + [c[j]] for j in range(n)]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            tab[j][i] = _mpq(a)
     for j in range(n):
-        row = [_mpq(rows[i][j]) for i in range(m)]
-        row += [one if t == j else zero for t in range(n)]
-        row.append(c[j])
-        tab.append(row)
+        tab[j][m + j] = one
     basis = [m + j for j in range(n)]
     # maximize b.y  ==  minimize (-b).y
     costs_min = [-v for v in b] + [zero] * n
-    allowed = [True] * ncols
-    status, objrow, _ = _min_simplex(tab, basis, costs_min, allowed)
+    status, objrow, _ = _min_simplex(tab, basis, costs_min, [True] * (m + n))
     if status == "unbounded":
         return "infeasible", None, [], []
     value = Fraction(objrow[-1])  # -(-max) = max of the dual = min of the primal
     x = [Fraction(objrow[m + j]) for j in range(n)]
-    y = [zero] * ncols
+    y = [zero] * (m + n)
     for r, bv in enumerate(basis):
         y[bv] = tab[r][-1]
     duals = [Fraction(y[i]) for i in range(m)]
-    # exactness check: strong duality must close
-    assert sum(ci * xi for ci, xi in zip(costs, x)) == value
+    if sum(ci * xi for ci, xi in zip(costs, x)) != value:
+        raise ExactnessError("strong duality does not close on the exact pivot")
     return "optimal", value, x, duals
+
+
+def solve_min_nonneg(
+    rows: Sequence[SparseRow],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
+) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
+    """min costs.x subject to rows[i].x >= rhs[i], x >= 0, costs >= 0.
+
+    rows holds one sparse row per constraint, a {column: coefficient}
+    map; coefficients, rhs and costs are ints or Fractions.  Returns
+    (status, value, x, y) with status "optimal" or "infeasible"; for an
+    optimum, y is an optimal dual (one multiplier per row).  The HiGHS
+    guess is returned only once certified exactly; otherwise the LP is
+    pivoted exactly.
+    """
+    if any(v < 0 for v in costs):
+        raise ValueError("structured route requires nonnegative costs")
+    got = _certified_guess(rows, rhs, costs)
+    if got is not None:
+        return got
+    return _solve_exact(rows, rhs, costs)

@@ -26,7 +26,8 @@ from setdecomp.graphs import (
     counterexample_sum,
     cut_function,
 )
-from setdecomp.simplex import LinearProgram, solve_lp
+from setdecomp import decompose, graphs
+from setdecomp.simplex import ExactnessError, LinearProgram, solve_lp
 from conftest import random_coverage, random_set_function, random_weakly_alternating
 
 F = Fraction
@@ -78,6 +79,24 @@ def test_sum_phi1_dominates(rng):
         check_shape(psi, dec)
         for x in psi.ground.subsets():
             assert dec.phi1(x) >= psi(x)
+
+
+def test_exactness_checks_raise(monkeypatch):
+    # the checks must hold under python -O, so they raise instead of asserting
+    monkeypatch.setattr(
+        decompose, "solve_min_nonneg", lambda *args: ("infeasible", None, [], [])
+    )
+    with pytest.raises(ExactnessError):
+        optimal_sum_decomposition(cut_function(complete(3)))
+    real = graphs.solve_min_nonneg
+
+    def off_by_one(*args):
+        status, value, x, y = real(*args)
+        return status, value + 1, x, y
+
+    monkeypatch.setattr(graphs, "solve_min_nonneg", off_by_one)
+    with pytest.raises(ExactnessError):
+        graphs.triangle_lps(complete(4))
 
 
 def test_sum_rejects_non_submodular():

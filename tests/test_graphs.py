@@ -34,9 +34,24 @@ from setdecomp import (
     verify_cut_identities,
     wheel,
 )
+from setdecomp import simplex
 from conftest import random_graph
 
 F = Fraction
+
+# graph-reports benchmark workload, seed 32, instance 23: its clique LP
+# (227 cliques, 82 rows) once pivoted exactly for about 42 s
+CLIFF_EDGES = [
+    (0, 1, "5/4"), (0, 2, "1"), (0, 4, "3/2"), (0, 5, "3"), (0, 7, "2"),
+    (0, 8, "7/2"), (0, 9, "1"), (0, 10, "2/3"), (1, 4, "3"), (1, 6, "3/4"),
+    (1, 9, "2"), (1, 10, "6"), (2, 3, "5"), (2, 4, "3/2"), (2, 5, "7/2"),
+    (2, 6, "9"), (2, 7, "9/4"), (2, 8, "5/2"), (2, 9, "2"), (2, 10, "1/2"),
+    (3, 4, "8/3"), (3, 5, "4"), (3, 8, "3"), (3, 9, "1"), (3, 10, "1/2"),
+    (4, 5, "8"), (4, 7, "2"), (4, 8, "3"), (5, 7, "5/3"), (5, 8, "3/4"),
+    (5, 9, "1"), (5, 10, "1/4"), (6, 7, "1/4"), (6, 8, "9/2"), (6, 9, "2"),
+    (7, 8, "3/2"), (7, 9, "6"), (7, 10, "7/4"), (8, 9, "3/2"), (8, 10, "8/3"),
+    (9, 10, "2"),
+]
 
 
 def test_triangle_values():
@@ -187,6 +202,30 @@ def test_bound_ordering(rng):
         cb = clique_bound(g)
         nb = nu_star_bound(g)
         assert plus <= cb <= nb
+
+
+def test_clique_bound_certifies_former_cliff_graph(monkeypatch):
+    import numpy as np
+    from scipy.optimize import linprog
+
+    g = WeightedGraph.build(11, [(u, v, F(w)) for u, v, w in CLIFF_EDGES])
+    cliques = enumerate_cliques(g)
+    assert len(cliques) * 2 * len(g.edges) == 18614
+    fallbacks = []
+    real = simplex._solve_exact
+    monkeypatch.setattr(simplex, "_solve_exact", lambda *a: fallbacks.append(a) or real(*a))
+    value = clique_bound(g)
+    assert fallbacks == []
+    # independent float solve: edge weights split exactly over the cliques
+    costs = [(bin(k).count("1") + 1) // 2 * (bin(k).count("1") // 2) for k in cliques]
+    a_eq = np.array(
+        [[1.0 if (1 << u | 1 << v) & ~k == 0 else 0.0 for k in cliques] for u, v, _ in g.edges]
+    )
+    res = linprog(
+        costs, A_eq=a_eq, b_eq=[float(w) for _, _, w in g.edges], bounds=(0, None), method="highs"
+    )
+    assert res.status == 0
+    assert abs(float(value) - res.fun) <= 1e-9 * max(1.0, abs(res.fun))
 
 
 def test_complete_graph_decomposition():

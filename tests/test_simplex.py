@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.optimize
 
+from setdecomp import simplex
 from setdecomp.simplex import (
     LinearProgram,
     LPSolution,
@@ -125,7 +128,8 @@ def test_structured_matches_generic(rng):
         rows = [[F(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
         rhs = [F(rng.randint(-2, 3)) for _ in range(m)]
         costs = [F(rng.randint(0, 3)) for _ in range(n)]
-        status, value, x, y = solve_min_nonneg(rows, rhs, costs)
+        sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+        status, value, x, y = solve_min_nonneg(sparse, rhs, costs)
         lp = LinearProgram(
             n,
             costs,
@@ -158,3 +162,111 @@ def test_validation_errors():
         LinearProgram(
             1, [F(1)], maximize=True, constraints=[([F(1)], "<", F(0))]
         ).validate()
+
+
+def check_structured_optimum(rows, rhs, costs, value, x, y):
+    """x and y are feasible for the primal and the dual and close the gap."""
+    assert all(v >= 0 for v in x) and all(v >= 0 for v in y)
+    for row, b in zip(rows, rhs):
+        assert sum(a * x[j] for j, a in row.items()) >= b
+    col = [F(0)] * len(costs)
+    for row, yi in zip(rows, y):
+        for j, a in row.items():
+            col[j] += a * yi
+    assert all(t <= c for t, c in zip(col, costs))
+    assert sum(c * v for c, v in zip(costs, x)) == value
+    assert sum(b * v for b, v in zip(rhs, y)) == value
+
+
+def random_structured_lp(rng):
+    """Sparse rows of at most 4 entries, all +-1, like the decomposition LPs."""
+    n = rng.randint(2, 12)
+    rows, rhs = [], []
+    for _ in range(rng.randint(1, 3 * n)):
+        cols = rng.sample(range(n), rng.randint(1, min(4, n)))
+        rows.append({j: rng.choice((1, -1)) for j in cols})
+        rhs.append(F(rng.randint(-6, 6), rng.randint(1, 4)))
+    costs = [F(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(n)]
+    return rows, rhs, costs
+
+
+def spy_exact(monkeypatch):
+    calls = []
+    real = simplex._solve_exact
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "_solve_exact", spy)
+    return calls
+
+
+def test_certified_route_matches_exact_pivoting(rng, monkeypatch):
+    calls = spy_exact(monkeypatch)
+    statuses = []
+    for _ in range(60):
+        rows, rhs, costs = random_structured_lp(rng)
+        got = solve_min_nonneg(rows, rhs, costs)
+        ref = simplex._solve_exact(rows, rhs, costs)
+        assert got[0] == ref[0]
+        statuses.append(got[0])
+        if got[0] == "optimal":
+            assert got[1] == ref[1]
+            check_structured_optimum(rows, rhs, costs, *got[1:])
+            check_structured_optimum(rows, rhs, costs, *ref[1:])
+    # one reference call per LP, plus one fallback per infeasible LP; the
+    # optimal ones are all answered by the certified guess
+    assert "optimal" in statuses and "infeasible" in statuses
+    assert len(calls) == len(statuses) + statuses.count("infeasible")
+
+
+def perturb_x(res):
+    res.x = res.x + 0.25
+
+
+def primal_infeasible_x(res):
+    # objective still 5/2, but x1 + x2 >= 3/2 fails
+    res.x = np.array([2.5, 0.0, 0.0])
+
+
+def dual_infeasible_y(res):
+    # dual objective still 5/2, but column 0 of A^T y exceeds its cost 1
+    res.ineqlin.marginals = np.array([-2.5, 0.0, 0.0])
+
+
+def report_failure(res):
+    res.success = False
+
+
+@pytest.mark.parametrize(
+    "spoil", [perturb_x, primal_infeasible_x, dual_infeasible_y, report_failure]
+)
+def test_spoiled_guess_falls_back_to_exact(spoil, monkeypatch):
+    # min x0 + 2 x1 + x2 s.t. x0 + x1 >= 1, x1 + x2 >= 3/2, x0 - x2 >= -1
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
+    rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
+    expected = solve_min_nonneg(rows, rhs, costs)
+    assert expected[:2] == ("optimal", F(5, 2))
+    real = scipy.optimize.linprog
+
+    def spoiled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        spoil(res)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spoiled)
+    calls = spy_exact(monkeypatch)
+    assert solve_min_nonneg(rows, rhs, costs) == expected
+    assert len(calls) == 1
+
+
+def test_structured_infeasible():
+    # x0 >= 2 and x0 <= 1
+    rows = [{0: 1}, {0: -1}]
+    assert solve_min_nonneg(rows, [F(2), F(-1)], [F(1)]) == ("infeasible", None, [], [])
+
+
+def test_structured_rejects_negative_costs():
+    with pytest.raises(ValueError):
+        solve_min_nonneg([{0: 1}], [F(1)], [F(-1)])
