@@ -42,6 +42,7 @@ from .alternating import (
     make_ell_not_ell_plus_one,
     make_partition_matroid_rank,
     max_disjoint_alt_sum,
+    weak_violations,
 )
 from .coverage import (
     CoverageCoefficients,

@@ -1,27 +1,29 @@
 """Alternating sums and the k-alternating hierarchy.
 
-The alternating sum of a set function f over a pivot set A0 and classes
-A1..Ak is
+The alternating sum of f over a pivot set A0 and classes A1..Ak is
 
     V_f(A0; A1..Ak) = sum over K subset of {1..k} of (-1)^|K| f(A0 u U_{i in K} Ai).
 
 f is weakly k-alternating when V_f <= 0 on every pairwise-disjoint tuple,
-k-alternating when the same holds for arbitrary tuples, and those two
-notions are linked: k-alternating is equivalent to weakly l-alternating
-for every l <= k.  The decision procedures here use the weak form as the
-primitive (disjoint tuples are enumerated as base-(k+2) counters over the
-elements), keeping direct enumeration of arbitrary tuples only as a
-small-instance oracle.
+and k-alternating when it is weakly l-alternating for every l <= k
+(equivalently, V_f <= 0 on arbitrary tuples).
+
+With alpha the coverage coefficients of f (``coverage.to_coefficients``),
+f is weakly k-alternating iff every interval sum S(L, R) = sum of alpha_C
+over L <= C <= R with |L| = k is nonnegative, since S(L, R) = -V_f(J \\ R;
+singletons of L): the Moebius characterization of k-monotone capacities
+(Chateauneuf & Jaffray, 1989) applied to the conjugate the coverage basis
+encodes.  :func:`weak_violations` computes all 3^n interval sums in one
+pass and so settles every level at once.  The base-(k+2) counter scan of
+disjoint tuples with general classes remains only in
+:func:`max_disjoint_alt_sum`, which needs the largest sum, not its sign.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
-
-import numpy as np
+from math import lcm
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
     Fraction,
@@ -33,16 +35,19 @@ from .core import (
     popcount,
 )
 
-# Weak checks enumerate (k+2)^n assignments; refuse anything larger.
+# max_disjoint_alt_sum enumerates (k+2)^n assignments; refuse anything larger.
 ENUMERATION_LIMIT = 10**8
 
 # numpy fast path works on chunks of assignments; 2^k arrays per chunk live
 # at once, so keep chunks modest.
 _CHUNK = 1 << 16
 
+# weak_violations holds at most 3^_BLOCK_BITS interval sums at once.
+_BLOCK_BITS = 10
+
 
 class EnumerationLimitError(ValueError):
-    """Raised when a weak-alternation check would exceed the size cap."""
+    """Raised when an enumeration of tuples would exceed its size cap."""
 
 
 class NotNormalizedError(ValueError):
@@ -103,18 +108,71 @@ def _require_normalized(f: SetFunction) -> None:
 
 def _int_table(f: SetFunction) -> Tuple[List[int], int]:
     """Scale values to integers: returns (table, denominator)."""
-    denom = 1
-    for v in f.values:
-        denom = denom * v.denominator // math.gcd(denom, v.denominator)
-    return [int(v * denom) for v in f.values], denom
+    denom = lcm(*(v.denominator for v in f.values))
+    return [v.numerator * (denom // v.denominator) for v in f.values], denom
 
 
-def _check_enum_size(n: int, k: int) -> None:
-    if (k + 2) ** n > ENUMERATION_LIMIT:
-        raise EnumerationLimitError(
-            f"weak {k}-alternation check needs {(k + 2) ** n} assignments "
-            f"(limit {ENUMERATION_LIMIT})"
-        )
+def _interval_blocks(
+    z: List[int], bits: int, r_high: int = 0, l_high: int = 0
+) -> Iterator[Tuple[int, int, List[int]]]:
+    """Interval sums from the subset sums z[R] = S(empty, R).
+
+    Yields (r_high, l_high, block) with block[t(r) + t(l)] = S(l_high | l,
+    r_high | r) for l <= r over the low elements, t(m) being m read in
+    base 3.  Putting an element in L differences the halves of z that
+    leave it out of R and put it in R; the top elements are split off
+    first, so at most 3^_BLOCK_BITS sums are held at once.
+    """
+    if bits > _BLOCK_BITS:
+        top = 1 << (bits - 1)
+        z0, z1 = z[:top], z[top:]
+        yield from _interval_blocks(z0, bits - 1, r_high, l_high)
+        yield from _interval_blocks(z1, bits - 1, r_high | top, l_high)
+        z1 = [b - a for a, b in zip(z0, z1)]
+        yield from _interval_blocks(z1, bits - 1, r_high | top, l_high | top)
+        return
+    tables = [[v] for v in z]
+    for _ in range(bits):
+        tables = [a + b + [y - x for x, y in zip(a, b)] for a, b in zip(tables[::2], tables[1::2])]
+    yield r_high, l_high, tables[0]
+
+
+def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
+    """Decide weak k-alternation for every k = 1..n in one pass.
+
+    Entry k of the returned list (entry 0 is unused) is None when f is
+    weakly k-alternating, and otherwise the witness (J \\ R; singletons of
+    L) with value -S(L, R) of the first L <= R, |L| = k, S(L, R) < 0, in
+    order of R and then L.  Sums run over Python ints scaled by the common
+    denominator of f.
+    """
+    _require_normalized(f)
+    n, full = f.ground.n, f.ground.full_mask
+    ivals, denom = _int_table(f)
+    bits = min(n, _BLOCK_BITS)
+    ternary = [0] * (1 << bits)
+    for m in range(1, 1 << bits):
+        ternary[m] = 3 * ternary[m >> 1] + (m & 1)
+    first = {}  # |L| -> (R, L, S) of the first violation
+    # S(empty, R) = sum of alpha_C over C <= R = f(J) - f(J \ R)
+    for r_high, l_high, block in _interval_blocks([ivals[full] - v for v in reversed(ivals)], n):
+        if min(block) >= 0:
+            continue
+        for r in range(1 << bits):
+            l = 0
+            while True:  # the subsets of r in increasing order
+                hit = (r_high | r, l_high | l, block[ternary[r] + ternary[l]])
+                if hit[2] < 0 and hit < first.get(popcount(hit[1]), (full + 1,)):
+                    first[popcount(hit[1])] = hit
+                if l == r:
+                    break
+                l = (l - r) & r
+    out: List[Optional[AlternatingWitness]] = [None] * (n + 1)
+    for k, (r, l, s) in first.items():
+        if k:
+            singletons = tuple(1 << e for e in range(n) if l >> e & 1)
+            out[k] = AlternatingWitness(full ^ r, singletons, Fraction(-s, denom))
+    return out
 
 
 def _decode_assignment(code: int, n: int, k: int) -> Tuple[int, Tuple[int, ...]]:
@@ -131,10 +189,11 @@ def _decode_assignment(code: int, n: int, k: int) -> Tuple[int, Tuple[int, ...]]
     return a0, tuple(classes)
 
 
-def _scan_chunk_numpy(ivals: np.ndarray, n: int, k: int, start: int, stop: int):
+def _scan_chunk_numpy(ivals, n: int, k: int, start: int, stop: int):
     """V values for assignment codes [start, stop); returns (V, valid)."""
-    codes = np.arange(start, stop, dtype=np.int64)
-    rest = codes.copy()
+    import numpy as np
+
+    rest = np.arange(start, stop, dtype=np.int64)
     masks = np.zeros((k + 2, stop - start), dtype=np.int64)
     for e in range(n):
         d = rest % (k + 2)
@@ -148,7 +207,7 @@ def _scan_chunk_numpy(ivals: np.ndarray, n: int, k: int, start: int, stop: int):
     unions = [masks[0]]
     for i in range(1, k + 1):
         unions.extend(u | masks[i] for u in list(unions))
-    v = np.zeros(stop - start, dtype=np.int64)
+    v = np.zeros(stop - start, dtype=ivals.dtype)
     for idx, u in enumerate(unions):
         if popcount(idx) & 1:
             v -= ivals[u]
@@ -157,79 +216,42 @@ def _scan_chunk_numpy(ivals: np.ndarray, n: int, k: int, start: int, stop: int):
     return v, valid
 
 
-def _numpy_safe(ivals: List[int], k: int) -> bool:
-    m = max(abs(x) for x in ivals)
-    return m * (1 << k) < (1 << 62)
-
-
-def _first_weak_violation(f: SetFunction, k: int) -> Optional[Tuple[int, Tuple[int, ...], Fraction]]:
-    """First assignment (counter order) of a disjoint tuple with V > 0."""
-    n = f.ground.n
-    _check_enum_size(n, k)
-    total = (k + 2) ** n
-    ivals, denom = _int_table(f)
-    if _numpy_safe(ivals, k):
-        arr = np.array(ivals, dtype=np.int64)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            v, valid = _scan_chunk_numpy(arr, n, k, start, stop)
-            bad = valid & (v > 0)
-            if bad.any():
-                idx = int(np.argmax(bad))
-                a0, classes = _decode_assignment(start + idx, n, k)
-                return a0, classes, Fraction(int(v[idx]), denom)
-        return None
-    # exact fallback for huge values
-    vals = f.values
-    for code in range(total):
-        a0, classes = _decode_assignment(code, n, k)
-        if any(c == 0 for c in classes):
-            continue
-        v = alt_sum(f, a0, classes)
-        if v > 0:
-            return a0, classes, v
-    return None
-
-
 def max_disjoint_alt_sum(
     f: SetFunction, k_max: Optional[int] = None
 ) -> Tuple[Fraction, Optional[Tuple[int, Tuple[int, ...]]]]:
     """Maximum of V_f over pairwise-disjoint tuples with nonempty classes,
     for 1 <= k <= k_max (default n).  Returns (max, first attaining tuple).
+
+    The classes are general sets, so the (k+2)^n assignments of elements
+    to A0, A1..Ak or none are scanned as counters, in int64 when 2^k
+    values cannot overflow it and in Python ints otherwise.
     """
+    import numpy as np
+
     _require_normalized(f)
     n = f.ground.n
-    if k_max is None:
-        k_max = n
+    k_max = n if k_max is None else k_max
+    if k_max < 1:
+        raise ValueError("k_max must be at least 1")
     ivals, denom = _int_table(f)
     best: Optional[Fraction] = None
     best_tuple = None
     for k in range(1, k_max + 1):
-        _check_enum_size(n, k)
         total = (k + 2) ** n
-        if _numpy_safe(ivals, k):
-            arr = np.array(ivals, dtype=np.int64)
-            for start in range(0, total, _CHUNK):
-                stop = min(start + _CHUNK, total)
-                v, valid = _scan_chunk_numpy(arr, n, k, start, stop)
-                if not valid.any():
-                    continue
-                vv = np.where(valid, v, np.iinfo(np.int64).min)
-                idx = int(np.argmax(vv))
-                val = Fraction(int(vv[idx]), denom)
-                if best is None or val > best:
-                    best = val
-                    best_tuple = _decode_assignment(start + idx, n, k)
-        else:
-            for code in range(total):
-                a0, classes = _decode_assignment(code, n, k)
-                if any(c == 0 for c in classes):
-                    continue
-                val = alt_sum(f, a0, classes)
-                if best is None or val > best:
-                    best = val
-                    best_tuple = (a0, classes)
-    assert best is not None
+        if total > ENUMERATION_LIMIT:
+            raise EnumerationLimitError(f"k={k} needs {total} assignments (limit {ENUMERATION_LIMIT})")
+        fits = max(map(abs, ivals)) << k < 1 << 62
+        arr = np.array(ivals, dtype=np.int64 if fits else object)
+        for start in range(0, total, _CHUNK):
+            stop = min(start + _CHUNK, total)
+            v, valid = _scan_chunk_numpy(arr, n, k, start, stop)
+            codes = np.flatnonzero(valid)
+            if codes.size == 0:
+                continue
+            idx = int(codes[np.argmax(v[codes])])
+            val = Fraction(int(v[idx]), denom)
+            if best is None or val > best:
+                best, best_tuple = val, _decode_assignment(start + idx, n, k)
     return best, best_tuple
 
 
@@ -237,24 +259,17 @@ def is_weakly_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[Alte
     """Check V_f <= 0 on all pairwise-disjoint tuples with k nonempty classes."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_normalized(f)
-    hit = _first_weak_violation(f, k)
-    if hit is None:
-        return True, None
-    a0, classes, value = hit
-    return False, AlternatingWitness(a0, classes, value)
+    found = weak_violations(f)
+    hit = found[k] if k < len(found) else None
+    return hit is None, hit
 
 
 def is_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:
     """Decide k-alternation through the weak checks for l = 1..k."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    _require_normalized(f)
-    for ell in range(1, k + 1):
-        ok, witness = is_weakly_k_alternating(f, ell)
-        if not ok:
-            return False, witness
-    return True, None
+    hit = next((w for w in weak_violations(f)[1 : k + 1] if w is not None), None)
+    return hit is None, hit
 
 
 def is_k_alternating_bruteforce(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:
@@ -302,12 +317,8 @@ def is_weakly_infinite_alternating(f: SetFunction) -> Tuple[bool, Optional[Alter
     k is capped at n: a disjoint tuple with more than n nonempty classes
     cannot exist, and tuples containing an empty class never violate.
     """
-    _require_normalized(f)
-    for k in range(2, f.ground.n + 1):
-        ok, witness = is_weakly_k_alternating(f, k)
-        if not ok:
-            return False, witness
-    return True, None
+    hit = next((w for w in weak_violations(f)[2:] if w is not None), None)
+    return hit is None, hit
 
 
 def is_infinite_alternating(f: SetFunction) -> bool:

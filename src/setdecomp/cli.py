@@ -142,19 +142,14 @@ def _function_from_payload(kind, obj) -> SetFunction:
 # -- check ---------------------------------------------------------------
 
 
-def _alternating_profile(f: SetFunction) -> list:
-    profile = []
-    for k in range(1, f.ground.n + 1):
-        try:
-            weak, weak_wit = alt.is_weakly_k_alternating(f, k)
-            strong, strong_wit = alt.is_k_alternating(f, k)
-        except alt.EnumerationLimitError:
-            profile.append({"k": k, "skipped": "enumeration limit"})
-            continue
-        entry = {"k": k, "weak": weak, "strong": strong}
-        wit = strong_wit if not strong else weak_wit
-        if wit is not None:
-            entry["witness"] = wit.to_json_dict()
+def _alternating_profile(found: list) -> list:
+    """k-alternation fails from the first weakly violated level on."""
+    profile, strong_wit = [], None
+    for k in range(1, len(found)):
+        strong_wit = strong_wit or found[k]
+        entry = {"k": k, "weak": found[k] is None, "strong": strong_wit is None}
+        if strong_wit is not None:
+            entry["witness"] = strong_wit.to_json_dict()
         profile.append(entry)
     return profile
 
@@ -188,18 +183,16 @@ def cmd_check(args) -> int:
     report["modular"] = {"holds": mod}
 
     if f(0) == 0:
-        report["alternating_profile"] = _alternating_profile(f)
-        try:
-            weak_inf, _ = alt.is_weakly_infinite_alternating(f)
-        except alt.EnumerationLimitError:
-            weak_inf = None
-        report["weakly_infinite_alternating"] = weak_inf
-        report["infinite_alternating"] = alt.is_infinite_alternating(f)
+        found = alt.weak_violations(f)
+        report["alternating_profile"] = _alternating_profile(found)
+        report["weakly_infinite_alternating"] = all(w is None for w in found[2:])
         coeffs = cov.to_coefficients(f)
+        lowest = coeffs.min_coefficient()
+        report["infinite_alternating"] = lowest >= 0
         report["coverage"] = {
-            "nonnegative": coeffs.min_coefficient() >= 0,
+            "nonnegative": lowest >= 0,
             "support_size": len(coeffs.support()),
-            "min_coefficient": format_rational(coeffs.min_coefficient()),
+            "min_coefficient": format_rational(lowest),
         }
     else:
         report["alternating_profile"] = None
@@ -291,13 +284,13 @@ def cmd_graph(args) -> int:
                 value / total if total else Fraction(0)
             ),
         }
+    tri = gr.triangle_lps(g) if {"triangles", "bounds"} & set(sections) else None
     if "triangles" in sections:
-        tri = gr.triangle_lps(g)
         report["triangles"] = tri.to_json_dict()
     if "bounds" in sections:
         bounds = {
             "clique_bound": format_rational(gr.clique_bound(g)),
-            "nu_star_bound": format_rational(gr.nu_star_bound(g)),
+            "nu_star_bound": format_rational(g.total_weight() - tri.nu_star),
         }
         if g.n <= DEFAULT_LP_N:
             opt = dc.optimal_sum_decomposition(gr.cut_function(g))
@@ -463,7 +456,7 @@ def main(argv: Optional[list] = None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (gr.GraphError, alt.EnumerationLimitError) as exc:
+    except gr.GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SIZE
 

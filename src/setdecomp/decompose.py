@@ -241,7 +241,8 @@ def weakly_alt_canonical_decomposition(
     phi0 = psi + Charge(g, tuple(mu)).as_set_function()
     coeffs = to_coefficients(phi0)
     bad = coeffs.min_coefficient()
-    assert bad >= 0, "charge-shifted psi must be infinite-alternating"
+    if bad < 0:
+        raise ExactnessError(f"charge-shifted psi has coverage coefficient {bad} < 0")
     alpha = list(coeffs.alpha)
     for a in range(g.n):
         cut = min(mu[a], alpha[1 << a])

@@ -29,7 +29,7 @@ from .core import (
     MAX_GROUND,
 )
 from .decompose import Decomposition, optimal_sum_decomposition
-from .simplex import ExactnessError, LinearProgram, solve_lp, solve_min_nonneg
+from .simplex import ExactnessError, solve_min_nonneg
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -452,47 +452,27 @@ class TriangleLPResult:
 
 
 def triangle_lps(g: WeightedGraph) -> TriangleLPResult:
-    """Fractional triangle packing and edge cover; the optima coincide."""
+    """Fractional triangle packing and edge cover; the optima coincide.
+
+    The packing LP (max sum x(T) subject to edge capacities) is the dual
+    of the cover LP, so the cover solve's optimal dual is the packing.
+    """
     tris = triangles_of(g)
     if not tris:
         return TriangleLPResult(_ZERO, _ZERO, {}, {})
     edges = [(u, v) for u, v, _ in g.edges]
     eidx = {e: i for i, e in enumerate(edges)}
 
-    def tri_edges(t):
-        a, b, c = t
-        return [(a, b), (a, c), (b, c)]
-
-    # packing: max sum x(T) subject to edge capacities
-    rows = []
-    for u, v, w in g.edges:
-        row = [_ZERO] * len(tris)
-        for j, t in enumerate(tris):
-            if (u, v) in tri_edges(t):
-                row[j] = _ONE
-        rows.append((row, "<=", w))
-    sol = solve_lp(
-        LinearProgram(
-            num_vars=len(tris),
-            objective=[_ONE] * len(tris),
-            maximize=True,
-            constraints=rows,
-            nonneg=True,
-        )
-    )
-    if sol.status != "optimal":  # x = 0 is feasible and the capacities bound it
-        raise ExactnessError(f"triangle packing LP ended {sol.status}")
-    nu = sol.value
-    packing = {t: sol.assignment[j] for j, t in enumerate(tris)}
-
     # cover: min sum w(e) y(e) subject to hitting every triangle
-    crows = [{eidx[e]: 1 for e in tri_edges(t)} for t in tris]
+    crows = [{eidx[(a, b)]: 1, eidx[(a, c)]: 1, eidx[(b, c)]: 1} for a, b, c in tris]
     rhs = [1] * len(tris)
-    status, tau, y, _ = solve_min_nonneg(crows, rhs, [w for _, _, w in g.edges])
+    status, tau, y, x = solve_min_nonneg(crows, rhs, [w for _, _, w in g.edges])
     if status != "optimal":  # y = 1 on every edge is feasible
         raise ExactnessError(f"triangle cover LP ended {status}")
+    nu = sum(x, _ZERO)
     if nu != tau:  # LP duality ties packing and cover optima
         raise ExactnessError(f"packing optimum {nu} differs from cover optimum {tau}")
+    packing = dict(zip(tris, x))
     cover = {e: y[i] for i, e in enumerate(edges)}
     return TriangleLPResult(nu_star=nu, tau_star=tau, packing=packing, cover=cover)
 
@@ -546,7 +526,8 @@ def complete_graph_decomposition(n: int) -> Decomposition:
     d = phi1 + phi2
     from .core import norm_inf
 
-    assert max(norm_inf(phi1), norm_inf(phi2)) == norm_inf(d)
+    if max(norm_inf(phi1), norm_inf(phi2)) != norm_inf(d):
+        raise ExactnessError("the split of the complete graph's cut function is not 1-bounded")
     return Decomposition(phi1=phi1, phi2=phi2, kind="sum", objective=phi1(ground.full_mask))
 
 

@@ -14,7 +14,8 @@ Two entry points:
   trusted only after an exact certificate over the sparse rows passes
   (primal and dual feasibility, equal objectives).  When no rounding
   passes, or HiGHS reports no optimum, the LP is solved by exact
-  pivoting on its dual instead.
+  pivoting on its dual instead.  An LP that HiGHS reports infeasible is
+  certified infeasible through its elastic relaxation.
 
 Exact pivoting uses gmpy2 rationals when the optional ``exact`` extra is
 installed; they are an order of magnitude faster than Fraction in the
@@ -44,7 +45,7 @@ _BLAND_SWITCH = 20000
 
 
 class ExactnessError(RuntimeError):
-    """An exactness check on an LP result failed; the result is not trusted."""
+    """An exactness check on a computed result failed; the result is not trusted."""
 
 
 @dataclass
@@ -364,8 +365,14 @@ def _certified_guess(
     rows: Sequence[SparseRow],
     rhs: Sequence[Rational],
     costs: Sequence[Rational],
+    elastic: bool = False,
 ) -> Optional[Tuple]:
-    """Solve with HiGHS and return the rounded pair if it certifies."""
+    """Solve with HiGHS and return the rounded pair if it certifies.
+
+    If HiGHS finds the LP infeasible, the always-feasible elastic LP min
+    sum(s), A x + s >= b, x, s >= 0 is certified instead: a positive
+    optimum proves infeasibility, its dual being a Farkas vector.
+    """
     if not costs:  # HiGHS rejects an LP without variables
         return None
     import numpy as np
@@ -390,6 +397,11 @@ def _certified_guess(
         bounds=(0, None),
         method="highs",
     )
+    if res.status == 2 and not elastic:  # HiGHS status 2: infeasible
+        n = len(costs)
+        stretched = [{**row, n + i: 1} for i, row in enumerate(rows)]
+        got = _certified_guess(stretched, rhs, [0] * n + [1] * len(rows), elastic=True)
+        return ("infeasible", None, [], []) if got is not None and got[1] > 0 else None
     if not res.success:
         return None
     xf = res.x.tolist()
@@ -453,8 +465,8 @@ def solve_min_nonneg(
     map; coefficients, rhs and costs are ints or Fractions.  Returns
     (status, value, x, y) with status "optimal" or "infeasible"; for an
     optimum, y is an optimal dual (one multiplier per row).  The HiGHS
-    guess is returned only once certified exactly; otherwise the LP is
-    pivoted exactly.
+    guess, or its infeasibility verdict, is returned only once certified
+    exactly; otherwise the LP is pivoted exactly.
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")

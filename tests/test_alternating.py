@@ -2,13 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setdecomp import (
+    CoverageCoefficients,
     GroundSet,
     NotNormalizedError,
     Partition,
     SetFunction,
     alt_sum,
+    from_coefficients,
     is_infinite_alternating,
     is_k_alternating,
     is_submodular,
@@ -18,7 +21,10 @@ from setdecomp import (
     make_ell_not_ell_plus_one,
     make_partition_matroid_rank,
     max_disjoint_alt_sum,
+    popcount,
+    weak_violations,
 )
+from setdecomp import alternating
 from setdecomp.alternating import alt_sum_recursive_check, is_k_alternating_bruteforce
 from conftest import random_coverage, random_set_function
 
@@ -153,3 +159,96 @@ def test_infinite_alternating_exact_class(rng):
     g = GroundSet(3)
     spiked = SetFunction(g, (0, 1, 1, 1, 1, 1, 1, Fraction(3, 2)))
     assert not is_infinite_alternating(spiked)
+
+
+# -- the interval-sum decision path against the scanners ----------------
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def normalized_tables(draw, max_n=4):
+    """Random normalized functions; half of them are coverage functions with
+    a few negative coefficients, so violations show up at the higher levels."""
+    ground = GroundSet(draw(st.integers(1, max_n)))
+    entries = st.lists(small_rationals, min_size=ground.size - 1, max_size=ground.size - 1)
+    if draw(st.booleans()):
+        return SetFunction(ground, (Fraction(0),) + tuple(draw(entries)))
+    alpha = [abs(a) if draw(st.integers(0, 4)) else -a for a in draw(entries)]
+    return from_coefficients(CoverageCoefficients(ground, (Fraction(0),) + tuple(alpha)))
+
+
+def disjoint_tuples(n, k):
+    """Every assignment of the elements to A0, A1..Ak or none, with nonempty classes."""
+    for code in range((k + 2) ** n):
+        a0, classes = 0, [0] * k
+        for e in range(n):
+            code, d = divmod(code, k + 2)
+            if d == 0:
+                a0 |= 1 << e
+            elif d <= k:
+                classes[d - 1] |= 1 << e
+        if all(classes):
+            yield a0, classes
+
+
+@settings(max_examples=150, deadline=None)
+@given(normalized_tables())
+def test_weak_violations_match_the_scanners(f):
+    n = f.ground.n
+    found = weak_violations(f)
+    assert len(found) == n + 1 and found[0] is None
+    for k in range(1, n + 1):
+        weak = all(alt_sum(f, a0, classes) <= 0 for a0, classes in disjoint_tuples(n, k))
+        assert (found[k] is None) == weak
+        # levels 1..k hold together exactly when the kept scanner finds no positive sum
+        assert all(w is None for w in found[1 : k + 1]) == (max_disjoint_alt_sum(f, k)[0] <= 0)
+        witness = found[k]
+        if witness is not None:
+            assert len(witness.classes) == k
+            assert all(popcount(c) == 1 and c & witness.a0 == 0 for c in witness.classes)
+            assert len(set(witness.classes)) == k
+            assert alt_sum(f, witness.a0, witness.classes) == witness.value > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(normalized_tables(max_n=3))
+def test_k_alternating_matches_bruteforce(f):
+    for k in (1, 2, 3):
+        assert is_k_alternating(f, k)[0] == is_k_alternating_bruteforce(f, k)[0]
+
+
+def test_split_blocks_match_one_block(rng, monkeypatch):
+    # ground sets above _BLOCK_BITS elements are split into blocks by their
+    # top elements; splitting small ones must give the same witnesses
+    fs = [random_set_function(rng, n) for n in (3, 4, 5) for _ in range(4)]
+    for n in (4, 5):
+        for _ in range(4):
+            alpha = [Fraction(rng.choice((0, 1, 2, 3, -1)), rng.randint(1, 3)) for _ in range(2**n - 1)]
+            fs.append(from_coefficients(CoverageCoefficients(GroundSet(n), (Fraction(0),) + tuple(alpha))))
+    fs.append(make_ell_not_ell_plus_one(GroundSet(5), 3, 0b1111))
+    whole = [weak_violations(f) for f in fs]
+    assert len({k for found in whole for k, w in enumerate(found) if w is not None}) >= 4
+    monkeypatch.setattr(alternating, "_BLOCK_BITS", 1)
+    assert [weak_violations(f) for f in fs] == whole
+
+
+def test_decision_functions_read_the_levels(rng):
+    for _ in range(20):
+        f = random_set_function(rng, 4)
+        found = weak_violations(f)
+        for k in range(1, 5):
+            assert is_weakly_k_alternating(f, k) == (found[k] is None, found[k])
+        # no disjoint tuple has more nonempty classes than there are elements
+        assert is_weakly_k_alternating(f, 5) == (True, None)
+        first = next((w for w in found[2:] if w is not None), None)
+        assert is_weakly_infinite_alternating(f) == (first is None, first)
+
+
+def test_max_disjoint_alt_sum_beyond_int64(rng):
+    # values past the int64 guard take the Python-int scan and stay exact
+    for _ in range(5):
+        f = random_set_function(rng, 3)
+        big = SetFunction(f.ground, tuple(v * 2**70 for v in f.values))
+        m, tuple_ = max_disjoint_alt_sum(f)
+        assert max_disjoint_alt_sum(big) == (m * 2**70, tuple_)

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from setdecomp import SetFunction, complete, cut_function
+from setdecomp import (
+    GroundSet,
+    SetFunction,
+    alt_sum,
+    complete,
+    cut_function,
+    format_rational,
+    make_ell_not_ell_plus_one,
+)
 from setdecomp.cli import main
 
 
@@ -149,8 +157,6 @@ def test_csv_input(capsys, tmp_path):
 
 
 def test_size_refusal_and_ack(capsys, tmp_path):
-    from setdecomp import GroundSet
-
     f = SetFunction.zero(GroundSet(9))
     path = write_json(tmp_path / "f.json", f.to_json_dict())
     assert main(["check", path]) == 2
@@ -161,6 +167,31 @@ def test_size_refusal_and_ack(capsys, tmp_path):
     )
     assert code == 0
     assert report["n"] == 9
+
+
+def test_check_reports_every_level_at_n9(capsys, tmp_path):
+    # 6-alternating but not 7-alternating: every level up to n = 9 is
+    # decided and the first violation sits at k = 7
+    f = make_ell_not_ell_plus_one(GroundSet(9), 6, 0b1111111)
+    path = write_json(tmp_path / "f.json", f.to_json_dict())
+    argv = ["check", path, "--max-n", "9", "--i-know-this-is-exponential"]
+    code, report = run(capsys, argv)
+    assert code == 0
+    profile = report["alternating_profile"]
+    assert [entry["k"] for entry in profile] == list(range(1, 10))
+    assert all("skipped" not in entry for entry in profile)
+    assert [entry["strong"] for entry in profile] == [k <= 6 for k in range(1, 10)]
+    assert profile[6]["weak"] is False and report["weakly_infinite_alternating"] is False
+    witness = profile[6]["witness"]
+    assert len(witness["tuple"]) == 7
+    value = alt_sum(f, witness["A0"], witness["tuple"])
+    assert value > 0 and format_rational(value) == witness["value"]
+    # identical invocations give byte-identical output
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(argv + ["--output", str(out1)]) == 0
+    assert main(argv + ["--output", str(out2)]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text()) == report
 
 
 def test_probe_exit_codes(capsys, tmp_path):

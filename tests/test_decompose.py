@@ -26,7 +26,7 @@ from setdecomp.graphs import (
     counterexample_sum,
     cut_function,
 )
-from setdecomp import decompose, graphs
+from setdecomp import WeightedGraph, decompose, graphs, simplex
 from setdecomp.simplex import ExactnessError, LinearProgram, solve_lp
 from conftest import random_coverage, random_set_function, random_weakly_alternating
 
@@ -97,6 +97,19 @@ def test_exactness_checks_raise(monkeypatch):
     monkeypatch.setattr(graphs, "solve_min_nonneg", off_by_one)
     with pytest.raises(ExactnessError):
         graphs.triangle_lps(complete(4))
+
+
+def test_infeasible_box_is_certified_without_pivoting(monkeypatch):
+    # an n = 6 cut function whose --c 1 sum box is infeasible (861 rows x 63
+    # variables); exact pivoting runs for minutes on it, so the elastic
+    # LP's certificate must settle it
+    edges = [(0, 2, 1), (0, 3, F(3, 2)), (0, 5, 1), (1, 2, F(2, 3)), (1, 3, 1),
+             (1, 4, 2), (2, 3, F(4, 3)), (4, 5, F(1, 2))]
+    calls = []
+    monkeypatch.setattr(simplex, "_solve_exact", lambda *args: calls.append(args))
+    psi = cut_function(WeightedGraph.build(6, edges))
+    assert c_bounded_feasible(psi, "sum", F(1)) == (False, None)
+    assert calls == []
 
 
 def test_sum_rejects_non_submodular():

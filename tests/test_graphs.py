@@ -172,10 +172,19 @@ def test_triangle_lps_known():
 
 
 def test_triangle_duality_random(rng):
+    packed = 0
     for _ in range(10):
         g = random_graph(rng, 5)
         r = triangle_lps(g)
+        packed += len(r.packing)
         assert r.nu_star == r.tau_star
+        # the packing read from the cover LP's dual is a feasible optimum
+        assert set(r.packing) == set(triangles_of(g))
+        assert all(x >= 0 for x in r.packing.values())
+        assert sum(r.packing.values()) == r.nu_star
+        for u, v, w in g.edges:
+            assert sum(x for t, x in r.packing.items() if u in t and v in t) <= w
+    assert packed > 0
 
 
 def test_bounds_known_values():

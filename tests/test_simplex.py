@@ -215,10 +215,10 @@ def test_certified_route_matches_exact_pivoting(rng, monkeypatch):
             assert got[1] == ref[1]
             check_structured_optimum(rows, rhs, costs, *got[1:])
             check_structured_optimum(rows, rhs, costs, *ref[1:])
-    # one reference call per LP, plus one fallback per infeasible LP; the
-    # optimal ones are all answered by the certified guess
+    # one reference call per LP and no fallback: the optimal LPs are answered
+    # by the certified guess, the infeasible ones by the elastic certificate
     assert "optimal" in statuses and "infeasible" in statuses
-    assert len(calls) == len(statuses) + statuses.count("infeasible")
+    assert len(calls) == len(statuses)
 
 
 def perturb_x(res):
