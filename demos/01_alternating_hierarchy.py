@@ -14,19 +14,22 @@ from setdecomp import (
     Partition,
     SetFunction,
     is_infinite_alternating,
-    is_k_alternating,
-    is_weakly_k_alternating,
     make_ell_not_ell_plus_one,
     make_partition_matroid_rank,
+    weak_violations,
 )
 
 
 def profile(name, f):
-    n = f.ground.n
+    # one pass decides every level: entry k is the first violation of weak
+    # k-alternation, and f is k-alternating when levels 1..k all hold
+    found = weak_violations(f)
     print(f"{name}:")
-    for k in range(1, n + 1):
-        weak, _ = is_weakly_k_alternating(f, k)
-        strong, witness = is_k_alternating(f, k)
+    witness = None
+    for k in range(1, f.ground.n + 1):
+        weak = found[k] is None
+        witness = witness or found[k]
+        strong = witness is None
         line = f"  k={k}  weak={str(weak):5}  strong={str(strong):5}"
         if witness is not None:
             line += f"  witness value {witness.value}"

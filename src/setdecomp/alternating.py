@@ -22,7 +22,6 @@ disjoint tuples with general classes remains only in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -33,6 +32,7 @@ from .core import (
     format_rational,
     linear_combine,
     popcount,
+    scale_to_ints,
 )
 
 # max_disjoint_alt_sum enumerates (k+2)^n assignments; refuse anything larger.
@@ -106,12 +106,6 @@ def _require_normalized(f: SetFunction) -> None:
         raise NotNormalizedError(f"operation requires f(empty) = 0, got {f.values[0]}")
 
 
-def _int_table(f: SetFunction) -> Tuple[List[int], int]:
-    """Scale values to integers: returns (table, denominator)."""
-    denom = lcm(*(v.denominator for v in f.values))
-    return [v.numerator * (denom // v.denominator) for v in f.values], denom
-
-
 def _interval_blocks(
     z: List[int], bits: int, r_high: int = 0, l_high: int = 0
 ) -> Iterator[Tuple[int, int, List[int]]]:
@@ -148,7 +142,7 @@ def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
     """
     _require_normalized(f)
     n, full = f.ground.n, f.ground.full_mask
-    ivals, denom = _int_table(f)
+    denom, ivals = scale_to_ints(f.values)
     bits = min(n, _BLOCK_BITS)
     ternary = [0] * (1 << bits)
     for m in range(1, 1 << bits):
@@ -233,7 +227,7 @@ def max_disjoint_alt_sum(
     k_max = n if k_max is None else k_max
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    ivals, denom = _int_table(f)
+    denom, ivals = scale_to_ints(f.values)
     best: Optional[Fraction] = None
     best_tuple = None
     for k in range(1, k_max + 1):
@@ -256,7 +250,11 @@ def max_disjoint_alt_sum(
 
 
 def is_weakly_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:
-    """Check V_f <= 0 on all pairwise-disjoint tuples with k nonempty classes."""
+    """Check V_f <= 0 on all pairwise-disjoint tuples with k nonempty classes.
+
+    Each call runs the full :func:`weak_violations` pass, which settles
+    every level; to profile several levels, call that once and read it.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     found = weak_violations(f)
@@ -265,7 +263,11 @@ def is_weakly_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[Alte
 
 
 def is_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:
-    """Decide k-alternation through the weak checks for l = 1..k."""
+    """Decide k-alternation through the weak checks for l = 1..k.
+
+    Each call runs the full :func:`weak_violations` pass; to profile
+    several levels, call that once and read it.
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     hit = next((w for w in weak_violations(f)[1 : k + 1] if w is not None), None)

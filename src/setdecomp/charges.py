@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import (
     GroundSet,
@@ -23,6 +23,7 @@ from .core import (
     format_rational,
     is_increasing,
     is_submodular,
+    scale_to_ints,
     to_rational,
 )
 
@@ -58,7 +59,8 @@ class Charge:
         return all(a >= 0 for a in self.atoms)
 
     def as_set_function(self) -> SetFunction:
-        return SetFunction(self.ground, [self(m) for m in self.ground.subsets()])
+        d, atoms = scale_to_ints(self.atoms)
+        return SetFunction(self.ground, [Fraction(v, d) for v in _modular_table(atoms, self.ground.n)])
 
     def to_json_dict(self) -> dict:
         return {"n": self.ground.n, "atoms": [format_rational(a) for a in self.atoms]}
@@ -69,11 +71,12 @@ class Charge:
 
 
 def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False) -> None:
+    """Check the preconditions of a public operation, each predicate once."""
     if f.values[0] != 0:
         raise PreconditionError(f"requires f(empty) = 0, got {f.values[0]}")
     if nonneg:
         for m, v in enumerate(f.values):
-            if v < 0:
+            if v.numerator < 0:
                 raise PreconditionError(f"requires f >= 0; f({m}) = {v}")
     if submodular:
         ok, witness = is_submodular(f)
@@ -83,6 +86,35 @@ def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False
         ok, witness = is_increasing(f)
         if not ok:
             raise PreconditionError(f"requires monotonicity; violated at (X,u) = {witness}")
+
+
+# The helpers below work on tables scaled to ints of one common
+# denominator and check nothing; the public functions check first.
+
+
+def _modular_table(atoms: Sequence[int], n: int) -> List[int]:
+    """The charge of every mask: the sum of its atoms."""
+    table = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        low = m & -m
+        table[m] = table[m ^ low] + atoms[low.bit_length() - 1]
+    return table
+
+
+def _dual(nums: List[int], eta: List[int]) -> List[int]:
+    """f(J \\ X) + eta(X) - f(J) for every X."""
+    f_j = nums[-1]
+    return [v + e - f_j for v, e in zip(reversed(nums), eta)]
+
+
+def _canonical_dual(nums: List[int], n: int) -> List[int]:
+    return _dual(nums, _modular_table([nums[1 << i] for i in range(n)], n))
+
+
+def _lower_charge(f: SetFunction) -> Charge:
+    full = f.ground.full_mask
+    f_j = f.values[full]
+    return Charge(f.ground, tuple(f_j - f.values[full ^ 1 << i] for i in range(f.ground.n)))
 
 
 def upper_charge(f: SetFunction) -> Charge:
@@ -96,39 +128,42 @@ def dual_wrt(f: SetFunction, eta: Charge) -> SetFunction:
     if eta.ground != f.ground:
         raise PreconditionError("charge is for a different ground set")
     _require(f, submodular=True, increasing=True)
-    eta_sf = eta.as_set_function()
-    for m in f.ground.subsets():
-        if f.values[m] > eta_sf.values[m]:
+    size = f.ground.size
+    d, nums = scale_to_ints(f.values + eta.atoms)
+    nums, eta_table = nums[:size], _modular_table(nums[size:], f.ground.n)
+    for m in range(size):
+        if nums[m] > eta_table[m]:
             raise PreconditionError(f"requires f <= eta; violated at mask {m}")
-    full = f.ground.full_mask
-    f_j = f.values[full]
-    return SetFunction(
-        f.ground,
-        [f.values[full ^ x] + eta_sf.values[x] - f_j for x in f.ground.subsets()],
-    )
+    return SetFunction(f.ground, [Fraction(v, d) for v in _dual(nums, eta_table)])
 
 
 def canonical_dual(f: SetFunction) -> SetFunction:
+    """The dual with respect to the upper charge, which majorizes f."""
     _require(f, nonneg=True, submodular=True, increasing=True)
-    return dual_wrt(f, upper_charge(f))
+    d, nums = scale_to_ints(f.values)
+    return SetFunction(f.ground, [Fraction(v, d) for v in _canonical_dual(nums, f.ground.n)])
 
 
 def lower_charge(f: SetFunction) -> Charge:
     """Largest charge whose subtraction keeps f increasing.
 
-    Closed form: atom x gets f(x) - f*(x), which equals the singleton gap
-    between the upper charges of f and of its canonical dual.
+    Closed form: atom x gets f(J) - f(J \\ x), which is f(x) - f*(x), the
+    singleton gap between the upper charges of f and of its canonical dual.
     """
     _require(f, nonneg=True, submodular=True, increasing=True)
-    star = canonical_dual(f)
-    atoms = tuple(
-        f.values[1 << i] - star.values[1 << i] for i in range(f.ground.n)
-    )
-    return Charge(f.ground, atoms)
+    return _lower_charge(f)
 
 
 def double_dual(f: SetFunction) -> SetFunction:
-    return canonical_dual(canonical_dual(f))
+    """f** = (f*)*, which is f minus the lower charge.
+
+    f* is again normalized, nonnegative, increasing and submodular, so the
+    second dual needs no check of its own.
+    """
+    _require(f, nonneg=True, submodular=True, increasing=True)
+    n = f.ground.n
+    d, nums = scale_to_ints(f.values)
+    return SetFunction(f.ground, [Fraction(v, d) for v in _canonical_dual(_canonical_dual(nums, n), n)])
 
 
 def verify_lower_charge_maximality(f: SetFunction) -> bool:
@@ -158,5 +193,5 @@ def verify_lower_charge_maximality(f: SetFunction) -> bool:
     sol = solve_lp(lp)
     if sol.status != "optimal":
         return False
-    expected = lower_charge(f)
+    expected = _lower_charge(f)
     return sol.value == expected(full) and tuple(sol.assignment) == expected.atoms

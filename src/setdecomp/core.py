@@ -9,7 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
+from math import lcm
+from numbers import Rational
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -253,65 +255,85 @@ def symmetrize(f: SetFunction, shift: RationalLike = 0) -> SetFunction:
     return SetFunction(f.ground, [f.values[m] + f.values[full ^ m] + shift for m in f.ground.subsets()])
 
 
+# -- integer tables ------------------------------------------------------
+
+
+def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
+    """A common denominator d of exact rationals and the Python ints d * v.
+
+    Sums and comparisons of the ints cost no gcd, unlike ``Fraction``
+    arithmetic; results go back to rationals as ``Fraction(v, d)``.
+    """
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
 # -- predicates ----------------------------------------------------------
 #
 # Each predicate returns (verdict, witness); the witness is None on success
 # and otherwise the lexicographically first counterexample in mask order.
+# They scan the table scaled to ints and share two loops: the local
+# submodularity gaps f(X+u) + f(X+v) - f(X) - f(X+u+v), and the steps
+# f(X+u) - f(X).
+
+
+def _first_gap(nums: List[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
+    """First (X, u, v) whose local gap is negative, or nonzero if modular.
+
+    The gap is the step of u at X minus its step at X + v, so the steps
+    f(X + u) - f(X) are computed once and the scan only compares.
+    """
+    size = 1 << n
+    steps = [[nums[X | 1 << u] - nums[X] for X in range(size)] for u in range(n)]
+    for X in range(size):
+        outside = [u for u in range(n) if not X >> u & 1]
+        for a, u in enumerate(outside):
+            step = steps[u]
+            here = step[X]
+            for v in outside[a + 1 :]:
+                there = step[X | 1 << v]
+                if here < there or (modular and here != there):
+                    return X, u, v
+    return None
+
+
+def _first_drop(nums: List[int], n: int) -> Optional[Tuple[int, int]]:
+    """First (X, u) with f(X) > f(X+u)."""
+    for X in range(1 << n):
+        base = nums[X]
+        for u in range(n):
+            if not X >> u & 1 and base > nums[X | 1 << u]:
+                return X, u
+    return None
+
+
+def _verdict(witness: Optional[tuple]) -> Tuple[bool, Optional[tuple]]:
+    return witness is None, witness
 
 
 def is_submodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Local diminishing-returns test; witness is (X, u, v) on failure."""
-    n = f.ground.n
-    vals = f.values
-    for X in f.ground.subsets():
-        outside = [u for u in range(n) if not X >> u & 1]
-        for a in range(len(outside)):
-            u = outside[a]
-            for b in range(a + 1, len(outside)):
-                v = outside[b]
-                if vals[X | 1 << u] + vals[X | 1 << v] - vals[X] - vals[X | 1 << u | 1 << v] < 0:
-                    return False, (X, u, v)
-    return True, None
+    return _verdict(_first_gap(scale_to_ints(f.values)[1], f.ground.n, False))
 
 
 def is_supermodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    return is_submodular(-f)
+    nums = scale_to_ints(f.values)[1]
+    return _verdict(_first_gap([-v for v in nums], f.ground.n, False))
 
 
 def is_increasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Monotone on all single-element extensions; witness is (X, u)."""
-    n = f.ground.n
-    vals = f.values
-    for X in f.ground.subsets():
-        for u in range(n):
-            if not X >> u & 1 and vals[X] > vals[X | 1 << u]:
-                return False, (X, u)
-    return True, None
+    return _verdict(_first_drop(scale_to_ints(f.values)[1], f.ground.n))
 
 
 def is_decreasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    n = f.ground.n
-    vals = f.values
-    for X in f.ground.subsets():
-        for u in range(n):
-            if not X >> u & 1 and vals[X] < vals[X | 1 << u]:
-                return False, (X, u)
-    return True, None
+    nums = scale_to_ints(f.values)[1]
+    return _verdict(_first_drop([-v for v in nums], f.ground.n))
 
 
 def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Exact equality in the local submodularity form; witness is (X, u, v)."""
-    n = f.ground.n
-    vals = f.values
-    for X in f.ground.subsets():
-        outside = [u for u in range(n) if not X >> u & 1]
-        for a in range(len(outside)):
-            u = outside[a]
-            for b in range(a + 1, len(outside)):
-                v = outside[b]
-                if vals[X | 1 << u] + vals[X | 1 << v] != vals[X] + vals[X | 1 << u | 1 << v]:
-                    return False, (X, u, v)
-    return True, None
+    return _verdict(_first_gap(scale_to_ints(f.values)[1], f.ground.n, True))
 
 
 def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:

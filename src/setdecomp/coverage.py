@@ -21,9 +21,11 @@ from .core import (
     SetFunction,
     format_rational,
     popcount,
+    scale_to_ints,
     to_rational,
 )
 from .alternating import NotNormalizedError, max_disjoint_alt_sum
+from .simplex import ExactnessError
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,8 @@ def extremal(ground: GroundSet, a_mask: int) -> SetFunction:
     return SetFunction(ground, [Fraction(1 if x & a_mask else 0) for x in ground.subsets()])
 
 
-def _zeta(values: List[Fraction], n: int) -> List[Fraction]:
-    """In-place subset sums: out[X] = sum over B subset X of values[B]."""
+def _zeta(values: List[int], n: int) -> List[int]:
+    """Subset sums: out[X] = sum over B subset X of values[B]."""
     out = list(values)
     for i in range(n):
         bit = 1 << i
@@ -85,7 +87,7 @@ def _zeta(values: List[Fraction], n: int) -> List[Fraction]:
     return out
 
 
-def _moebius(values: List[Fraction], n: int) -> List[Fraction]:
+def _moebius(values: List[int], n: int) -> List[int]:
     """Inverse of the subset-sum transform."""
     out = list(values)
     for i in range(n):
@@ -96,28 +98,33 @@ def _moebius(values: List[Fraction], n: int) -> List[Fraction]:
     return out
 
 
+def _reflect(table: List[int]) -> List[int]:
+    """g(X) = table[J] - table[J \\ X]: maps the coefficients' subset sums
+    to f and f back to them (its own inverse on tables zero at empty)."""
+    total = table[-1]
+    return [total - v for v in reversed(table)]
+
+
 def from_coefficients(coeffs: CoverageCoefficients) -> SetFunction:
     """f(X) = sum of alpha_A over A meeting X, via total minus subset sums."""
-    ground = coeffs.ground
-    subset_sums = _zeta(list(coeffs.alpha), ground.n)
-    total = subset_sums[ground.full_mask]
-    full = ground.full_mask
-    return SetFunction(ground, [total - subset_sums[full ^ x] for x in ground.subsets()])
+    d, alpha = scale_to_ints(coeffs.alpha)
+    values = _reflect(_zeta(alpha, coeffs.ground.n))
+    return SetFunction(coeffs.ground, [Fraction(v, d) for v in values])
 
 
 def to_coefficients(f: SetFunction) -> CoverageCoefficients:
-    """Invert the basis expansion; exact, and verified by reconstruction."""
+    """Invert the basis expansion; exact, and verified by reconstruction.
+
+    The transform and the check run over the table scaled to ints.
+    """
     if f.values[0] != 0:
         raise NotNormalizedError("coefficient extraction requires f(empty) = 0")
-    ground = f.ground
-    full = ground.full_mask
-    f_j = f.values[full]
-    reflected = [f_j - f.values[full ^ y] for y in ground.subsets()]
-    alpha = _moebius(reflected, ground.n)
-    coeffs = CoverageCoefficients(ground, tuple(alpha))
-    if from_coefficients(coeffs) != f:
-        raise AssertionError("coefficient round-trip failed; this is a bug")
-    return coeffs
+    n = f.ground.n
+    d, nums = scale_to_ints(f.values)
+    alpha = _moebius(_reflect(nums), n)
+    if _reflect(_zeta(alpha, n)) != nums:
+        raise ExactnessError("coefficient round-trip failed; this is a bug")
+    return CoverageCoefficients(f.ground, tuple(Fraction(a, d) for a in alpha))
 
 
 # -- explicit basis matrices (test oracle, O(4^n)) -----------------------

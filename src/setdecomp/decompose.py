@@ -17,7 +17,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .alternating import is_weakly_infinite_alternating
@@ -28,6 +27,7 @@ from .core import (
     format_rational,
     is_submodular,
     norm_inf,
+    scale_to_ints,
     to_rational,
 )
 from .coverage import CoverageCoefficients, from_coefficients, to_coefficients
@@ -108,8 +108,7 @@ def _build_rows(
     n = g.n
     vals = psi.values
     # psi = num / d over ints, so each right-hand side costs one Fraction
-    d = lcm(*(v.denominator for v in vals))
-    num = [v.numerator * (d // v.denominator) for v in vals]
+    d, num = scale_to_ints(vals)
     rows: List[Dict[int, int]] = []
     rhs: List[Fraction] = []
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from numbers import Rational
 from typing import List, Mapping, Optional, Sequence, Tuple
 
@@ -35,7 +34,7 @@ try:
 except ImportError:  # pragma: no cover
     _mpq = Fraction
 
-from .core import RationalLike, to_rational
+from .core import RationalLike, scale_to_ints, to_rational
 
 Relation = str  # "<=", "=", ">="
 
@@ -318,12 +317,6 @@ def _round(values: List[float], limit: int) -> List[Fraction]:
     return [exact[v] for v in values]
 
 
-def _scaled(values: Sequence[Rational]) -> Tuple[int, List[int]]:
-    """A common denominator d and the integers d * v."""
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 def _certify(
     rows: Sequence[SparseRow],
     rhs: Sequence[Rational],
@@ -340,10 +333,10 @@ def _certify(
     """
     if any(v < 0 for v in x) or any(v < 0 for v in y):
         return False
-    dx, px = _scaled(x)
-    dy, qy = _scaled(y)
-    db, bs = _scaled(rhs)
-    dc, cs = _scaled(costs)
+    dx, px = scale_to_ints(x)
+    dy, qy = scale_to_ints(y)
+    db, bs = scale_to_ints(rhs)
+    dc, cs = scale_to_ints(costs)
     # rows[i].x >= b_i  <=>  (sum a px) * db >= bs_i * dx
     for row, b in zip(rows, bs):
         if sum(a * px[j] for j, a in row.items()) * db < b * dx:

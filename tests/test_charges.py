@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from setdecomp import (
     SetFunction,
     canonical_dual,
     double_dual,
+    dual_wrt,
     is_decreasing,
     is_increasing,
     is_submodular,
@@ -17,6 +19,7 @@ from setdecomp import (
     upper_charge,
     verify_lower_charge_maximality,
 )
+from setdecomp import charges
 from conftest import random_coverage, random_nonneg_charge, random_set_function
 
 
@@ -105,12 +108,60 @@ def test_lower_charge_maximality(rng):
 def test_preconditions():
     g = GroundSet(2)
     not_norm = SetFunction(g, (1, 1, 1, 1))
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=r"requires f\(empty\) = 0, got 1$"):
         canonical_dual(not_norm)
+    negative = SetFunction(g, (0, -1, 1, 1))
+    with pytest.raises(PreconditionError, match=r"requires f >= 0; f\(1\) = -1$"):
+        upper_charge(negative)
     # non-submodular normalized function
     bad = SetFunction(g, (Fraction(0), Fraction(0), Fraction(0), Fraction(2)))
-    with pytest.raises(PreconditionError):
-        lower_charge(bad)
+    for op in (upper_charge, lower_charge, canonical_dual, double_dual):
+        with pytest.raises(PreconditionError, match=r"submodularity; violated at \(X,u,v\) = \(0, 0, 1\)$"):
+            op(bad)
+    # submodular but not increasing: f(0b01) = 2 > f(0b11) = 1
+    dropping = SetFunction(g, (0, 2, 1, 1))
+    for op in (lower_charge, canonical_dual, double_dual):
+        with pytest.raises(PreconditionError, match=r"monotonicity; violated at \(X,u\) = \(1, 1\)$"):
+            op(dropping)
+    f = SetFunction(g, (0, 1, 1, 2))
+    with pytest.raises(PreconditionError, match=r"requires f <= eta; violated at mask 2$"):
+        dual_wrt(f, Charge.of(g, [1, Fraction(1, 2)]))
+    with pytest.raises(PreconditionError, match="different ground set"):
+        dual_wrt(f, Charge.of(GroundSet(3), [1, 1, 1]))
+
+
+def singleton_charge(f):
+    return Charge(f.ground, tuple(f.values[1 << i] for i in range(f.ground.n)))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        upper_charge,
+        lower_charge,
+        canonical_dual,
+        double_dual,
+        lambda f: dual_wrt(f, singleton_charge(f)),
+        verify_lower_charge_maximality,
+    ],
+    ids=["upper", "lower", "canonical", "double", "dual_wrt", "verify"],
+)
+def test_each_precondition_checked_once(op, rng, monkeypatch):
+    calls = Counter()
+
+    def spy(name):
+        original = getattr(charges, name)
+
+        def wrapper(f):
+            calls[name] += 1
+            return original(f)
+
+        return wrapper
+
+    for name in ("is_submodular", "is_increasing"):
+        monkeypatch.setattr(charges, name, spy(name))
+    op(random_coverage(rng, 4))
+    assert calls["is_submodular"] == 1 and calls["is_increasing"] <= 1
 
 
 def test_strongly_bounded_split(rng):

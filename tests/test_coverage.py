@@ -5,6 +5,7 @@ import pytest
 
 from setdecomp import (
     CoverageCoefficients,
+    ExactnessError,
     GroundSet,
     SetFunction,
     from_coefficients,
@@ -14,6 +15,7 @@ from setdecomp import (
     support_size_bound_check,
     to_coefficients,
 )
+from setdecomp import coverage
 from setdecomp.coverage import (
     basis_matrix_apply,
     diff_decompose_canonical,
@@ -66,6 +68,20 @@ def test_to_coefficients_requires_normalization():
     g = GroundSet(2)
     with pytest.raises(NotNormalizedError):
         to_coefficients(SetFunction(g, (1, 1, 1, 1)))
+
+
+def test_spoiled_transform_raises(rng, monkeypatch):
+    # the round-trip check is an exactness check, so python -O keeps it
+    moebius = coverage._moebius
+
+    def spoiled(values, n):
+        out = moebius(values, n)
+        out[-1] += 1
+        return out
+
+    monkeypatch.setattr(coverage, "_moebius", spoiled)
+    with pytest.raises(ExactnessError, match="round-trip"):
+        to_coefficients(random_set_function(rng, 3))
 
 
 def test_coefficients_nonnegative_iff_coverage(rng):

@@ -19,17 +19,28 @@ def test_no_assert_statements():
     assert SOURCES and found == []
 
 
-def test_import_loads_neither_numpy_nor_scipy():
-    code = (
-        "import sys, setdecomp; "
-        "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"
-    )
+def _loaded_heavy_modules(code: str) -> str:
     src = str(Path(setdecomp.__file__).parent.parent)
     out = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code + "; print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))"],
         capture_output=True,
         text=True,
         check=True,
         env={"PYTHONPATH": src},
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_import_loads_neither_numpy_nor_scipy():
+    assert _loaded_heavy_modules("import sys, setdecomp") == "[]"
+
+
+def test_charge_calls_load_neither_numpy_nor_scipy():
+    # numpy alone adds about a third to the resident memory of these calls
+    code = (
+        "import sys, setdecomp as sd; "
+        "f = sd.SetFunction(sd.GroundSet(4), [bin(m).count('1') * (8 - bin(m).count('1')) for m in range(16)]); "
+        "[getattr(sd, name)(f) for name in ('is_submodular', 'is_increasing', 'to_coefficients', "
+        "'upper_charge', 'lower_charge', 'canonical_dual', 'double_dual')]"
+    )
+    assert _loaded_heavy_modules(code) == "[]"
