@@ -30,7 +30,6 @@ from .core import (
     Partition,
     SetFunction,
     format_rational,
-    linear_combine,
     popcount,
     scale_to_ints,
 )
@@ -335,10 +334,10 @@ def is_infinite_alternating(f: SetFunction) -> bool:
 def make_ell_not_ell_plus_one(ground: GroundSet, ell: int, x_mask: int) -> SetFunction:
     """A function that is ell-alternating but not (ell+1)-alternating.
 
-    Built as (sum of all intersection indicators of sets of size <= ell)
-    minus the indicator of the given (ell+1)-element set.
+    Built as the coverage function with coefficient 1 on every set of
+    size 1..ell and -1 on the given (ell+1)-element set.
     """
-    from .coverage import extremal
+    from .coverage import CoverageCoefficients, from_coefficients
 
     ground.check_mask(x_mask)
     if ell < 1:
@@ -347,9 +346,9 @@ def make_ell_not_ell_plus_one(ground: GroundSet, ell: int, x_mask: int) -> SetFu
         raise ValueError(f"need |X| = ell + 1 = {ell + 1}, got {popcount(x_mask)}")
     if ground.n <= ell:
         raise ValueError("ground set must have more than ell elements")
-    terms = [(Fraction(1), extremal(ground, a)) for a in ground.nonempty_subsets() if popcount(a) <= ell]
-    terms.append((Fraction(-1), extremal(ground, x_mask)))
-    return linear_combine(terms)
+    alpha = [Fraction(1 if 1 <= popcount(a) <= ell else 0) for a in ground.subsets()]
+    alpha[x_mask] = Fraction(-1)
+    return from_coefficients(CoverageCoefficients(ground, tuple(alpha)))
 
 
 def make_partition_matroid_rank(partition: Partition) -> SetFunction:

@@ -6,6 +6,11 @@ both X and its complement), the induced function i(X) (hyperedges inside
 X), and the incident function e(X) = i(X) + d(X).  With nonnegative
 weights d and e are submodular and i is supermodular.
 
+All three come from the coverage transforms: e is the coverage function
+whose coefficients are the hyperedge weights, i is the subset sums of
+those weights, and d = e - i.  Likewise the clique weights of a
+plus-decomposition part phi1 are the Moebius transform of phi1.
+
 On top of these sit the max-cut brute force, clique-weight recovery from
 a monotonic sum-decomposition, fractional triangle packing/cover LPs,
 and the two LP upper bounds on the plus-norm of the cut function.
@@ -18,16 +23,20 @@ import io
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import product
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
     GroundSet,
     SetFunction,
     format_rational,
+    norm_inf,
     popcount,
+    scale_to_ints,
     to_rational,
     MAX_GROUND,
 )
+from .coverage import _moebius, _reflect, _zeta
 from .decompose import Decomposition, optimal_sum_decomposition
 from .simplex import ExactnessError, solve_min_nonneg
 
@@ -172,38 +181,50 @@ def _as_hypergraph(g: GraphLike) -> WeightedHypergraph:
     return g.to_hypergraph() if isinstance(g, WeightedGraph) else g
 
 
+def _induced_ints(
+    n: int, weighted_masks: Iterable[Tuple[int, Fraction]]
+) -> Tuple[GroundSet, int, List[int]]:
+    """The induced table scaled to ints: (ground, den, den * i).
+
+    The weights go on a coefficient table, summed where masks repeat, and
+    i(X) is their subset sum over X.
+    """
+    ground = GroundSet(max(n, 1))
+    items = list(weighted_masks)
+    den, nums = scale_to_ints([w for _, w in items])
+    coeffs = [0] * ground.size
+    for (mask, _), w in zip(items, nums):
+        coeffs[mask] += w
+    return ground, den, _zeta(coeffs, ground.n)
+
+
+def _cut_ints(g: GraphLike) -> Tuple[GroundSet, int, List[int]]:
+    """The cut table scaled to ints: den * (e - i), e being i reflected."""
+    h = _as_hypergraph(g)
+    ground, den, induced = _induced_ints(h.n, h.hyperedges)
+    return ground, den, [a - b for a, b in zip(_reflect(induced), induced)]
+
+
+def _function(ground: GroundSet, den: int, nums: List[int]) -> SetFunction:
+    return SetFunction(ground, [Fraction(v, den) for v in nums])
+
+
 def cut_function(g: GraphLike) -> SetFunction:
     """d(X): total weight of hyperedges meeting both X and its complement."""
-    h = _as_hypergraph(g)
-    ground = GroundSet(max(h.n, 1))
-    full = (1 << h.n) - 1
-    vals = [_ZERO] * ground.size
-    for x in range(ground.size):
-        acc = _ZERO
-        for mask, w in h.hyperedges:
-            if mask & x and mask & full & ~x:
-                acc += w
-        vals[x] = acc
-    return SetFunction(ground, tuple(vals))
+    return _function(*_cut_ints(g))
 
 
 def induced_function(g: GraphLike) -> SetFunction:
     """i(X): total weight of hyperedges contained in X."""
     h = _as_hypergraph(g)
-    ground = GroundSet(max(h.n, 1))
-    vals = [_ZERO] * ground.size
-    for x in range(ground.size):
-        acc = _ZERO
-        for mask, w in h.hyperedges:
-            if mask & ~x == 0:
-                acc += w
-        vals[x] = acc
-    return SetFunction(ground, tuple(vals))
+    return _function(*_induced_ints(h.n, h.hyperedges))
 
 
 def incident_function(g: GraphLike) -> SetFunction:
-    """e(X) = i(X) + d(X): hyperedges meeting X at all."""
-    return induced_function(g) + cut_function(g)
+    """e(X) = i(X) + d(X): hyperedges meeting X at all, i(J) - i(J \\ X)."""
+    h = _as_hypergraph(g)
+    ground, den, induced = _induced_ints(h.n, h.hyperedges)
+    return _function(ground, den, _reflect(induced))
 
 
 def _connecting_weight(h: WeightedHypergraph, x: int, y: int, inside: int) -> Fraction:
@@ -228,34 +249,35 @@ def verify_cut_identities(
     if x is None or y is None:
         if h.n > 6:
             raise GraphError("exhaustive identity check is capped at n <= 6")
-        return all(
-            verify_cut_identities(h, a, b)
-            for a in range(full + 1)
-            for b in range(full + 1)
-        )
+        pairs = product(range(full + 1), repeat=2)
+    else:
+        pairs = [(x, y)]
     d = cut_function(h)
     i = induced_function(h)
     e = incident_function(h)
-    inter, union = x & y, x | y
-    t_union = _connecting_weight(h, x, y, union)
-    t_costar = _connecting_weight(h, x, y, full & ~inter)
-    ok_d = d(x) + d(y) == d(inter) + d(union) + t_union + t_costar
-    ok_i = i(x) + i(y) == i(inter) + i(union) - t_union
-    ok_e = e(x) + e(y) == e(inter) + e(union) + t_costar
-    return ok_d and ok_i and ok_e
+
+    def holds(x: int, y: int) -> bool:
+        inter, union = x & y, x | y
+        t_union = _connecting_weight(h, x, y, union)
+        t_costar = _connecting_weight(h, x, y, full & ~inter)
+        ok_d = d(x) + d(y) == d(inter) + d(union) + t_union + t_costar
+        ok_i = i(x) + i(y) == i(inter) + i(union) - t_union
+        ok_e = e(x) + e(y) == e(inter) + e(union) + t_costar
+        return ok_d and ok_i and ok_e
+
+    return all(holds(a, b) for a, b in pairs)
 
 
 def max_cut(g: WeightedGraph) -> Tuple[Fraction, int]:
     """Exact maximum cut by brute force; ties broken toward the lowest mask."""
-    d = cut_function(g)
-    best, best_mask = _ZERO, 0
+    _, den, cut = _cut_ints(g)
+    best, best_mask = 0, 0
     # fixing the top vertex outside X halves the symmetric search
     half = 1 << max(g.n - 1, 0)
     for x in range(half):
-        v = d(x)
-        if v > best:
-            best, best_mask = v, x
-    return best, best_mask
+        if cut[x] > best:
+            best, best_mask = cut[x], x
+    return Fraction(best, den), best_mask
 
 
 def greedy_local_search_cut(g: WeightedGraph) -> Tuple[Fraction, int]:
@@ -263,20 +285,17 @@ def greedy_local_search_cut(g: WeightedGraph) -> Tuple[Fraction, int]:
     vertex, until no single move raises the cut.  The local optimum is at
     least half the total edge weight.
     """
-    d = cut_function(g)
+    _, den, cut = _cut_ints(g)
     x = 0
-    current = d(0)
     improved = True
     while improved:
         improved = False
         for v in range(g.n):
-            cand = d(x ^ 1 << v)
-            if cand > current:
+            if cut[x ^ 1 << v] > cut[x]:
                 x ^= 1 << v
-                current = cand
                 improved = True
                 break
-    return current, x
+    return Fraction(cut[x], den), x
 
 
 def enumerate_cliques(g: WeightedGraph) -> List[int]:
@@ -308,15 +327,7 @@ class CliqueWeights:
     weights: Dict[int, Fraction]
 
     def induced(self) -> SetFunction:
-        ground = GroundSet(max(self.graph.n, 1))
-        vals = [_ZERO] * ground.size
-        for x in range(ground.size):
-            acc = _ZERO
-            for mask, w in self.weights.items():
-                if mask & ~x == 0:
-                    acc += w
-            vals[x] = acc
-        return SetFunction(ground, tuple(vals))
+        return _function(*_induced_ints(self.graph.n, self.weights.items()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -335,50 +346,22 @@ def recover_clique_weights(g: WeightedGraph, phi1: SetFunction) -> CliqueWeights
     """Recover clique weights w' with phi1 = i_{H,w'} from the increasing
     part of a monotonic sum-decomposition of the cut function.
 
-    w'(K) peels phi1(K) minus the contributions of smaller cliques.  The
-    result is verified on every subset, along with the closed form
-    w'(K) = (-1)^k V(empty; singletons of K); failure means phi1 was not
-    a valid decomposition part, reported with a modularity witness.
+    w'(K) is the Moebius coefficient of phi1 at K, which is also the
+    closed form (-1)^k V(empty; singletons of K).  The result is verified
+    on every subset; failure means phi1 was not a valid decomposition
+    part, reported with a modularity witness.
     """
     if phi1.ground.n != max(g.n, 1):
         raise GraphError("phi1 ground set does not match the graph")
-    cliques = sorted(enumerate_cliques(g), key=popcount)
-    weights: Dict[int, Fraction] = {}
-    for k in cliques:
-        acc = phi1(k)
-        for kp, w in weights.items():
-            if kp != k and kp & ~k == 0:
-                acc -= w
-        weights[k] = acc
+    den, nums = scale_to_ints(phi1.values)
+    alpha = _moebius(nums, phi1.ground.n)
+    weights = {k: Fraction(alpha[k], den) for k in sorted(enumerate_cliques(g), key=popcount)}
     result = CliqueWeights(graph=g, weights=weights)
-    rebuilt = result.induced()
-    if rebuilt.values != phi1.values:
+    if result.induced().values != phi1.values:
         raise GraphError(
             "phi1 is not induced by any clique weighting: "
             + _modularity_witness_message(g, phi1)
         )
-    for k in cliques:
-        parts = []
-        m = k
-        while m:
-            low = m & -m
-            parts.append(low)
-            m &= m - 1
-        total = _ZERO
-        size = len(parts)
-        for sub in range(1 << size):
-            a0 = 0
-            for j in range(size):
-                if sub >> j & 1:
-                    a0 |= parts[j]
-            total += (-1) ** popcount(sub) * phi1(a0)
-        # closed form: w'(K) = (-1)^k V(empty; singletons), where V is the
-        # alternating sum over unions of the singleton classes
-        if weights[k] != (-1) ** size * total:
-            raise GraphError(
-                f"closed-form clique weight mismatch on mask {k}: "
-                + _modularity_witness_message(g, phi1)
-            )
     return result
 
 
@@ -524,8 +507,6 @@ def complete_graph_decomposition(n: int) -> Decomposition:
     phi1 = SetFunction(ground, tuple(vals1))
     phi2 = SetFunction(ground, tuple(vals2))
     d = phi1 + phi2
-    from .core import norm_inf
-
     if max(norm_inf(phi1), norm_inf(phi2)) != norm_inf(d):
         raise ExactnessError("the split of the complete graph's cut function is not 1-bounded")
     return Decomposition(phi1=phi1, phi2=phi2, kind="sum", objective=phi1(ground.full_mask))

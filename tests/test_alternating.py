@@ -11,6 +11,7 @@ from setdecomp import (
     Partition,
     SetFunction,
     alt_sum,
+    extremal,
     from_coefficients,
     is_infinite_alternating,
     is_k_alternating,
@@ -18,6 +19,7 @@ from setdecomp import (
     is_increasing,
     is_weakly_infinite_alternating,
     is_weakly_k_alternating,
+    linear_combine,
     make_ell_not_ell_plus_one,
     make_partition_matroid_rank,
     max_disjoint_alt_sum,
@@ -131,6 +133,18 @@ def test_ell_not_ell_plus_one():
         f = make_ell_not_ell_plus_one(g, ell, x_mask)
         assert is_k_alternating(f, ell)[0]
         assert not is_k_alternating(f, ell + 1)[0]
+
+
+def test_ell_not_ell_plus_one_matches_extremal_sum(rng):
+    # reference: the indicators of the sets of size 1..ell added up, minus
+    # the indicator of X
+    for n in range(2, 7):
+        g = GroundSet(n)
+        for ell in range(1, n):
+            x_mask = rng.choice([m for m in g.subsets() if popcount(m) == ell + 1])
+            terms = [(1, extremal(g, a)) for a in g.nonempty_subsets() if popcount(a) <= ell]
+            expected = linear_combine(terms + [(-1, extremal(g, x_mask))])
+            assert make_ell_not_ell_plus_one(g, ell, x_mask) == expected
 
 
 def test_partition_matroid_rank_is_coverage():
@@ -252,3 +266,34 @@ def test_max_disjoint_alt_sum_beyond_int64(rng):
         big = SetFunction(f.ground, tuple(v * 2**70 for v in f.values))
         m, tuple_ = max_disjoint_alt_sum(f)
         assert max_disjoint_alt_sum(big) == (m * 2**70, tuple_)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("at_guard", [False, True])
+def test_max_disjoint_alt_sum_at_the_int64_guard(rng, monkeypatch, k, at_guard):
+    # max |numerator| << k just below 2^62 scans level k in int64, at 2^62
+    # in Python ints; both match an exhaustive alt_sum enumeration
+    import numpy as np
+
+    top = (1 << (62 - k)) - (0 if at_guard else 1)
+    dtypes = []
+    real = alternating._scan_chunk_numpy
+
+    def spy(arr, n, level, start, stop):
+        dtypes.append((level, arr.dtype))
+        return real(arr, n, level, start, stop)
+
+    monkeypatch.setattr(alternating, "_scan_chunk_numpy", spy)
+    for n in range(1, 4):
+        for _ in range(4):
+            vals = [0] + [rng.randint(-top, top) for _ in range((1 << n) - 1)]
+            vals[rng.randrange(1, 1 << n)] = rng.choice([top, -top])
+            f = SetFunction(GroundSet(n), vals)
+            dtypes.clear()
+            m, (a0, classes) = max_disjoint_alt_sum(f, k)
+            assert m == max(
+                alt_sum(f, a, c) for level in range(1, k + 1) for a, c in disjoint_tuples(n, level)
+            )
+            assert alt_sum(f, a0, classes) == m
+            expected = np.dtype(object) if at_guard else np.dtype(np.int64)
+            assert {dtype for level, dtype in dtypes if level == k} == {expected}

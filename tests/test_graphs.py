@@ -5,6 +5,7 @@ import pytest
 from setdecomp import (
     CliqueWeights,
     GraphError,
+    GroundSet,
     SetFunction,
     WeightedGraph,
     WeightedHypergraph,
@@ -28,13 +29,14 @@ from setdecomp import (
     nu_star_bound,
     optimal_sum_decomposition,
     path,
+    popcount,
     recover_clique_weights,
     triangle_lps,
     triangles_of,
     verify_cut_identities,
     wheel,
 )
-from setdecomp import simplex
+from setdecomp import graphs, simplex
 from conftest import random_graph
 
 F = Fraction
@@ -57,24 +59,24 @@ CLIFF_EDGES = [
 def test_triangle_values():
     g = complete(3)
     d = cut_function(g)
-    e = induced_function(g)
-    i = incident_function(g)
+    i = induced_function(g)
+    e = incident_function(g)
     assert d(0b011) == 2
     assert d(0b111) == 0
-    assert e(0b111) == 3
-    assert e(0b011) == 1
-    assert i(0b001) == 2
+    assert i(0b111) == 3
+    assert i(0b011) == 1
+    assert e(0b001) == 2
     # crossing edges are the incident ones that are not fully inside
     for x in range(8):
-        assert d(x) == i(x) - e(x)
+        assert d(x) == e(x) - i(x)
 
 
 def test_degree_identity(rng):
     # e + i equals the degree charge on every subset
     for _ in range(10):
         g = random_graph(rng, 5)
-        e = induced_function(g)
-        i = incident_function(g)
+        i = induced_function(g)
+        e = incident_function(g)
         adj = g.adjacency()
         deg = [sum(g.weight_of(u, v) for v in range(5) if adj[u] >> v & 1) for u in range(5)]
         for x in range(32):
@@ -292,3 +294,139 @@ def test_probe_deterministic():
     assert r1.to_json_dict() == r2.to_json_dict()
     assert r1.conjecture_holds
     assert r1.trials == 5
+
+
+# -- the coverage-transform tables against per-hyperedge reference loops --
+#
+# The loops below are the direct definitions: each subset mask visits every
+# hyperedge (or clique weight) and adds up exact Fractions.
+
+
+def ref_cut(h):
+    full = (1 << h.n) - 1
+    return SetFunction(
+        GroundSet(max(h.n, 1)),
+        [
+            sum((w for mask, w in h.hyperedges if mask & x and mask & full & ~x), F(0))
+            for x in range(1 << max(h.n, 1))
+        ],
+    )
+
+
+def ref_induced_by(n, weighted_masks):
+    return SetFunction(
+        GroundSet(max(n, 1)),
+        [
+            sum((w for mask, w in weighted_masks if mask & ~x == 0), F(0))
+            for x in range(1 << max(n, 1))
+        ],
+    )
+
+
+def ref_incident(h):
+    return ref_induced_by(h.n, h.hyperedges) + ref_cut(h)
+
+
+def ref_recover(g, phi1):
+    """Peel phi1(K) minus the smaller cliques' weights, verify on every
+    subset, then check the closed form (-1)^k V(empty; singletons of K)."""
+    cliques = sorted(enumerate_cliques(g), key=popcount)
+    weights = {}
+    for k in cliques:
+        weights[k] = phi1(k) - sum(
+            (w for kp, w in weights.items() if kp != k and kp & ~k == 0), F(0)
+        )
+    if ref_induced_by(g.n, list(weights.items())) != phi1:
+        raise GraphError(
+            "phi1 is not induced by any clique weighting: "
+            + graphs._modularity_witness_message(g, phi1)
+        )
+    for k in cliques:
+        parts = [1 << v for v in range(g.n) if k >> v & 1]
+        total = F(0)
+        for sub in range(1 << len(parts)):
+            a0 = sum(p for j, p in enumerate(parts) if sub >> j & 1)
+            total += (-1) ** popcount(sub) * phi1(a0)
+        assert weights[k] == (-1) ** len(parts) * total
+    return weights
+
+
+def random_hypergraph(rng, n):
+    """Hyperedges drawn from a small pool of masks, so masks repeat, with
+    signed weights over mixed denominators."""
+    pool = [rng.randint(1, (1 << n) - 1) for _ in range(rng.randint(1, 4))]
+    hedges = tuple(
+        (rng.choice(pool), F(rng.randint(-9, 9), rng.choice([1, 2, 3, 7, 10**6 + 3])))
+        for _ in range(rng.randint(0, 8))
+    )
+    return WeightedHypergraph(n, hedges)
+
+
+def table_inputs(rng):
+    yield WeightedGraph(0, ())
+    yield WeightedGraph.build(1, [])
+    yield WeightedHypergraph(1, ((1, F(-2, 3)), (1, F(5))))
+    for n in range(2, 8):
+        for _ in range(4):
+            yield random_graph(rng, n, p=rng.choice([0.3, 0.6, 1.0]))
+            yield random_hypergraph(rng, n)
+
+
+def test_tables_match_reference_loops(rng):
+    for g in table_inputs(rng):
+        h = g.to_hypergraph() if isinstance(g, WeightedGraph) else g
+        assert cut_function(g) == ref_cut(h)
+        assert induced_function(g) == ref_induced_by(h.n, h.hyperedges)
+        assert incident_function(g) == ref_incident(h)
+
+
+def test_clique_weights_match_peeling_and_closed_form(rng):
+    for n in range(1, 7):
+        for _ in range(4):
+            g = random_graph(rng, n, p=0.7)
+            # a valid phi1 from random clique weights, and a spoiled copy
+            drawn = {k: F(rng.randint(-5, 5), rng.randint(1, 4)) for k in enumerate_cliques(g)}
+            phi1 = ref_induced_by(n, list(drawn.items()))
+            vals = list(phi1.values)
+            vals[0] += rng.randint(0, 1)
+            vals[-1] += 1
+            spoiled = SetFunction(phi1.ground, vals)
+            for f in (phi1, spoiled):
+                try:
+                    expected = ref_recover(g, f)
+                except GraphError as exc:
+                    with pytest.raises(GraphError) as got:
+                        recover_clique_weights(g, f)
+                    assert str(got.value) == str(exc)
+                    continue
+                weights = recover_clique_weights(g, f)
+                assert list(weights.weights.items()) == list(expected.items())
+                assert weights.induced() == ref_induced_by(n, list(expected.items()))
+    for n in range(2, 5):
+        g = random_graph(rng, n, p=0.7)
+        phi1 = optimal_sum_decomposition(cut_function(g)).phi1
+        assert recover_clique_weights(g, phi1).weights == ref_recover(g, phi1)
+
+
+def test_cuts_match_scanning_the_cut_function(rng):
+    # unit weights tie many sides, which pins down the tie-breaking
+    graphs_ = [WeightedGraph(0, ()), WeightedGraph.build(1, []), WeightedGraph.build(3, [])]
+    graphs_ += [complete(n) for n in range(2, 7)] + [cycle(5), cycle(6), path(5), wheel(6)]
+    graphs_ += [complete_bipartite(2, 3)]
+    graphs_ += [random_graph(rng, n, p=p) for n in range(2, 9) for p in (0.3, 0.6, 1.0)]
+    for g in graphs_:
+        d = cut_function(g)
+        best, best_mask = F(0), 0
+        for x in range(1 << max(g.n - 1, 0)):
+            if d(x) > best:
+                best, best_mask = d(x), x
+        assert max_cut(g) == (best, best_mask)
+        x, improved = 0, True
+        while improved:
+            improved = False
+            for v in range(g.n):
+                if d(x ^ 1 << v) > d(x):
+                    x ^= 1 << v
+                    improved = True
+                    break
+        assert greedy_local_search_cut(g) == (d(x), x)
