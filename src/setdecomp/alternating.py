@@ -14,9 +14,12 @@ over L <= C <= R with |L| = k is nonnegative, since S(L, R) = -V_f(J \\ R;
 singletons of L): the Moebius characterization of k-monotone capacities
 (Chateauneuf & Jaffray, 1989) applied to the conjugate the coverage basis
 encodes.  :func:`weak_violations` computes all 3^n interval sums in one
-pass and so settles every level at once.  The base-(k+2) counter scan of
-disjoint tuples with general classes remains only in
-:func:`max_disjoint_alt_sum`, which needs the largest sum, not its sign.
+pass and so settles every level at once.  :func:`max_disjoint_alt_sum`
+needs the largest sum over disjoint tuples with general classes, not its
+sign.  It visits each such tuple once, its classes a set partition of
+the elements outside A0 and the unused ones, generated in restricted
+growth order (Knuth, TAOCP 4A, 7.2.1.5), so no ordering of the classes
+is visited twice.
 """
 
 from __future__ import annotations
@@ -34,12 +37,8 @@ from .core import (
     scale_to_ints,
 )
 
-# max_disjoint_alt_sum enumerates (k+2)^n assignments; refuse anything larger.
-ENUMERATION_LIMIT = 10**8
-
-# numpy fast path works on chunks of assignments; 2^k arrays per chunk live
-# at once, so keep chunks modest.
-_CHUNK = 1 << 16
+# max_disjoint_alt_sum refuses to enumerate more disjoint tuples than this.
+ENUMERATION_LIMIT = 10**6
 
 # weak_violations holds at most 3^_BLOCK_BITS interval sums at once.
 _BLOCK_BITS = 10
@@ -168,45 +167,43 @@ def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
     return out
 
 
-def _decode_assignment(code: int, n: int, k: int) -> Tuple[int, Tuple[int, ...]]:
-    """Digit d of element e: 0 -> A0, 1..k -> A1..Ak, k+1 -> unused."""
-    a0 = 0
-    classes = [0] * k
-    for e in range(n):
-        d = code % (k + 2)
-        code //= k + 2
-        if d == 0:
-            a0 |= 1 << e
-        elif d <= k:
-            classes[d - 1] |= 1 << e
-    return a0, tuple(classes)
+def _tuple_count(n: int, k_max: int) -> int:
+    """Number of tuples :func:`_disjoint_tuples` yields, without yielding them."""
+    counts = [1] + [0] * k_max  # counts[c]: label prefixes with c classes open
+    for _ in range(n):
+        counts = [(c + 2) * counts[c] + (counts[c - 1] if c else 0) for c in range(k_max + 1)]
+    return sum(counts) - counts[0]
 
 
-def _scan_chunk_numpy(ivals, n: int, k: int, start: int, stop: int):
-    """V values for assignment codes [start, stop); returns (V, valid)."""
-    import numpy as np
+def _disjoint_tuples(n: int, k_max: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+    """Each (A0, classes) with 1..k_max nonempty pairwise-disjoint classes,
+    up to the order of the classes, exactly once.
 
-    rest = np.arange(start, stop, dtype=np.int64)
-    masks = np.zeros((k + 2, stop - start), dtype=np.int64)
-    for e in range(n):
-        d = rest % (k + 2)
-        rest //= k + 2
-        for j in range(k + 2):
-            masks[j] |= np.where(d == j, 1 << e, 0)
-    valid = np.ones(stop - start, dtype=bool)
-    for j in range(1, k + 1):
-        valid &= masks[j] != 0
-    # subset dp over the classes: unions[K] for K in increasing code order
-    unions = [masks[0]]
-    for i in range(1, k + 1):
-        unions.extend(u | masks[i] for u in list(unions))
-    v = np.zeros(stop - start, dtype=ivals.dtype)
-    for idx, u in enumerate(unions):
-        if popcount(idx) & 1:
-            v -= ivals[u]
-        else:
-            v += ivals[u]
-    return v, valid
+    Element e, from 0 up, goes to A0, to no set, to one of the classes
+    already open or to a new class, tried in that order: the tuples come
+    in lexicographic order of these labels, and the classes are numbered
+    by their smallest element (a restricted growth string).
+    """
+    classes: List[int] = []
+
+    def extend(e: int, a0: int) -> Iterator[Tuple[int, Tuple[int, ...]]]:
+        if e == n:
+            if classes:
+                yield a0, tuple(classes)
+            return
+        bit = 1 << e
+        yield from extend(e + 1, a0 | bit)
+        yield from extend(e + 1, a0)
+        for j in range(len(classes)):
+            classes[j] |= bit
+            yield from extend(e + 1, a0)
+            classes[j] ^= bit
+        if len(classes) < k_max:
+            classes.append(bit)
+            yield from extend(e + 1, a0)
+            classes.pop()
+
+    return extend(0, 0)
 
 
 def max_disjoint_alt_sum(
@@ -215,37 +212,35 @@ def max_disjoint_alt_sum(
     """Maximum of V_f over pairwise-disjoint tuples with nonempty classes,
     for 1 <= k <= k_max (default n).  Returns (max, first attaining tuple).
 
-    The classes are general sets, so the (k+2)^n assignments of elements
-    to A0, A1..Ak or none are scanned as counters, in int64 when 2^k
-    values cannot overflow it and in Python ints otherwise.
+    V_f does not depend on the order of the classes, so each unordered
+    tuple is visited once and summed over its 2^k unions in Python ints
+    scaled by the common denominator of f.  "First" is in the order of
+    :func:`_disjoint_tuples`: element 0, then 1, and so on, goes to A0,
+    to no set, to an open class or to a new class, tried in that order,
+    and the classes come ordered by their smallest element.  k_max is
+    capped at n, since no disjoint tuple has more nonempty classes.  The
+    tuple count is checked against ENUMERATION_LIMIT before any tuple is
+    visited.
     """
-    import numpy as np
-
     _require_normalized(f)
     n = f.ground.n
     k_max = n if k_max is None else k_max
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
+    k_max = min(k_max, n)
+    total = _tuple_count(n, k_max)
+    if total > ENUMERATION_LIMIT:
+        raise EnumerationLimitError(f"n={n}, k_max={k_max} needs {total} tuples (limit {ENUMERATION_LIMIT})")
     denom, ivals = scale_to_ints(f.values)
-    best: Optional[Fraction] = None
-    best_tuple = None
-    for k in range(1, k_max + 1):
-        total = (k + 2) ** n
-        if total > ENUMERATION_LIMIT:
-            raise EnumerationLimitError(f"k={k} needs {total} assignments (limit {ENUMERATION_LIMIT})")
-        fits = max(map(abs, ivals)) << k < 1 << 62
-        arr = np.array(ivals, dtype=np.int64 if fits else object)
-        for start in range(0, total, _CHUNK):
-            stop = min(start + _CHUNK, total)
-            v, valid = _scan_chunk_numpy(arr, n, k, start, stop)
-            codes = np.flatnonzero(valid)
-            if codes.size == 0:
-                continue
-            idx = int(codes[np.argmax(v[codes])])
-            val = Fraction(int(v[idx]), denom)
-            if best is None or val > best:
-                best, best_tuple = val, _decode_assignment(start + idx, n, k)
-    return best, best_tuple
+
+    def value(t: Tuple[int, Tuple[int, ...]]) -> int:
+        even, odd = [t[0]], []  # unions of an even / odd number of classes
+        for c in t[1]:
+            even, odd = even + [u | c for u in odd], odd + [u | c for u in even]
+        return sum(map(ivals.__getitem__, even)) - sum(map(ivals.__getitem__, odd))
+
+    best = max(_disjoint_tuples(n, k_max), key=value, default=None)
+    return (None, None) if best is None else (Fraction(value(best), denom), best)
 
 
 def is_weakly_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:

@@ -195,8 +195,6 @@ def diff_decompose_uniform(f: SetFunction) -> Tuple[SetFunction, SetFunction, Fr
     """f = f1 - f2 with f2 = m * (sum of all basis indicators), where m is
     the largest alternating sum over disjoint tuples.  When m <= 0 the
     function is already a coverage function and f2 = 0."""
-    if f.values[0] != 0:
-        raise NotNormalizedError("decomposition requires f(empty) = 0")
     ground = f.ground
     m, _ = max_disjoint_alt_sum(f)
     if m <= 0:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from setdecomp import (
     CoverageCoefficients,
+    EnumerationLimitError,
     GroundSet,
     NotNormalizedError,
     Partition,
@@ -260,7 +261,7 @@ def test_decision_functions_read_the_levels(rng):
 
 
 def test_max_disjoint_alt_sum_beyond_int64(rng):
-    # values past the int64 guard take the Python-int scan and stay exact
+    # values past 2^64 stay exact
     for _ in range(5):
         f = random_set_function(rng, 3)
         big = SetFunction(f.ground, tuple(v * 2**70 for v in f.values))
@@ -268,32 +269,92 @@ def test_max_disjoint_alt_sum_beyond_int64(rng):
         assert max_disjoint_alt_sum(big) == (m * 2**70, tuple_)
 
 
+def assert_attains(f, k_max, m, tuple_):
+    a0, classes = tuple_
+    assert 1 <= len(classes) <= k_max and all(classes)
+    union = a0
+    for c in classes:
+        assert c & union == 0
+        union |= c
+    assert alt_sum(f, a0, classes) == m
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("at_guard", [False, True])
-def test_max_disjoint_alt_sum_at_the_int64_guard(rng, monkeypatch, k, at_guard):
-    # max |numerator| << k just below 2^62 scans level k in int64, at 2^62
-    # in Python ints; both match an exhaustive alt_sum enumeration
-    import numpy as np
-
+def test_max_disjoint_alt_sum_at_the_int64_guard(rng, k, at_guard):
+    # max |numerator| << k at 2^62 and just below it: level-k sums straddle
+    # the int64 range and must match an exhaustive alt_sum enumeration
     top = (1 << (62 - k)) - (0 if at_guard else 1)
-    dtypes = []
-    real = alternating._scan_chunk_numpy
-
-    def spy(arr, n, level, start, stop):
-        dtypes.append((level, arr.dtype))
-        return real(arr, n, level, start, stop)
-
-    monkeypatch.setattr(alternating, "_scan_chunk_numpy", spy)
     for n in range(1, 4):
         for _ in range(4):
             vals = [0] + [rng.randint(-top, top) for _ in range((1 << n) - 1)]
             vals[rng.randrange(1, 1 << n)] = rng.choice([top, -top])
             f = SetFunction(GroundSet(n), vals)
-            dtypes.clear()
-            m, (a0, classes) = max_disjoint_alt_sum(f, k)
+            m, tuple_ = max_disjoint_alt_sum(f, k)
             assert m == max(
                 alt_sum(f, a, c) for level in range(1, k + 1) for a, c in disjoint_tuples(n, level)
             )
-            assert alt_sum(f, a0, classes) == m
-            expected = np.dtype(object) if at_guard else np.dtype(np.int64)
-            assert {dtype for level, dtype in dtypes if level == k} == {expected}
+            assert_attains(f, k, m, tuple_)
+
+
+def test_max_disjoint_alt_sum_matches_exhaustive_enumeration(rng):
+    for n in range(1, 6):
+        for _ in range(3):
+            f = random_set_function(rng, n)
+            level_max = [max(alt_sum(f, a, c) for a, c in disjoint_tuples(n, k)) for k in range(1, n + 1)]
+            for k_max in range(1, n + 1):
+                m, tuple_ = max_disjoint_alt_sum(f, k_max)
+                assert m == max(level_max[:k_max])
+                assert_attains(f, k_max, m, tuple_)
+
+
+def test_disjoint_tuples_order_and_count():
+    # element e goes to A0, to no set, to an open class or to a new class, in that order
+    assert list(alternating._disjoint_tuples(2, 2)) == [
+        (0b01, (0b10,)),
+        (0b00, (0b10,)),
+        (0b10, (0b01,)),
+        (0b00, (0b01,)),
+        (0b00, (0b11,)),
+        (0b00, (0b01, 0b10)),
+    ]
+    for n in range(7):
+        for k_max in range(1, n + 2):
+            tuples = list(alternating._disjoint_tuples(n, k_max))
+            assert len(tuples) == len(set(tuples)) == alternating._tuple_count(n, k_max)
+    assert [alternating._tuple_count(n, n) for n in (6, 9, 10)] == [3199, 562083, 3534003]
+
+
+def test_max_disjoint_alt_sum_tie_break():
+    # -1 on every nonempty set: V = 1 exactly when A0 is empty, so every such
+    # tuple ties and the first one in enumeration order is returned
+    f = SetFunction(GroundSet(3), [0] + [-1] * 7)
+    assert max_disjoint_alt_sum(f) == (1, (0, (0b100,)))
+
+
+def test_max_disjoint_alt_sum_caps_k_max_at_n(rng):
+    for n in range(1, 5):
+        f = random_set_function(rng, n)
+        assert max_disjoint_alt_sum(f, n + 20) == max_disjoint_alt_sum(f)
+    with pytest.raises(ValueError):
+        max_disjoint_alt_sum(f, 0)
+
+
+def test_max_disjoint_alt_sum_refuses_before_enumerating(rng, monkeypatch):
+    f = random_set_function(rng, 4)
+    expected = max_disjoint_alt_sum(f)
+    calls = []
+    real = alternating._disjoint_tuples
+
+    def spy(n, k_max):
+        calls.append((n, k_max))
+        return real(n, k_max)
+
+    monkeypatch.setattr(alternating, "_disjoint_tuples", spy)
+    monkeypatch.setattr(alternating, "ENUMERATION_LIMIT", 134)
+    with pytest.raises(EnumerationLimitError, match="135 tuples"):
+        max_disjoint_alt_sum(f)
+    assert calls == []
+    monkeypatch.setattr(alternating, "ENUMERATION_LIMIT", 135)
+    assert max_disjoint_alt_sum(f) == expected
+    assert calls == [(4, 4)]

@@ -130,6 +130,11 @@ def test_diff_decompose_uniform(rng):
         assert is_increasing(f1)[0] and is_submodular(f1)[0]
 
 
+def test_diff_decompose_uniform_requires_normalization():
+    with pytest.raises(NotNormalizedError):
+        diff_decompose_uniform(SetFunction(GroundSet(2), (1, 2, 2, 3)))
+
+
 def test_diff_decompose_uniform_on_coverage(rng):
     f = random_coverage(rng, 4)
     f1, f2, m = diff_decompose_uniform(f)

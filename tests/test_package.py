@@ -44,3 +44,12 @@ def test_charge_calls_load_neither_numpy_nor_scipy():
         "'upper_charge', 'lower_charge', 'canonical_dual', 'double_dual')]"
     )
     assert _loaded_heavy_modules(code) == "[]"
+
+
+def test_uniform_decomposition_loads_neither_numpy_nor_scipy():
+    code = (
+        "import sys, setdecomp as sd; "
+        "f = sd.SetFunction(sd.GroundSet(4), [0] + [(-1) ** m * m for m in range(1, 16)]); "
+        "sd.max_disjoint_alt_sum(f); sd.diff_decompose_uniform(f)"
+    )
+    assert _loaded_heavy_modules(code) == "[]"
