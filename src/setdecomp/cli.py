@@ -206,6 +206,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.c is not None and args.kind not in ("sum", "diff"):
+        raise CliError(f"--c applies only to --kind sum or diff, not {args.kind}", EXIT_PARSE)
     raw = _read_input(args.input)
     kind, obj = _parse_payload(raw, args.input)
     f = _function_from_payload(kind, obj)
@@ -238,7 +240,7 @@ def cmd_decompose(args) -> int:
             report["phi2"] = f2.to_json_dict()
         elif args.kind == "weakly-canonical":
             phi, mu = dc.weakly_alt_canonical_decomposition(f)
-            seven = dc.verify_seven_bound(f)
+            seven = dc._seven_bound_report(f, phi, mu)
             report["phi"] = phi.to_json_dict()
             report["mu"] = mu.to_json_dict()
             report["seven_bound"] = seven.to_json_dict()
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--kind", default="sum",
                    choices=["sum", "diff", "coverage-diff", "weakly-canonical"])
-    p.add_argument("--c", default=None, help="switch to c-bounded feasibility mode")
+    p.add_argument("--c", default=None, help="switch to c-bounded feasibility mode (sum and diff only)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("graph", parents=[common], help="cut, triangle and bound reports")

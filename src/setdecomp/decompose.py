@@ -282,6 +282,11 @@ def verify_seven_bound(psi: SetFunction) -> SevenBoundReport:
     ||mu|| <= 7 ||psi||.
     """
     phi, mu = weakly_alt_canonical_decomposition(psi)
+    return _seven_bound_report(psi, phi, mu)
+
+
+def _seven_bound_report(psi: SetFunction, phi: SetFunction, mu: Charge) -> SevenBoundReport:
+    """The seven-bound checks on psi's canonical pair (phi, mu)."""
     g = psi.ground
     b = norm_inf(psi)
     phi_full = phi(g.full_mask)

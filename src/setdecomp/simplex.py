@@ -1,21 +1,21 @@
 """Exact rational linear programming.
 
-Two entry points:
+:func:`solve_lp` is the one exact simplex: a two-phase tableau over exact
+rationals (Dantzig pricing, then Bland's rule against cycling) for LPs
+with free or nonnegative variables and dense or sparse constraint rows.
+It returns status, optimum, assignment and a certificate (dual vector,
+Farkas vector, or improving ray).
 
-* :func:`solve_lp` -- a generic dense two-phase simplex over exact
-  rationals with Bland's anti-cycling rule, for arbitrary small LPs
-  (free variables allowed).  Returns status, optimum, assignment and a
-  certificate (dual vector, Farkas vector, or improving ray).
-
-* :func:`solve_min_nonneg` -- the route for the structured LPs
-  (decompositions, triangle cover, clique bound): min c.x, A x >= b,
-  x >= 0 with c >= 0 and A given as sparse rows.  HiGHS solves it in
-  floating point; the primal/dual pair is rounded to rationals and
-  trusted only after an exact certificate over the sparse rows passes
-  (primal and dual feasibility, equal objectives).  When no rounding
-  passes, or HiGHS reports no optimum, the LP is solved by exact
-  pivoting on its dual instead.  An LP that HiGHS reports infeasible is
-  certified infeasible through its elastic relaxation.
+:func:`solve_min_nonneg` is the route for the structured LPs
+(decompositions, triangle cover, clique bound): min c.x, A x >= b, x >= 0
+with c >= 0 and A given as sparse rows.  HiGHS solves it in floating
+point; the primal/dual pair is rounded to rationals and trusted only
+after an exact certificate over the sparse rows passes (primal and dual
+feasibility, equal objectives).  An LP that HiGHS reports infeasible is
+certified infeasible through its elastic relaxation.  When neither
+certifies, :func:`solve_lp` pivots the dual LP max b.y, A^T y <= c,
+y >= 0, whose slack basis is feasible because c >= 0: the dual simplex
+method on the primal (Lemke 1954).
 
 Exact pivoting uses gmpy2 rationals when the optional ``exact`` extra is
 installed; they are an order of magnitude faster than Fraction in the
@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
-from typing import List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 try:
     from gmpy2 import mpq as _mpq
@@ -49,19 +49,28 @@ class ExactnessError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """Exact-rational LP.  Variables are free unless nonneg is set."""
+    """Exact-rational LP.  Variables are free unless nonneg is set.
+
+    Each constraint row is a dense sequence of num_vars coefficients or a
+    sparse {column: coefficient} map; columns a map leaves out are 0.
+    """
 
     num_vars: int
     objective: Sequence[RationalLike]
     maximize: bool
-    constraints: List[Tuple[Sequence[RationalLike], Relation, RationalLike]]
+    constraints: List[
+        Tuple[Union[Sequence[RationalLike], Mapping[int, RationalLike]], Relation, RationalLike]
+    ]
     nonneg: bool = False
 
     def validate(self) -> None:
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match variable count")
         for row, rel, _ in self.constraints:
-            if len(row) != self.num_vars:
+            if isinstance(row, Mapping):
+                if not all(isinstance(j, int) and 0 <= j < self.num_vars for j in row):
+                    raise ValueError("sparse constraint column out of range")
+            elif len(row) != self.num_vars:
                 raise ValueError("constraint row length does not match variable count")
             if rel not in ("<=", "=", ">="):
                 raise ValueError(f"unknown relation {rel!r}")
@@ -155,123 +164,84 @@ def _min_simplex(
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Generic exact two-phase simplex."""
+    """Generic exact two-phase simplex.
+
+    Tableau columns: the variables, their negated copies when free, one
+    slack per inequality and one artificial per >= or = row (after rows
+    with a negative right-hand side are negated), each group in row order.
+    """
     lp.validate()
     n = lp.num_vars
-    m = len(lp.constraints)
     # internal minimize; free variables split into positive/negative parts
     split = not lp.nonneg
     width = 2 * n if split else n
-
-    def expand(row):
-        out = [_mpq(to_rational(v)) for v in row]
-        if split:
-            out += [-v for v in out]
-        return out
-
-    obj = expand(lp.objective)
-    if lp.maximize:
-        obj = [-v for v in obj]
-
-    rows: List[List] = []
-    signs: List[int] = []  # +1 if the original row was kept, -1 if negated
-    rels: List[str] = []
-    for coeffs, rel, rhs in lp.constraints:
-        row = expand(coeffs)
-        b = _mpq(to_rational(rhs))
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
-            signs.append(-1)
-        else:
-            signs.append(1)
-        rels.append(rel)
-        rows.append(row + [b])
-
-    # slack / surplus columns, then artificials
-    nslack = sum(1 for r in rels if r != "=")
-    ncols = width + nslack + m  # one artificial per row (unused ones stay zero)
-    slack_col: List[Optional[int]] = []
-    art_col: List[int] = []
-    col = width
-    for rel in rels:
-        if rel == "<=":
-            slack_col.append(col)
-            col += 1
-        elif rel == ">=":
-            slack_col.append(col)
-            col += 1
-        else:
-            slack_col.append(None)
-    for _ in range(m):
-        art_col.append(col)
-        col += 1
-
     zero = _mpq(0)
     one = _mpq(1)
-    full_rows: List[List] = []
+    sense = -1 if lp.maximize else 1
+    obj = [sense * _mpq(to_rational(v)) for v in lp.objective]
+    if split:
+        obj += [-v for v in obj]
+
+    rhs = [_mpq(to_rational(b)) for _, _, b in lp.constraints]
+    signs = [-1 if b < 0 else 1 for b in rhs]  # -1 if the row gets negated
+    rels = [
+        {"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
+        for (_, rel, _), sign in zip(lp.constraints, signs)
+    ]
+    nslack = sum(1 for rel in rels if rel != "=")
+    art_start = width + nslack
+    ncols = art_start + sum(1 for rel in rels if rel != "<=")
+
+    # one row per constraint, built once: shared zeros, nonzeros filled in
+    rows: List[List] = []
     basis: List[int] = []
-    need_art: List[bool] = [False] * m
-    for i, row in enumerate(rows):
-        ext = row[:-1] + [zero] * (ncols - width) + [row[-1]]
-        sc = slack_col[i]
-        if rels[i] == "<=":
-            ext[sc] = one
-            basis.append(sc)
-        elif rels[i] == ">=":
-            ext[sc] = -one
-            ext[art_col[i]] = one
-            basis.append(art_col[i])
-            need_art[i] = True
+    slack, art = width, art_start
+    for (coeffs, _, _), rel, sign, b in zip(lp.constraints, rels, signs, rhs):
+        row = [zero] * (ncols + 1)
+        row[-1] = -b if sign < 0 else b
+        for j, v in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
+            v = _mpq(to_rational(v))
+            if v:
+                if sign < 0:
+                    v = -v
+                row[j] = v
+                if split:
+                    row[n + j] = -v
+        if rel != "=":
+            row[slack] = one if rel == "<=" else -one
+            slack += 1
+        if rel == "<=":
+            basis.append(slack - 1)
         else:
-            ext[art_col[i]] = one
-            basis.append(art_col[i])
-            need_art[i] = True
-        full_rows.append(ext)
+            row[art] = one
+            basis.append(art)
+            art += 1
+        rows.append(row)
+    ref_col = list(basis)  # column that started as the unit vector e_i, for the duals
 
-    row_of_art = {art_col[i]: i for i in range(m)}
-    # column that started as the unit vector e_i, used to read B^-1 duals
-    ref_col = [art_col[i] if need else slack_col[i]
-               for i, need in enumerate([rel != "<=" for rel in rels])]
-
-    if any(need_art):
-        costs1 = [zero] * ncols
-        for i in range(m):
-            if need_art[i]:
-                costs1[art_col[i]] = one
-        allowed1 = [True] * ncols
-        for i in range(m):
-            if not need_art[i]:
-                allowed1[art_col[i]] = False
-        status, objrow1, _ = _min_simplex(full_rows, basis, costs1, allowed1)
+    if ncols > art_start:
+        costs1 = [zero] * art_start + [one] * (ncols - art_start)
+        status, objrow1, _ = _min_simplex(rows, basis, costs1, [True] * ncols)
         if status != "optimal":  # the phase-1 objective is bounded below by 0
             raise ExactnessError(f"phase 1 ended {status}")
         if -objrow1[-1] > 0:
-            # Farkas: y_i = cost(art_i) - reduced(art_i); y.b > 0, y.A <= 0
-            farkas = []
-            for i in range(m):
-                y = (one if need_art[i] else zero) - objrow1[ref_col[i]]
-                farkas.append(Fraction(y * signs[i]))
+            # Farkas: y_i = cost(e_i column) - its reduced cost; y.b > 0, y.A <= 0
+            farkas = [Fraction((costs1[c] - objrow1[c]) * s) for c, s in zip(ref_col, signs)]
             return LPSolution(status="infeasible", certificate=farkas)
         # drive leftover artificials out of the basis
         for r in range(len(basis) - 1, -1, -1):
-            if basis[r] in row_of_art:
-                piv = next((j for j in range(width + nslack) if full_rows[r][j] != 0), None)
+            if basis[r] >= art_start:
+                piv = next((j for j in range(art_start) if rows[r][j] != 0), None)
                 if piv is None:
-                    del full_rows[r]
+                    del rows[r]
                     del basis[r]
                 else:
                     dummy = [zero] * (ncols + 1)
-                    _pivot(full_rows, dummy, basis, r, piv)
+                    _pivot(rows, dummy, basis, r, piv)
 
-    costs2 = [zero] * ncols
-    for j in range(width):
-        costs2[j] = obj[j]
-    allowed2 = [True] * ncols
-    for c in art_col:
-        allowed2[c] = False
-    status, objrow2, enter = _min_simplex(full_rows, basis, costs2, allowed2)
+    costs2 = obj + [zero] * (ncols - width)
+    allowed2 = [True] * art_start + [False] * (ncols - art_start)
+    status, objrow2, enter = _min_simplex(rows, basis, costs2, allowed2)
 
     if status == "unbounded":
         if enter is None:
@@ -279,24 +249,17 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         direction = [zero] * ncols
         direction[enter] = one
         for r, b in enumerate(basis):
-            direction[b] = -full_rows[r][enter]
+            direction[b] = -rows[r][enter]
         ray = _assemble(direction, n, split)
         return LPSolution(status="unbounded", certificate=ray)
 
     xs = [zero] * ncols
     for r, b in enumerate(basis):
-        xs[b] = full_rows[r][-1]
+        xs[b] = rows[r][-1]
+    del rows  # free the tableau before the answer is allocated
     assignment = _assemble(xs, n, split)
-    value = Fraction(-objrow2[-1])
-    if lp.maximize:
-        value = -value
-    duals = []
-    for i in range(m):
-        y = -objrow2[ref_col[i]]
-        y = y * signs[i]
-        if lp.maximize:
-            y = -y
-        duals.append(Fraction(y))
+    value = Fraction(-sense * objrow2[-1])
+    duals = [Fraction(-sense * s * objrow2[c]) for c, s in zip(ref_col, signs)]
     return LPSolution(status="optimal", value=value, assignment=assignment, certificate=duals)
 
 
@@ -413,38 +376,25 @@ def _solve_exact(
     rhs: Sequence[Rational],
     costs: Sequence[Rational],
 ) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
-    """Exact pivoting on the dual (max b.y, A^T y <= c, y >= 0), starting
-    from the always-feasible slack basis; the tableau is (#vars) x
-    (#rows + #vars).  The primal solution is read off the reduced costs
-    of the slack columns."""
-    n = len(costs)
-    m = len(rows)
-    zero = _mpq(0)
-    one = _mpq(1)
-    c = [_mpq(v) for v in costs]
-    b = [_mpq(v) for v in rhs]
-    # one tableau row per primal variable: m dual columns, n slacks, rhs
-    tab: List[List] = [[zero] * (m + n) + [c[j]] for j in range(n)]
+    """Exact pivoting on the dual, max b.y subject to A^T y <= c, y >= 0.
+
+    :func:`solve_lp` starts it from the slack basis, feasible because
+    c >= 0, so phase 1 does not run.  The dual's optimum y comes with
+    its certificate, which is an optimal x; an unbounded dual means an
+    infeasible primal.
+    """
+    cols: List[dict] = [{} for _ in costs]
     for i, row in enumerate(rows):
         for j, a in row.items():
-            tab[j][i] = _mpq(a)
-    for j in range(n):
-        tab[j][m + j] = one
-    basis = [m + j for j in range(n)]
-    # maximize b.y  ==  minimize (-b).y
-    costs_min = [-v for v in b] + [zero] * n
-    status, objrow, _ = _min_simplex(tab, basis, costs_min, [True] * (m + n))
-    if status == "unbounded":
+            cols[j][i] = a
+    constraints = [(col, "<=", c) for col, c in zip(cols, costs)]
+    sol = solve_lp(LinearProgram(len(rows), rhs, maximize=True, constraints=constraints, nonneg=True))
+    if sol.status == "unbounded":
         return "infeasible", None, [], []
-    value = Fraction(objrow[-1])  # -(-max) = max of the dual = min of the primal
-    x = [Fraction(objrow[m + j]) for j in range(n)]
-    y = [zero] * (m + n)
-    for r, bv in enumerate(basis):
-        y[bv] = tab[r][-1]
-    duals = [Fraction(y[i]) for i in range(m)]
-    if sum(ci * xi for ci, xi in zip(costs, x)) != value:
+    x = sol.certificate
+    if sum(ci * xi for ci, xi in zip(costs, x)) != sol.value:
         raise ExactnessError("strong duality does not close on the exact pivot")
-    return "optimal", value, x, duals
+    return "optimal", sol.value, x, sol.assignment
 
 
 def solve_min_nonneg(

@@ -77,11 +77,37 @@ def test_decompose_c_bounded(capsys, triangle_path):
     assert "decomposition" in report
 
 
+@pytest.mark.parametrize("kind", ["coverage-diff", "weakly-canonical"])
+def test_decompose_refuses_c_for_non_lp_kinds(capsys, triangle_path, kind):
+    assert main(["decompose", triangle_path, "--kind", kind, "--c", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sum or diff" in captured.err
+
+
 def test_decompose_weakly_canonical(capsys, triangle_path):
     code, report = run(capsys, ["decompose", triangle_path, "--kind", "weakly-canonical"])
     assert code == 0
     assert report["mu"]["atoms"] == ["2", "2", "2"]
     assert all(report["seven_bound"]["checks"].values())
+
+
+def test_decompose_weakly_canonical_computes_the_pair_once(capsys, tmp_path, monkeypatch):
+    from setdecomp import decompose
+
+    f = cut_function(complete(4))
+    path = write_json(tmp_path / "k4.json", f.to_json_dict())
+    calls = []
+    real = decompose.weakly_alt_canonical_decomposition
+    monkeypatch.setattr(
+        decompose, "weakly_alt_canonical_decomposition", lambda psi: calls.append(psi) or real(psi)
+    )
+    code, report = run(capsys, ["decompose", path, "--kind", "weakly-canonical"])
+    assert code == 0 and len(calls) == 1
+    phi, mu = real(f)
+    assert report["phi"] == phi.to_json_dict()
+    assert report["mu"] == mu.to_json_dict()
+    assert report["seven_bound"] == decompose.verify_seven_bound(f).to_json_dict()
 
 
 def test_decompose_precondition_exit(capsys, tmp_path):

@@ -53,3 +53,15 @@ def test_uniform_decomposition_loads_neither_numpy_nor_scipy():
         "sd.max_disjoint_alt_sum(f); sd.diff_decompose_uniform(f)"
     )
     assert _loaded_heavy_modules(code) == "[]"
+
+
+def test_charge_oracle_and_exact_pivoting_load_neither_numpy_nor_scipy():
+    # the LP oracle and the exact fallback pivot in rationals; scipy would
+    # take the resident memory of these calls from about 16 MB to about 77 MB
+    code = (
+        "import sys, setdecomp as sd; from setdecomp import simplex; "
+        "f = sd.SetFunction(sd.GroundSet(4), [bin(m).count('1') * (8 - bin(m).count('1')) for m in range(16)]); "
+        "assert sd.verify_lower_charge_maximality(f); "
+        "assert simplex._solve_exact([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], [1, 2, -1], [1, 2, 1])[:2] == ('optimal', 3)"
+    )
+    assert _loaded_heavy_modules(code) == "[]"

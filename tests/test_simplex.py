@@ -162,6 +162,33 @@ def test_validation_errors():
         LinearProgram(
             1, [F(1)], maximize=True, constraints=[([F(1)], "<", F(0))]
         ).validate()
+    with pytest.raises(ValueError):
+        LinearProgram(
+            2, [F(1), F(1)], maximize=True, constraints=[({0: F(1), 2: F(1)}, "<=", F(1))]
+        ).validate()
+
+
+def random_dense_lp(rng):
+    n = rng.randint(1, 4)
+    constraints = []
+    for _ in range(rng.randint(0, 5)):
+        row = [F(rng.randint(-3, 3)) if rng.random() < 0.6 else F(0) for _ in range(n)]
+        constraints.append((row, rng.choice(["<=", ">=", "="]), F(rng.randint(-2, 4))))
+    objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+    return n, objective, constraints
+
+
+def test_sparse_rows_solve_like_dense_rows(rng):
+    statuses = set()
+    for _ in range(200):
+        n, objective, constraints = random_dense_lp(rng)
+        sparse = [({j: a for j, a in enumerate(row) if a}, rel, b) for row, rel, b in constraints]
+        maximize, nonneg = rng.random() < 0.5, rng.random() < 0.5
+        dense_sol = solve_lp(LinearProgram(n, objective, maximize, constraints, nonneg))
+        sparse_sol = solve_lp(LinearProgram(n, objective, maximize, sparse, nonneg))
+        assert sparse_sol == dense_sol
+        statuses.add(dense_sol.status)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
 
 
 def check_structured_optimum(rows, rhs, costs, value, x, y):
@@ -200,6 +227,42 @@ def spy_exact(monkeypatch):
 
     monkeypatch.setattr(simplex, "_solve_exact", spy)
     return calls
+
+
+def reference_solve_exact(rows, rhs, costs):
+    """The dual-simplex fallback as a hand-built tableau: one row per
+    primal variable, m dual columns, n slacks and the rhs, with x read
+    off the reduced costs of the slacks."""
+    mpq = simplex._mpq
+    n, m = len(costs), len(rows)
+    tab = [[mpq(0)] * (m + n) + [mpq(c)] for c in costs]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            tab[j][i] = mpq(a)
+    for j in range(n):
+        tab[j][m + j] = mpq(1)
+    basis = [m + j for j in range(n)]
+    costs_min = [-mpq(b) for b in rhs] + [mpq(0)] * n
+    status, objrow, _ = simplex._min_simplex(tab, basis, costs_min, [True] * (m + n))
+    if status == "unbounded":
+        return "infeasible", None, [], []
+    x = [F(objrow[m + j]) for j in range(n)]
+    y = [mpq(0)] * (m + n)
+    for r, b in enumerate(basis):
+        y[b] = tab[r][-1]
+    return "optimal", F(objrow[-1]), x, [F(v) for v in y[:m]]
+
+
+def test_exact_pivoting_matches_reference_tableau(rng):
+    lps = [([], [], [F(1), F(2)]), ([{}], [F(0)], []), ([{}], [F(1)], []), ([], [], [])]
+    lps += [random_structured_lp(rng) for _ in range(150)]
+    statuses = []
+    for rows, rhs, costs in lps:
+        got = simplex._solve_exact(rows, rhs, costs)
+        assert got == reference_solve_exact(rows, rhs, costs)
+        statuses.append(got[0])
+    assert statuses[:4] == ["optimal", "optimal", "infeasible", "optimal"]
+    assert "optimal" in statuses[4:] and "infeasible" in statuses[4:]
 
 
 def test_certified_route_matches_exact_pivoting(rng, monkeypatch):
