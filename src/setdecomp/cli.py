@@ -1,20 +1,27 @@
 """Command-line interface.
 
-Subcommands: check (property battery on a set function or graph),
-decompose (optimal monotonic decompositions), graph (cut bounds and
-triangle LPs), generate (named instances), probe (plus-norm
-monotonicity conjecture search).
+Each subcommand declares only the options that act on it; --output FILE
+(JSON goes there instead of stdout) fits on any of them or before them.
 
-Exit codes: 0 success, 1 parse or I/O error, 2 size refusal,
+  check INPUT [--max-n N --i-know-this-is-exponential]   property battery;
+      n <= 8, or n <= N (at most 16, the input format's cap) with the flag
+  decompose INPUT [--kind KIND] [--c R]   optimal monotonic decompositions
+      or c-bounded feasibility for a rational R >= 0; n <= 10
+  graph INPUT [--report SECTION]   cut, triangle-LP and bound reports; n <= 16
+  generate NAME PARAMS...   named instances with integer parameters
+  probe INPUT [--trials T] [--seed S]   plus-norm monotonicity search; n <= 8
+
+Exit codes: 0 success, 1 usage, parse or I/O error, 2 size refusal,
 3 precondition violation, 4 conjecture violation found.  All rationals
-are printed as canonical "p/q" strings; all randomness flows from
---seed, so identical invocations produce byte-identical output.
+are printed as canonical "p/q" strings; the probe's randomness flows
+from --seed, so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from fractions import Fraction
@@ -28,6 +35,7 @@ from . import decompose as dc
 from . import graphs as gr
 from .core import (
     GroundSet,
+    Partition,
     SetFunction,
     format_rational,
     norm_inf,
@@ -44,11 +52,9 @@ EXIT_SIZE = 2
 EXIT_PRECONDITION = 3
 EXIT_VIOLATION = 4
 
-# default ground-size caps per command; raising them past the default
-# needs the explicit acknowledgment flag
-DEFAULT_CHECK_N = 8
-DEFAULT_LP_N = dc.LP_MAX_N
-DEFAULT_PROBE_N = 8
+# check's default ground-size cap; --max-n moves it, past this value
+# only with the acknowledgment flag
+CHECK_MAX_N = 8
 
 
 class CliError(Exception):
@@ -95,26 +101,9 @@ def _parse_payload(raw: bytes, path: str):
     )
 
 
-def _effective_cap(args, default: int) -> int:
-    cap = default
-    if args.max_n is not None:
-        if args.max_n > default and not args.ack:
-            raise CliError(
-                f"--max-n {args.max_n} exceeds the default cap {default}; "
-                "pass --i-know-this-is-exponential to confirm",
-                EXIT_SIZE,
-            )
-        cap = args.max_n
-    return cap
-
-
-def _require_size(n: int, cap: int, what: str) -> None:
+def _require_size(n: int, cap: int, what: str, hint: str = "") -> None:
     if n > cap:
-        raise CliError(
-            f"{what} refused at n={n} (cap {cap}); raise --max-n if you "
-            "accept the exponential cost",
-            EXIT_SIZE,
-        )
+        raise CliError(f"{what} refused at n={n} (cap {cap}){hint}", EXIT_SIZE)
 
 
 def _emit(args, payload: dict) -> None:
@@ -131,12 +120,6 @@ def _provenance(raw: Optional[bytes]) -> dict:
     if raw is not None:
         out["input_sha256"] = hashlib.sha256(raw).hexdigest()
     return out
-
-
-def _function_from_payload(kind, obj) -> SetFunction:
-    if kind == "function":
-        return obj
-    return gr.cut_function(obj)
 
 
 # -- check ---------------------------------------------------------------
@@ -157,9 +140,17 @@ def _alternating_profile(found: list) -> list:
 def cmd_check(args) -> int:
     raw = _read_input(args.input)
     kind, obj = _parse_payload(raw, args.input)
-    f = _function_from_payload(kind, obj)
-    cap = _effective_cap(args, DEFAULT_CHECK_N)
-    _require_size(f.ground.n, cap, "property battery")
+    f = obj if kind == "function" else gr.cut_function(obj)
+    if args.max_n > CHECK_MAX_N and not args.ack:
+        raise CliError(
+            f"--max-n {args.max_n} exceeds the default cap {CHECK_MAX_N}; "
+            "pass --i-know-this-is-exponential to confirm",
+            EXIT_SIZE,
+        )
+    _require_size(
+        f.ground.n, args.max_n, "property battery",
+        "; raise --max-n if you accept the exponential cost",
+    )
 
     report = _provenance(raw)
     report["n"] = f.ground.n
@@ -210,18 +201,16 @@ def cmd_decompose(args) -> int:
         raise CliError(f"--c applies only to --kind sum or diff, not {args.kind}", EXIT_PARSE)
     raw = _read_input(args.input)
     kind, obj = _parse_payload(raw, args.input)
-    f = _function_from_payload(kind, obj)
-    cap = _effective_cap(args, DEFAULT_LP_N)
-    _require_size(f.ground.n, cap, "decomposition")
+    f = obj if kind == "function" else gr.cut_function(obj)
+    _require_size(f.ground.n, dc.LP_MAX_N, "decomposition")
 
     report = _provenance(raw)
     report["kind"] = args.kind
     try:
         if args.kind in ("sum", "diff"):
             if args.c is not None:
-                c = to_rational(args.c)
-                feasible, witness = dc.c_bounded_feasible(f, args.kind, c)
-                report["c"] = format_rational(c)
+                feasible, witness = dc.c_bounded_feasible(f, args.kind, args.c)
+                report["c"] = format_rational(args.c)
                 report["feasible"] = feasible
                 if witness is not None:
                     report["decomposition"] = witness.to_json_dict()
@@ -238,14 +227,12 @@ def cmd_decompose(args) -> int:
             f1, f2 = cov.diff_decompose_canonical(f)
             report["phi1"] = f1.to_json_dict()
             report["phi2"] = f2.to_json_dict()
-        elif args.kind == "weakly-canonical":
+        else:  # weakly-canonical; argparse restricts the choices
             phi, mu = dc.weakly_alt_canonical_decomposition(f)
             seven = dc._seven_bound_report(f, phi, mu)
             report["phi"] = phi.to_json_dict()
             report["mu"] = mu.to_json_dict()
             report["seven_bound"] = seven.to_json_dict()
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown kind {args.kind}", EXIT_PARSE)
     except (dc.DecompositionError, ch.PreconditionError, alt.NotNormalizedError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
     _emit(args, report)
@@ -263,8 +250,6 @@ def cmd_graph(args) -> int:
     if kind == "hypergraph":
         raise CliError("graph reports are defined for 2-uniform graphs", EXIT_PARSE)
     g = obj
-    cap = _effective_cap(args, gr.MAX_GROUND)
-    _require_size(g.n, cap, "graph report")
 
     report = _provenance(raw)
     report["n"] = g.n
@@ -294,7 +279,7 @@ def cmd_graph(args) -> int:
             "clique_bound": format_rational(gr.clique_bound(g)),
             "nu_star_bound": format_rational(g.total_weight() - tri.nu_star),
         }
-        if g.n <= DEFAULT_LP_N:
+        if g.n <= dc.LP_MAX_N:
             opt = dc.optimal_sum_decomposition(gr.cut_function(g))
             bounds["plus_norm"] = format_rational(opt.objective)
         report["bounds"] = bounds
@@ -305,6 +290,32 @@ def cmd_graph(args) -> int:
 # -- generate ------------------------------------------------------------
 
 
+def _lnl(ell: int, x_mask: int, n: Optional[int] = None) -> SetFunction:
+    ground = GroundSet(x_mask.bit_length() if n is None else n)
+    return alt.make_ell_not_ell_plus_one(ground, ell, x_mask)
+
+
+def _partition_matroid_rank(*sizes: int) -> SetFunction:
+    classes, offset = [], 0
+    for s in sizes:
+        classes.append(((1 << s) - 1) << offset)
+        offset += s
+    return alt.make_partition_matroid_rank(Partition(GroundSet(offset), tuple(classes)))
+
+
+GENERATORS = {
+    "wheel": gr.wheel,
+    "complete": gr.complete,
+    "complete-minus-edge": gr.complete_minus_edge,
+    "cycle": gr.cycle,
+    "hyperedge": gr.hyperedge,
+    "cex-sum": gr.counterexample_sum,
+    "cex-diff": gr.counterexample_diff,
+    "lnl": _lnl,
+    "partition-matroid-rank": _partition_matroid_rank,
+}
+
+
 def _parse_int(value: str) -> int:
     try:
         return int(value, 0)
@@ -313,52 +324,18 @@ def _parse_int(value: str) -> int:
 
 
 def cmd_generate(args) -> int:
-    name = args.name
-    params = [str(p) for p in args.params]
+    builder = GENERATORS[args.name]
+    ints = [_parse_int(p) for p in args.params]
     try:
-        if name == "wheel":
-            payload = gr.wheel(_parse_int(params[0])).to_json_dict()
-        elif name == "complete":
-            payload = gr.complete(_parse_int(params[0])).to_json_dict()
-        elif name == "complete-minus-edge":
-            payload = gr.complete_minus_edge(_parse_int(params[0])).to_json_dict()
-        elif name == "cycle":
-            payload = gr.cycle(_parse_int(params[0])).to_json_dict()
-        elif name == "hyperedge":
-            payload = gr.hyperedge(_parse_int(params[0])).to_json_dict()
-        elif name == "cex-sum":
-            payload = gr.counterexample_sum(_parse_int(params[0])).to_json_dict()
-        elif name == "cex-diff":
-            payload = gr.counterexample_diff(_parse_int(params[0])).to_json_dict()
-        elif name == "lnl":
-            ell = _parse_int(params[0])
-            x_mask = _parse_int(params[1])
-            n = _parse_int(params[2]) if len(params) > 2 else x_mask.bit_length()
-            payload = alt.make_ell_not_ell_plus_one(
-                GroundSet(n), ell, x_mask
-            ).to_json_dict()
-        elif name == "partition-matroid-rank":
-            from .core import Partition
-
-            sizes = [_parse_int(p) for p in params]
-            classes = []
-            offset = 0
-            for s in sizes:
-                classes.append(((1 << s) - 1) << offset)
-                offset += s
-            payload = alt.make_partition_matroid_rank(
-                Partition(GroundSet(offset), tuple(classes))
-            ).to_json_dict()
-        else:
-            raise CliError(f"unknown generator {name!r}", EXIT_PARSE)
-    except IndexError:
-        raise CliError(f"generator {name!r} is missing parameters", EXIT_PARSE)
-    except (ValueError, gr.GraphError) as exc:
-        if isinstance(exc, CliError):
-            raise
+        inspect.signature(builder).bind(*ints)
+    except TypeError as exc:
+        raise CliError(f"generator {args.name!r}: {exc}", EXIT_PARSE)
+    try:
+        payload = builder(*ints).to_json_dict()
+    except ValueError as exc:
         raise CliError(f"bad generator parameters: {exc}", EXIT_PARSE)
     out = _provenance(None)
-    out["generator"] = {"name": name, "params": params}
+    out["generator"] = {"name": args.name, "params": args.params}
     out["artifact"] = payload
     _emit(args, out)
     return EXIT_OK
@@ -372,12 +349,10 @@ def cmd_probe(args) -> int:
     kind, obj = _parse_payload(raw, args.input)
     if kind != "graph":
         raise CliError("probe needs a graph input", EXIT_PARSE)
-    g = obj
-    cap = _effective_cap(args, DEFAULT_PROBE_N)
-    _require_size(g.n, min(cap, DEFAULT_PROBE_N), "conjecture probe")
+    _require_size(obj.n, gr.PROBE_MAX_N, "conjecture probe")
 
     report = _provenance(raw)
-    probe = gr.conjecture_probe(g, args.trials, args.seed)
+    probe = gr.conjecture_probe(obj, args.trials, args.seed)
     report["probe"] = probe.to_json_dict()
     _emit(args, report)
     return EXIT_OK if probe.conjecture_holds else EXIT_VIOLATION
@@ -386,49 +361,56 @@ def cmd_probe(args) -> int:
 # -- entry point ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CliError (exit 1) instead of exiting with 2,
+    which is the size-refusal code."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise CliError(message, EXIT_PARSE)
+
+
+def _nonnegative(parse):
+    """argparse type: `parse` the text and refuse a negative result."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+        return value
+
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="setdecomp",
         description="Exact analysis and decomposition of finite set functions.",
     )
-
-    def add_globals(target, suppress: bool) -> None:
-        kw = {"default": argparse.SUPPRESS} if suppress else {}
-        target.add_argument(
-            "--output", help="write JSON here instead of stdout",
-            **(kw or {"default": None}),
-        )
-        target.add_argument(
-            "--seed", type=int, help="seed for all randomness",
-            **(kw or {"default": 0}),
-        )
-        target.add_argument(
-            "--max-n", type=int, dest="max_n",
-            help="override the per-command ground-size cap",
-            **(kw or {"default": None}),
-        )
-        target.add_argument(
-            "--i-know-this-is-exponential",
-            action="store_true",
-            dest="ack",
-            help="confirm raising --max-n past the default cap",
-            **({"default": argparse.SUPPRESS} if suppress else {}),
-        )
-
-    add_globals(parser, suppress=False)
-    common = argparse.ArgumentParser(add_help=False)
-    add_globals(common, suppress=True)
+    output_help = "write JSON here instead of stdout"
+    parser.add_argument("--output", help=output_help)
+    # SUPPRESS keeps a subcommand from resetting an --output given before it
+    common = _Parser(add_help=False)
+    common.add_argument("--output", default=argparse.SUPPRESS, help=output_help)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check", parents=[common], help="run the property battery on an input")
     p.add_argument("input")
+    p.add_argument("--max-n", type=int, dest="max_n", default=CHECK_MAX_N,
+                   help=f"ground-size cap (default {CHECK_MAX_N})")
+    p.add_argument("--i-know-this-is-exponential", action="store_true", dest="ack",
+                   help=f"confirm raising --max-n past {CHECK_MAX_N}")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", parents=[common], help="solve for a monotonic decomposition")
     p.add_argument("input")
     p.add_argument("--kind", default="sum",
                    choices=["sum", "diff", "coverage-diff", "weakly-canonical"])
-    p.add_argument("--c", default=None, help="switch to c-bounded feasibility mode (sum and diff only)")
+    p.add_argument("--c", type=_nonnegative(to_rational), default=None,
+                   help="switch to c-bounded feasibility mode (sum and diff only)")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("graph", parents=[common], help="cut, triangle and bound reports")
@@ -438,29 +420,29 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("generate", parents=[common], help="emit a named instance")
-    p.add_argument("name")
+    p.add_argument("name", choices=GENERATORS)
     p.add_argument("params", nargs="*")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("probe", parents=[common], help="search for a plus-norm monotonicity violation")
     p.add_argument("input")
-    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--trials", type=_nonnegative(int), default=20)
+    p.add_argument("--seed", type=int, default=0, help="seed for the random reweightings")
     p.set_defaults(func=cmd_probe)
 
     return parser
 
 
+PARSER = build_parser()
+
+
 def main(argv: Optional[list] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = PARSER.parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except gr.GraphError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIZE
 
 
 if __name__ == "__main__":

@@ -43,9 +43,17 @@ from .simplex import ExactnessError, solve_min_nonneg
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
+# ground-size cap of the conjecture probe: each trial solves two
+# sum-decomposition LPs
+PROBE_MAX_N = 8
+
 
 class GraphError(ValueError):
     pass
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -56,12 +64,12 @@ class WeightedGraph:
     edges: Tuple[Tuple[int, int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GROUND:
-            raise GraphError(f"vertex count must be between 0 and {MAX_GROUND}")
+        if not (_is_int(self.n) and 0 <= self.n <= MAX_GROUND):
+            raise GraphError(f"vertex count must be an int between 0 and {MAX_GROUND}")
         seen = set()
         for u, v, w in self.edges:
-            if not (0 <= u < v < self.n):
-                raise GraphError(f"edge ({u}, {v}) is not 0 <= u < v < n")
+            if not (_is_int(u) and _is_int(v) and 0 <= u < v < self.n):
+                raise GraphError(f"edge ({u!r}, {v!r}) needs int vertices 0 <= u < v < n")
             if (u, v) in seen:
                 raise GraphError(f"duplicate edge ({u}, {v})")
             if w < 0:
@@ -143,9 +151,11 @@ class WeightedHypergraph:
     hyperedges: Tuple[Tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_GROUND:
-            raise GraphError(f"vertex count must be between 0 and {MAX_GROUND}")
+        if not (_is_int(self.n) and 0 <= self.n <= MAX_GROUND):
+            raise GraphError(f"vertex count must be an int between 0 and {MAX_GROUND}")
         for mask, _ in self.hyperedges:
+            if not _is_int(mask):
+                raise GraphError(f"hyperedge mask {mask!r} is not an int")
             if mask == 0:
                 raise GraphError("hyperedges must be nonempty")
             if mask >> self.n:
@@ -169,6 +179,8 @@ class WeightedHypergraph:
         for entry in data["hyperedges"]:
             mask = 0
             for v in entry["vertices"]:
+                if not _is_int(v):
+                    raise GraphError(f"vertex {v!r} is not an int")
                 mask |= 1 << v
             hyperedges.append((mask, to_rational(entry["weight"])))
         return cls(n=data["n"], hyperedges=tuple(hyperedges))
@@ -629,8 +641,10 @@ def conjecture_probe(g: WeightedGraph, trials: int, rng_seed: int) -> ProbeRepor
     sum-decomposition objectives exactly.  A violation would refute the
     conjecture; otherwise the minimum slack over all trials is reported.
     """
-    if g.n > 8:
-        raise GraphError("conjecture probe is capped at n <= 8")
+    if g.n > PROBE_MAX_N:
+        raise GraphError(f"conjecture probe is capped at n <= {PROBE_MAX_N}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     rng = random.Random(rng_seed)
     report = ProbeReport(trials=trials)
     for t in range(trials):

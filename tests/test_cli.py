@@ -239,3 +239,152 @@ def test_global_flags_before_subcommand(tmp_path, triangle_path):
     out = tmp_path / "c.json"
     assert main(["--output", str(out), "check", triangle_path]) == 0
     assert json.loads(out.read_text())["n"] == 3
+
+
+# -- options only where they act ------------------------------------------
+
+
+def expect_usage_error(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error:" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "IN", "--kind", "foo"],
+        ["check", "IN", "--seed", "1"],
+        ["--seed", "1", "probe", "IN"],
+        ["decompose", "IN", "--max-n", "11"],
+        ["graph", "IN", "--i-know-this-is-exponential"],
+        ["probe", "IN", "--max-n", "9"],
+        ["no-such-command", "IN"],
+        [],
+    ],
+)
+def test_usage_errors_exit_1(capsys, triangle_path, argv):
+    expect_usage_error(capsys, [triangle_path if a == "IN" else a for a in argv])
+
+
+@pytest.mark.parametrize("c", ["abc", "-1", "1/0", "-1/2"])
+def test_decompose_rejects_bad_c(capsys, triangle_path, c):
+    expect_usage_error(capsys, ["decompose", triangle_path, "--c", c])
+
+
+def test_decompose_accepts_rational_c(capsys, triangle_path):
+    code, report = run(capsys, ["decompose", triangle_path, "--c", "5/2"])
+    assert code == 0 and report["c"] == "5/2"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--kind", "diff"], ["--c", "2"], ["--kind", "coverage-diff"],
+     ["--kind", "weakly-canonical"]],
+)
+def test_decompose_refuses_n11(capsys, tmp_path, flags):
+    path = write_json(tmp_path / "f.json", SetFunction.zero(GroundSet(11)).to_json_dict())
+    assert main(["decompose", path, *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "cap 10" in captured.err
+
+
+def test_probe_refuses_n9(capsys, tmp_path):
+    path = write_json(tmp_path / "k9.json", complete(9).to_json_dict())
+    assert main(["probe", path, "--trials", "1"]) == 2
+    assert "cap 8" in capsys.readouterr().err
+
+
+def test_probe_rejects_negative_trials(capsys, triangle_path):
+    expect_usage_error(capsys, ["probe", triangle_path, "--trials", "-3"])
+
+
+def test_conjecture_probe_rejects_negative_trials():
+    from setdecomp.graphs import conjecture_probe
+
+    with pytest.raises(ValueError, match="trials"):
+        conjecture_probe(complete(3), -3, 0)
+
+
+def test_float_vertex_is_a_bad_input(capsys, tmp_path):
+    path = write_json(tmp_path / "g.json", {"n": 3, "edges": [[0.5, 1, "1"], [1, 2, "1"]]})
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert "bad input object" in captured.err and "Traceback" not in captured.err
+
+
+def test_main_uses_the_parser_built_at_import(capsys, monkeypatch, triangle_path):
+    from setdecomp import cli
+
+    def boom():
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(cli, "build_parser", boom)
+    code, report = run(capsys, ["check", triangle_path])
+    assert code == 0 and report["n"] == 3
+    assert main(["check", triangle_path, "--seed", "1"]) == 1
+
+
+GENERATE_CASES = {
+    "wheel": ["5"],
+    "complete": ["4"],
+    "complete-minus-edge": ["5"],
+    "cycle": ["5"],
+    "hyperedge": ["3"],
+    "cex-sum": ["2"],
+    "cex-diff": ["3"],
+    "lnl": ["2", "0b111", "4"],
+    "partition-matroid-rank": ["2", "1"],
+}
+
+
+def test_generate_cases_cover_every_generator():
+    from setdecomp.cli import GENERATORS
+
+    assert set(GENERATE_CASES) == set(GENERATORS)
+
+
+@pytest.mark.parametrize("name", sorted(GENERATE_CASES))
+def test_generate_feeds_back_into_check(capsys, tmp_path, name):
+    out = tmp_path / f"{name}.json"
+    params = GENERATE_CASES[name]
+    assert main(["generate", name, *params, "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["generator"] == {"name": name, "params": params}
+    code, report = run(capsys, ["check", str(out)])
+    assert code == 0 and report["n"] >= 1
+    if "edges" in payload["artifact"]:
+        code, report = run(capsys, ["graph", str(out), "--report", "cuts"])
+        assert code == 0 and "max_cut" in report["cuts"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", "no-such-thing", "3"], ["generate", "cycle"], ["generate", "lnl", "2"],
+     ["generate", "wheel", "5", "6"], ["generate", "cycle", "2"]],
+)
+def test_generate_bad_name_or_parameters(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+
+
+def test_readme_command_lines_parse():
+    import re
+    import shlex
+    from pathlib import Path
+
+    from setdecomp.cli import PARSER
+
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"```sh\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    lines = [
+        line for block in blocks for line in block.splitlines()
+        if line.startswith("setdecomp ")
+    ]
+    assert len(lines) >= 5
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert PARSER.parse_args(argv).command == argv[0], line

@@ -261,6 +261,24 @@ def test_generators_shapes():
         cycle(2)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: WeightedGraph(n=3, edges=((0.5, 1, F(1)),)),
+        lambda: WeightedGraph(n=3, edges=((False, True, F(1)),)),
+        lambda: WeightedGraph(n=3.0, edges=()),
+        lambda: WeightedHypergraph(n=3, hyperedges=((True, F(1)),)),
+        lambda: WeightedHypergraph(n=3, hyperedges=((3.0, F(1)),)),
+        lambda: WeightedHypergraph.from_json_dict(
+            {"n": 3, "hyperedges": [{"vertices": [True, 2], "weight": "1"}]}
+        ),
+    ],
+)
+def test_vertex_indices_must_be_ints(make):
+    with pytest.raises(GraphError, match="int"):
+        make()
+
+
 def test_counterexample_functions():
     psi = counterexample_sum(2)
     g = psi.ground
