@@ -34,7 +34,6 @@ from .core import (
     SetFunction,
     format_rational,
     popcount,
-    scale_to_ints,
 )
 
 # max_disjoint_alt_sum refuses to enumerate more disjoint tuples than this.
@@ -76,18 +75,14 @@ def alt_sum(f: SetFunction, a0: int, classes: Sequence[int]) -> Fraction:
     f.ground.check_mask(a0)
     for c in classes:
         f.ground.check_mask(c)
-    vals = f.values
-    total = Fraction(0)
+    total = 0
     for code in range(1 << k):
         union = a0
         for i in range(k):
             if code >> i & 1:
                 union |= classes[i]
-        if popcount(code) & 1:
-            total -= vals[union]
-        else:
-            total += vals[union]
-    return total
+        total += -f.nums[union] if popcount(code) & 1 else f.nums[union]
+    return Fraction(total, f.den)
 
 
 def alt_sum_recursive_check(f: SetFunction, a0: int, classes: Sequence[int]) -> Fraction:
@@ -140,14 +135,13 @@ def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
     """
     _require_normalized(f)
     n, full = f.ground.n, f.ground.full_mask
-    denom, ivals = scale_to_ints(f.values)
     bits = min(n, _BLOCK_BITS)
     ternary = [0] * (1 << bits)
     for m in range(1, 1 << bits):
         ternary[m] = 3 * ternary[m >> 1] + (m & 1)
     first = {}  # |L| -> (R, L, S) of the first violation
     # S(empty, R) = sum of alpha_C over C <= R = f(J) - f(J \ R)
-    for r_high, l_high, block in _interval_blocks([ivals[full] - v for v in reversed(ivals)], n):
+    for r_high, l_high, block in _interval_blocks([f.nums[full] - v for v in reversed(f.nums)], n):
         if min(block) >= 0:
             continue
         for r in range(1 << bits):
@@ -163,7 +157,7 @@ def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
     for k, (r, l, s) in first.items():
         if k:
             singletons = tuple(1 << e for e in range(n) if l >> e & 1)
-            out[k] = AlternatingWitness(full ^ r, singletons, Fraction(-s, denom))
+            out[k] = AlternatingWitness(full ^ r, singletons, Fraction(-s, f.den))
     return out
 
 
@@ -231,16 +225,15 @@ def max_disjoint_alt_sum(
     total = _tuple_count(n, k_max)
     if total > ENUMERATION_LIMIT:
         raise EnumerationLimitError(f"n={n}, k_max={k_max} needs {total} tuples (limit {ENUMERATION_LIMIT})")
-    denom, ivals = scale_to_ints(f.values)
 
     def value(t: Tuple[int, Tuple[int, ...]]) -> int:
         even, odd = [t[0]], []  # unions of an even / odd number of classes
         for c in t[1]:
             even, odd = even + [u | c for u in odd], odd + [u | c for u in even]
-        return sum(map(ivals.__getitem__, even)) - sum(map(ivals.__getitem__, odd))
+        return sum(map(f.nums.__getitem__, even)) - sum(map(f.nums.__getitem__, odd))
 
     best = max(_disjoint_tuples(n, k_max), key=value, default=None)
-    return (None, None) if best is None else (Fraction(value(best), denom), best)
+    return (None, None) if best is None else (Fraction(value(best), f.den), best)
 
 
 def is_weakly_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:

@@ -60,14 +60,14 @@ class Charge:
 
     def as_set_function(self) -> SetFunction:
         d, atoms = scale_to_ints(self.atoms)
-        return SetFunction(self.ground, [Fraction(v, d) for v in _modular_table(atoms, self.ground.n)])
+        return SetFunction.from_ints(self.ground, d, _modular_table(atoms, self.ground.n))
 
     def to_json_dict(self) -> dict:
         return {"n": self.ground.n, "atoms": [format_rational(a) for a in self.atoms]}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Charge":
-        return cls.of(GroundSet(int(d["n"])), d["atoms"])
+        return cls.of(GroundSet(d["n"]), d["atoms"])
 
 
 def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False) -> None:
@@ -101,13 +101,13 @@ def _modular_table(atoms: Sequence[int], n: int) -> List[int]:
     return table
 
 
-def _dual(nums: List[int], eta: List[int]) -> List[int]:
+def _dual(nums: Sequence[int], eta: List[int]) -> List[int]:
     """f(J \\ X) + eta(X) - f(J) for every X."""
     f_j = nums[-1]
     return [v + e - f_j for v, e in zip(reversed(nums), eta)]
 
 
-def _canonical_dual(nums: List[int], n: int) -> List[int]:
+def _canonical_dual(nums: Sequence[int], n: int) -> List[int]:
     return _dual(nums, _modular_table([nums[1 << i] for i in range(n)], n))
 
 
@@ -134,14 +134,13 @@ def dual_wrt(f: SetFunction, eta: Charge) -> SetFunction:
     for m in range(size):
         if nums[m] > eta_table[m]:
             raise PreconditionError(f"requires f <= eta; violated at mask {m}")
-    return SetFunction(f.ground, [Fraction(v, d) for v in _dual(nums, eta_table)])
+    return SetFunction.from_ints(f.ground, d, _dual(nums, eta_table))
 
 
 def canonical_dual(f: SetFunction) -> SetFunction:
     """The dual with respect to the upper charge, which majorizes f."""
     _require(f, nonneg=True, submodular=True, increasing=True)
-    d, nums = scale_to_ints(f.values)
-    return SetFunction(f.ground, [Fraction(v, d) for v in _canonical_dual(nums, f.ground.n)])
+    return SetFunction.from_ints(f.ground, f.den, _canonical_dual(f.nums, f.ground.n))
 
 
 def lower_charge(f: SetFunction) -> Charge:
@@ -162,8 +161,7 @@ def double_dual(f: SetFunction) -> SetFunction:
     """
     _require(f, nonneg=True, submodular=True, increasing=True)
     n = f.ground.n
-    d, nums = scale_to_ints(f.values)
-    return SetFunction(f.ground, [Fraction(v, d) for v in _canonical_dual(_canonical_dual(nums, n), n)])
+    return SetFunction.from_ints(f.ground, f.den, _canonical_dual(_canonical_dual(f.nums, n), n))
 
 
 def verify_lower_charge_maximality(f: SetFunction) -> bool:

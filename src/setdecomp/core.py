@@ -1,15 +1,17 @@
 """Ground sets, subset masks, and exact-rational set functions.
 
 Subsets of a ground set of size n (n <= 16) are encoded as n-bit integers,
-and a set function is a dense table of 2**n Fractions indexed by mask.
-All arithmetic is exact; nothing in this package ever touches a float.
+and a set function is a dense table of 2**n Fractions indexed by mask.  It
+also carries, from construction on, the least common denominator ``den`` of
+its values and the Python ints ``nums = den * values``, on which the
+predicates, transforms and charge arithmetic run; every result is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from numbers import Rational
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -18,11 +20,15 @@ RationalLike = Union[Fraction, int, str]
 MAX_GROUND = 16
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def to_rational(x: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and canonical "p/q" strings to Fraction."""
+    """Coerce ints, Fractions and canonical "p/q" strings to Fraction; bools are refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
         return Fraction(x)
@@ -52,8 +58,8 @@ class GroundSet:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_GROUND:
-            raise GroundSetError(f"ground set size must be in 1..{MAX_GROUND}, got {self.n}")
+        if not (_is_int(self.n) and 1 <= self.n <= MAX_GROUND):
+            raise GroundSetError(f"ground set size must be an int in 1..{MAX_GROUND}, got {self.n!r}")
 
     @property
     def full_mask(self) -> int:
@@ -87,21 +93,42 @@ def popcount(mask: int) -> int:
 class SetFunction:
     """Immutable dense table of exact rational values over all subsets.
 
+    ``den`` is the least common denominator of ``values`` and ``nums`` the
+    tuple of ints with ``nums[X] == den * values[X]``, both fixed at
+    construction; code that already holds such ints calls :meth:`from_ints`.
+
     The default constructor is "raw" and accepts arbitrary values; use
     :meth:`normalized` to reject tables with a nonzero value at the
     empty set.
     """
 
-    __slots__ = ("ground", "values")
+    __slots__ = ("ground", "values", "den", "nums")
 
     def __init__(self, ground: GroundSet, values: Sequence[RationalLike]):
         if len(values) != ground.size:
             raise ValueError(f"expected {ground.size} values, got {len(values)}")
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "values", tuple(to_rational(v) for v in values))
+        values = tuple(to_rational(v) for v in values)
+        den, nums = scale_to_ints(values)
+        self._fill(ground, values, den, tuple(nums))
+
+    def _fill(self, *fields) -> None:  # ground, values, den, nums
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFunction is immutable")
+
+    @classmethod
+    def from_ints(cls, ground: GroundSet, den: int, nums: Sequence[int]) -> "SetFunction":
+        """The function with values nums[X] / den, for a positive int den."""
+        if len(nums) != ground.size or den <= 0:
+            raise ValueError(f"need {ground.size} numerators and a positive denominator")
+        # dividing out the common gcd leaves the least common denominator
+        g = gcd(den, *nums)
+        den, nums = den // g, tuple(v // g for v in nums)
+        f = cls.__new__(cls)
+        f._fill(ground, tuple(Fraction(v, den) for v in nums), den, nums)
+        return f
 
     @classmethod
     def normalized(cls, ground: GroundSet, values: Sequence[RationalLike]) -> "SetFunction":
@@ -139,11 +166,12 @@ class SetFunction:
         return (
             isinstance(other, SetFunction)
             and self.ground == other.ground
-            and self.values == other.values
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.ground, self.values))
+        return hash((self.ground, self.den, self.nums))
 
     def __repr__(self) -> str:
         vals = ", ".join(format_rational(v) for v in self.values)
@@ -177,8 +205,7 @@ class SetFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetFunction":
-        ground = GroundSet(int(d["n"]))
-        return cls(ground, [to_rational(v) for v in d["values"]])
+        return cls(GroundSet(d["n"]), d["values"])
 
 
 @dataclass(frozen=True)
@@ -218,34 +245,29 @@ def linear_combine(terms: Iterable[Tuple[RationalLike, SetFunction]]) -> SetFunc
     for _, f in terms:
         if f.ground != ground:
             raise ValueError("mismatched ground sets in linear combination")
-    values = [Fraction(0)] * ground.size
+    den = lcm(*(c.denominator * f.den for c, f in terms))
+    nums = [0] * ground.size
     for c, f in terms:
-        if c == 0:
-            continue
-        for m, v in enumerate(f.values):
-            values[m] += c * v
-    return SetFunction(ground, values)
+        k = c.numerator * (den // (c.denominator * f.den))
+        nums = [a + k * b for a, b in zip(nums, f.nums)]
+    return SetFunction.from_ints(ground, den, nums)
 
 
 def norm_inf(f: SetFunction) -> Fraction:
     """sup-norm: the maximum of |f(X)| over all subsets."""
-    return max(abs(v) for v in f.values)
+    return Fraction(max(map(abs, f.nums)), f.den)
 
 
 def quotient(f: SetFunction, partition: Partition) -> SetFunction:
     """Collapse f along a partition: g(I) = f(union of the classes in I)."""
     if partition.ground != f.ground:
         raise PartitionError("partition is for a different ground set")
-    q = partition.q
-    small = GroundSet(q)
-    values = []
-    for idx in small.subsets():
-        union = 0
-        for i in range(q):
-            if idx >> i & 1:
-                union |= partition.classes[i]
-        values.append(f.values[union])
-    return SetFunction(small, values)
+    small = GroundSet(partition.q)
+    unions = [0] * small.size
+    for idx in range(1, small.size):
+        low = idx & -idx
+        unions[idx] = unions[idx ^ low] | partition.classes[low.bit_length() - 1]
+    return SetFunction.from_ints(small, f.den, [f.nums[u] for u in unions])
 
 
 def symmetrize(f: SetFunction, shift: RationalLike = 0) -> SetFunction:
@@ -259,10 +281,11 @@ def symmetrize(f: SetFunction, shift: RationalLike = 0) -> SetFunction:
 
 
 def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
-    """A common denominator d of exact rationals and the Python ints d * v.
+    """The least common denominator d of exact rationals and the Python ints d * v.
 
     Sums and comparisons of the ints cost no gcd, unlike ``Fraction``
-    arithmetic; results go back to rationals as ``Fraction(v, d)``.
+    arithmetic; a table of results goes back through
+    :meth:`SetFunction.from_ints`.
     """
     d = lcm(*(v.denominator for v in values))
     return d, [v.numerator * (d // v.denominator) for v in values]
@@ -272,12 +295,12 @@ def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
 #
 # Each predicate returns (verdict, witness); the witness is None on success
 # and otherwise the lexicographically first counterexample in mask order.
-# They scan the table scaled to ints and share two loops: the local
+# They scan the ints f.nums and share two loops: the local
 # submodularity gaps f(X+u) + f(X+v) - f(X) - f(X+u+v), and the steps
 # f(X+u) - f(X).
 
 
-def _first_gap(nums: List[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
+def _first_gap(nums: Sequence[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
     """First (X, u, v) whose local gap is negative, or nonzero if modular.
 
     The gap is the step of u at X minus its step at X + v, so the steps
@@ -297,7 +320,7 @@ def _first_gap(nums: List[int], n: int, modular: bool) -> Optional[Tuple[int, in
     return None
 
 
-def _first_drop(nums: List[int], n: int) -> Optional[Tuple[int, int]]:
+def _first_drop(nums: Sequence[int], n: int) -> Optional[Tuple[int, int]]:
     """First (X, u) with f(X) > f(X+u)."""
     for X in range(1 << n):
         base = nums[X]
@@ -313,27 +336,25 @@ def _verdict(witness: Optional[tuple]) -> Tuple[bool, Optional[tuple]]:
 
 def is_submodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Local diminishing-returns test; witness is (X, u, v) on failure."""
-    return _verdict(_first_gap(scale_to_ints(f.values)[1], f.ground.n, False))
+    return _verdict(_first_gap(f.nums, f.ground.n, False))
 
 
 def is_supermodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    nums = scale_to_ints(f.values)[1]
-    return _verdict(_first_gap([-v for v in nums], f.ground.n, False))
+    return _verdict(_first_gap([-v for v in f.nums], f.ground.n, False))
 
 
 def is_increasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Monotone on all single-element extensions; witness is (X, u)."""
-    return _verdict(_first_drop(scale_to_ints(f.values)[1], f.ground.n))
+    return _verdict(_first_drop(f.nums, f.ground.n))
 
 
 def is_decreasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    nums = scale_to_ints(f.values)[1]
-    return _verdict(_first_drop([-v for v in nums], f.ground.n))
+    return _verdict(_first_drop([-v for v in f.nums], f.ground.n))
 
 
 def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Exact equality in the local submodularity form; witness is (X, u, v)."""
-    return _verdict(_first_gap(scale_to_ints(f.values)[1], f.ground.n, True))
+    return _verdict(_first_gap(f.nums, f.ground.n, True))
 
 
 def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:

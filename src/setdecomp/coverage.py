@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import List, Sequence, Tuple
 
 from .core import (
     GroundSet,
@@ -59,7 +59,7 @@ class CoverageCoefficients:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CoverageCoefficients":
-        ground = GroundSet(int(d["n"]))
+        ground = GroundSet(d["n"])
         alpha = [Fraction(0)] * ground.size
         for key, val in d["alpha"].items():
             m = int(key)
@@ -76,7 +76,7 @@ def extremal(ground: GroundSet, a_mask: int) -> SetFunction:
     return SetFunction(ground, [Fraction(1 if x & a_mask else 0) for x in ground.subsets()])
 
 
-def _zeta(values: List[int], n: int) -> List[int]:
+def _zeta(values: Sequence[int], n: int) -> List[int]:
     """Subset sums: out[X] = sum over B subset X of values[B]."""
     out = list(values)
     for i in range(n):
@@ -87,7 +87,7 @@ def _zeta(values: List[int], n: int) -> List[int]:
     return out
 
 
-def _moebius(values: List[int], n: int) -> List[int]:
+def _moebius(values: Sequence[int], n: int) -> List[int]:
     """Inverse of the subset-sum transform."""
     out = list(values)
     for i in range(n):
@@ -98,7 +98,7 @@ def _moebius(values: List[int], n: int) -> List[int]:
     return out
 
 
-def _reflect(table: List[int]) -> List[int]:
+def _reflect(table: Sequence[int]) -> List[int]:
     """g(X) = table[J] - table[J \\ X]: maps the coefficients' subset sums
     to f and f back to them (its own inverse on tables zero at empty)."""
     total = table[-1]
@@ -108,23 +108,21 @@ def _reflect(table: List[int]) -> List[int]:
 def from_coefficients(coeffs: CoverageCoefficients) -> SetFunction:
     """f(X) = sum of alpha_A over A meeting X, via total minus subset sums."""
     d, alpha = scale_to_ints(coeffs.alpha)
-    values = _reflect(_zeta(alpha, coeffs.ground.n))
-    return SetFunction(coeffs.ground, [Fraction(v, d) for v in values])
+    return SetFunction.from_ints(coeffs.ground, d, _reflect(_zeta(alpha, coeffs.ground.n)))
 
 
 def to_coefficients(f: SetFunction) -> CoverageCoefficients:
     """Invert the basis expansion; exact, and verified by reconstruction.
 
-    The transform and the check run over the table scaled to ints.
+    The transform and the check run over the ints ``f.nums``.
     """
     if f.values[0] != 0:
         raise NotNormalizedError("coefficient extraction requires f(empty) = 0")
     n = f.ground.n
-    d, nums = scale_to_ints(f.values)
-    alpha = _moebius(_reflect(nums), n)
-    if _reflect(_zeta(alpha, n)) != nums:
+    alpha = _moebius(_reflect(f.nums), n)
+    if tuple(_reflect(_zeta(alpha, n))) != f.nums:
         raise ExactnessError("coefficient round-trip failed; this is a bug")
-    return CoverageCoefficients(f.ground, tuple(Fraction(a, d) for a in alpha))
+    return CoverageCoefficients(f.ground, tuple(Fraction(a, f.den) for a in alpha))
 
 
 # -- explicit basis matrices (test oracle, O(4^n)) -----------------------

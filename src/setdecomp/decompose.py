@@ -22,12 +22,10 @@ from typing import Dict, List, Optional, Tuple
 from .alternating import is_weakly_infinite_alternating
 from .charges import Charge, PreconditionError
 from .core import (
-    GroundSet,
     SetFunction,
     format_rational,
     is_submodular,
     norm_inf,
-    scale_to_ints,
     to_rational,
 )
 from .coverage import CoverageCoefficients, from_coefficients, to_coefficients
@@ -106,9 +104,7 @@ def _build_rows(
     """
     g = psi.ground
     n = g.n
-    vals = psi.values
-    # psi = num / d over ints, so each right-hand side costs one Fraction
-    d, num = scale_to_ints(vals)
+    # psi = nums / den over ints, so each right-hand side costs one Fraction
     rows: List[Dict[int, int]] = []
     rhs: List[Fraction] = []
 
@@ -125,7 +121,7 @@ def _build_rows(
             row = {xu - 1: 1}
             if x:
                 row[x - 1] = -1
-            add(row, Fraction(max(0, num[xu] - num[x]), d))
+            add(row, Fraction(max(0, psi.nums[xu] - psi.nums[x]), psi.den))
 
     # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X)
     for x in range(g.size):
@@ -137,17 +133,17 @@ def _build_rows(
                     continue
                 xu, xv = x | 1 << u, x | 1 << v
                 xuv = xu | 1 << v
-                s_psi = num[xu] + num[xv] - num[xuv] - num[x]
+                s_psi = psi.nums[xu] + psi.nums[xv] - psi.nums[xuv] - psi.nums[x]
                 row = {xu - 1: 1, xv - 1: 1, xuv - 1: -1}
                 if x:
                     row[x - 1] = -1
                 if kind == "sum":
                     # 0 <= s_phi1 <= s_psi
                     add(row, _ZERO)
-                    add({j: -a for j, a in row.items()}, Fraction(-s_psi, d))
+                    add({j: -a for j, a in row.items()}, Fraction(-s_psi, psi.den))
                 else:
                     # s_phi1 >= max(0, s_psi)
-                    add(row, Fraction(max(0, s_psi), d))
+                    add(row, Fraction(max(0, s_psi), psi.den))
 
     if c_bound is not None:
         # both parts boxed inside [-bound, bound]
@@ -156,8 +152,8 @@ def _build_rows(
             add({x - 1: -1}, -bound)  # -phi1(X) >= -bound
             # phi2 is psi - phi1 (sum) or phi1 - psi (diff); either way
             # |phi1(X) - psi(X)| <= bound
-            add({x - 1: 1}, vals[x] - bound)
-            add({x - 1: -1}, -bound - vals[x])
+            add({x - 1: 1}, psi.values[x] - bound)
+            add({x - 1: -1}, -bound - psi.values[x])
     return rows, rhs
 
 

@@ -31,6 +31,7 @@ from .core import (
     SetFunction,
     format_rational,
     norm_inf,
+    _is_int,
     popcount,
     scale_to_ints,
     to_rational,
@@ -50,10 +51,6 @@ PROBE_MAX_N = 8
 
 class GraphError(ValueError):
     pass
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -217,26 +214,22 @@ def _cut_ints(g: GraphLike) -> Tuple[GroundSet, int, List[int]]:
     return ground, den, [a - b for a, b in zip(_reflect(induced), induced)]
 
 
-def _function(ground: GroundSet, den: int, nums: List[int]) -> SetFunction:
-    return SetFunction(ground, [Fraction(v, den) for v in nums])
-
-
 def cut_function(g: GraphLike) -> SetFunction:
     """d(X): total weight of hyperedges meeting both X and its complement."""
-    return _function(*_cut_ints(g))
+    return SetFunction.from_ints(*_cut_ints(g))
 
 
 def induced_function(g: GraphLike) -> SetFunction:
     """i(X): total weight of hyperedges contained in X."""
     h = _as_hypergraph(g)
-    return _function(*_induced_ints(h.n, h.hyperedges))
+    return SetFunction.from_ints(*_induced_ints(h.n, h.hyperedges))
 
 
 def incident_function(g: GraphLike) -> SetFunction:
     """e(X) = i(X) + d(X): hyperedges meeting X at all, i(J) - i(J \\ X)."""
     h = _as_hypergraph(g)
     ground, den, induced = _induced_ints(h.n, h.hyperedges)
-    return _function(ground, den, _reflect(induced))
+    return SetFunction.from_ints(ground, den, _reflect(induced))
 
 
 def _connecting_weight(h: WeightedHypergraph, x: int, y: int, inside: int) -> Fraction:
@@ -339,7 +332,7 @@ class CliqueWeights:
     weights: Dict[int, Fraction]
 
     def induced(self) -> SetFunction:
-        return _function(*_induced_ints(self.graph.n, self.weights.items()))
+        return SetFunction.from_ints(*_induced_ints(self.graph.n, self.weights.items()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -365,11 +358,10 @@ def recover_clique_weights(g: WeightedGraph, phi1: SetFunction) -> CliqueWeights
     """
     if phi1.ground.n != max(g.n, 1):
         raise GraphError("phi1 ground set does not match the graph")
-    den, nums = scale_to_ints(phi1.values)
-    alpha = _moebius(nums, phi1.ground.n)
-    weights = {k: Fraction(alpha[k], den) for k in sorted(enumerate_cliques(g), key=popcount)}
+    alpha = _moebius(phi1.nums, phi1.ground.n)
+    weights = {k: Fraction(alpha[k], phi1.den) for k in sorted(enumerate_cliques(g), key=popcount)}
     result = CliqueWeights(graph=g, weights=weights)
-    if result.induced().values != phi1.values:
+    if result.induced() != phi1:
         raise GraphError(
             "phi1 is not induced by any clique weighting: "
             + _modularity_witness_message(g, phi1)

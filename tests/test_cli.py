@@ -315,6 +315,25 @@ def test_float_vertex_is_a_bad_input(capsys, tmp_path):
     assert "bad input object" in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": True, "values": ["0", "1"]},
+        {"n": 2.9, "values": ["0", "1", "1", "2"]},
+        {"n": "2", "values": ["0", "1", "1", "2"]},
+        {"n": 1, "values": [False, True]},
+        {"n": 2, "edges": [[0, 1, True]]},
+    ],
+)
+def test_bool_float_or_string_numbers_are_bad_input(capsys, tmp_path, payload):
+    # a JSON true is not the number 1, and a ground size must be an int
+    path = write_json(tmp_path / "f.json", payload)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad input object" in captured.err and "Traceback" not in captured.err
+
+
 def test_main_uses_the_parser_built_at_import(capsys, monkeypatch, triangle_path):
     from setdecomp import cli
 

@@ -33,6 +33,17 @@ def test_ground_set_limits():
         GroundSet(0)
     with pytest.raises(GroundSetError):
         GroundSet(17)
+    # the size must be an int: a bool or a float is not read as one
+    for size in (True, 2.0, "2"):
+        with pytest.raises(GroundSetError, match="int"):
+            GroundSet(size)
+
+
+def test_to_rational_refuses_bool():
+    assert to_rational(1) == 1 and to_rational("1/2") == Fraction(1, 2)
+    for x in (True, False, 0.5):
+        with pytest.raises(TypeError):
+            to_rational(x)
 
 
 def test_ground_set_masks():

@@ -1,15 +1,23 @@
 """Differential tests of the integer-scaled paths against plain Fraction loops.
 
-The predicates, the coverage transform and the charge arithmetic scale a
-table to ints over one common denominator.  These tests draw tables with
-mixed denominators, some multiplied by 2^70, and compare each result with
-a reference that does the same work in ``Fraction`` arithmetic.
+Every SetFunction carries its table scaled to ints over one common
+denominator (``den`` and ``nums``), and the predicates, the coverage
+transform and the charge arithmetic run on those ints.  These tests draw
+tables with mixed denominators, some multiplied by 2^70, and compare each
+result with a reference that does the same work in ``Fraction``
+arithmetic.  They also check that a table is scaled once, when it is
+built.
 """
 
+import json
+import sys
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import setdecomp
 from setdecomp import (
     Charge,
     GroundSet,
@@ -23,11 +31,14 @@ from setdecomp import (
     is_modular,
     is_submodular,
     is_supermodular,
+    linear_combine,
     lower_charge,
     to_coefficients,
     upper_charge,
 )
+from setdecomp.cli import main
 from setdecomp.coverage import basis_matrix_apply, inverse_matrix_apply
+from conftest import random_coverage
 
 DENOMINATORS = (1, 2, 3, 7, 10**6 + 3, 2**61 - 1)
 entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
@@ -155,3 +166,117 @@ def test_canonical_dual_stays_in_the_domain(f):
     assert min(star.values) >= 0
     assert is_submodular(star) == (True, None)
     assert is_increasing(star) == (True, None)
+
+
+# -- the integer form of a table ------------------------------------------
+
+
+def _check_integer_form(f):
+    assert f.den == lcm(*(v.denominator for v in f.values))
+    assert f.nums == tuple(v * f.den for v in f.values)
+    assert all(type(v) is int for v in f.nums)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables(), st.integers(1, 10**30))
+def test_integer_form_invariants(f, k):
+    _check_integer_form(f)
+    # any common denominator gives the same function: from_ints divides
+    # out the common factor
+    g = SetFunction.from_ints(f.ground, k * f.den, [k * v for v in f.nums])
+    assert g == SetFunction(f.ground, f.values)
+    assert (g.values, g.den, g.nums) == (f.values, f.den, f.nums)
+    with pytest.raises(AttributeError):
+        f.den = 1
+    with pytest.raises(AttributeError):
+        f.nums = ()
+
+
+def test_integer_form_of_edge_tables():
+    big = 2**61 - 1  # a prime
+    for f in (
+        SetFunction.zero(GroundSet(1)),
+        SetFunction.zero(GroundSet(4)),
+        SetFunction(GroundSet(1), [0, Fraction(1, big)]),
+        SetFunction(GroundSet(2), [Fraction(-3, big), Fraction(1, 10**6 + 3), 5, Fraction(1, big * (10**6 + 3))]),
+    ):
+        _check_integer_form(f)
+        assert SetFunction.from_ints(f.ground, 7 * f.den, [7 * v for v in f.nums]) == f
+    assert SetFunction.zero(GroundSet(3)).den == 1
+    assert SetFunction.from_ints(GroundSet(1), 6, [0, 4]).nums == (0, 2)
+    for den, nums in ((0, [0, 1]), (-2, [0, 1]), (2, [0, 1, 2])):
+        with pytest.raises(ValueError):
+            SetFunction.from_ints(GroundSet(1), den, nums)
+
+
+def ref_linear_combine(terms):
+    ground = terms[0][1].ground
+    values = [Fraction(0)] * ground.size
+    for c, f in terms:
+        for m, v in enumerate(f.values):
+            values[m] += c * v
+    return values
+
+
+coefficients = st.one_of(st.just(Fraction(0)), entries, st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_linear_combine_matches_fraction_loop(data):
+    f = data.draw(tables())
+    others = [f] + [
+        SetFunction(f.ground, data.draw(st.lists(entries, min_size=f.ground.size, max_size=f.ground.size)))
+        for _ in range(data.draw(st.integers(0, 3)))
+    ]
+    terms = [(data.draw(coefficients), h) for h in others]
+    combined = linear_combine(terms)
+    assert list(combined.values) == ref_linear_combine(terms)
+    _check_integer_form(combined)
+
+
+# -- each table is scaled once ---------------------------------------------
+
+
+# the library calls the charge-tables benchmark makes on each function
+CHARGE_CALLS = (
+    "is_submodular", "is_increasing", "to_coefficients",
+    "upper_charge", "lower_charge", "canonical_dual", "double_dual",
+)
+
+
+@pytest.fixture
+def scale_lengths(monkeypatch):
+    """Lengths of the sequences passed to scale_to_ints, through any binding."""
+    lengths = []
+    original = setdecomp.core.scale_to_ints
+
+    def spy(values):
+        lengths.append(len(values))
+        return original(values)
+
+    wrapped = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "setdecomp" and getattr(module, "scale_to_ints", None) is original:
+            monkeypatch.setattr(module, "scale_to_ints", spy)
+            wrapped.append(name)
+    assert "setdecomp.core" in wrapped
+    return lengths
+
+
+def test_check_scales_its_table_once(tmp_path, capsys, rng, scale_lengths):
+    f = random_coverage(rng, 6)
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(f.to_json_dict()))
+    scale_lengths.clear()
+    assert main(["check", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 6
+    assert scale_lengths.count(64) == 1
+
+
+def test_charge_calls_scale_nothing(rng, scale_lengths):
+    f = random_coverage(rng, 5)
+    scale_lengths.clear()
+    for name in CHARGE_CALLS:
+        getattr(setdecomp, name)(f)
+    assert scale_lengths == []
