@@ -85,15 +85,6 @@ def alt_sum(f: SetFunction, a0: int, classes: Sequence[int]) -> Fraction:
     return Fraction(total, f.den)
 
 
-def alt_sum_recursive_check(f: SetFunction, a0: int, classes: Sequence[int]) -> Fraction:
-    """Test oracle: V(A0; A1..Ak) as a difference of two (k-1)-sums."""
-    k = len(classes)
-    if k < 2:
-        raise ValueError("recursive form needs at least two classes")
-    head = classes[:-1]
-    return alt_sum(f, a0, head) - alt_sum(f, a0 | classes[-1], head)
-
-
 def _require_normalized(f: SetFunction) -> None:
     if f.values[0] != 0:
         raise NotNormalizedError(f"operation requires f(empty) = 0, got {f.values[0]}")
@@ -259,45 +250,6 @@ def is_k_alternating(f: SetFunction, k: int) -> Tuple[bool, Optional[Alternating
         raise ValueError("k must be at least 1")
     hit = next((w for w in weak_violations(f)[1 : k + 1] if w is not None), None)
     return hit is None, hit
-
-
-def is_k_alternating_bruteforce(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:
-    """Oracle: enumerate arbitrary (not necessarily disjoint) tuples.
-
-    Exponential in (k+1)*n; restricted to n <= 5, k <= 3.
-    """
-    n = f.ground.n
-    if n > 5 or k > 3:
-        raise EnumerationLimitError("brute-force oracle limited to n <= 5, k <= 3")
-    _require_normalized(f)
-    size = 1 << n
-    vals = f.values
-    classes = [0] * k
-
-    def rec(depth: int, a0: int) -> Optional[AlternatingWitness]:
-        if depth == k:
-            v = Fraction(0)
-            for code in range(1 << k):
-                union = a0
-                for i in range(k):
-                    if code >> i & 1:
-                        union |= classes[i]
-                v += -vals[union] if popcount(code) & 1 else vals[union]
-            if v > 0:
-                return AlternatingWitness(a0, tuple(classes), v)
-            return None
-        for c in range(size):
-            classes[depth] = c
-            hit = rec(depth + 1, a0)
-            if hit is not None:
-                return hit
-        return None
-
-    for a0 in range(size):
-        hit = rec(0, a0)
-        if hit is not None:
-            return False, hit
-    return True, None
 
 
 def is_weakly_infinite_alternating(f: SetFunction) -> Tuple[bool, Optional[AlternatingWitness]]:

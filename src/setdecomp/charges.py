@@ -74,10 +74,9 @@ def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False
     """Check the preconditions of a public operation, each predicate once."""
     if f.values[0] != 0:
         raise PreconditionError(f"requires f(empty) = 0, got {f.values[0]}")
-    if nonneg:
-        for m, v in enumerate(f.values):
-            if v.numerator < 0:
-                raise PreconditionError(f"requires f >= 0; f({m}) = {v}")
+    if nonneg and min(f.nums) < 0:
+        m = next(m for m, v in enumerate(f.nums) if v < 0)
+        raise PreconditionError(f"requires f >= 0; f({m}) = {f.values[m]}")
     if submodular:
         ok, witness = is_submodular(f)
         if not ok:

@@ -5,6 +5,10 @@ and a set function is a dense table of 2**n Fractions indexed by mask.  It
 also carries, from construction on, the least common denominator ``den`` of
 its values and the Python ints ``nums = den * values``, on which the
 predicates, transforms and charge arithmetic run; every result is exact.
+The shape predicates decide from one table of steps f(X + u) - f(X),
+compared list against list by built-ins, and each function keeps its
+verdicts, so the precondition checks of repeated calls on one function
+cost one decision each.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
+from operator import eq, ge, le, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -81,7 +86,7 @@ class GroundSet:
                 yield i
 
     def check_mask(self, mask: int) -> int:
-        if not isinstance(mask, int) or mask < 0 or mask > self.full_mask:
+        if not _is_int(mask) or mask < 0 or mask > self.full_mask:
             raise GroundSetError(f"invalid subset mask {mask!r} for ground set of size {self.n}")
         return mask
 
@@ -96,13 +101,17 @@ class SetFunction:
     ``den`` is the least common denominator of ``values`` and ``nums`` the
     tuple of ints with ``nums[X] == den * values[X]``, both fixed at
     construction; code that already holds such ints calls :meth:`from_ints`.
+    ``_verdicts`` maps a shape predicate's name to the (verdict, witness)
+    it returned for this function.  It is filled on a predicate's first
+    call; since the table cannot change, the kept answer stays right, and
+    equality, hashing and the values ignore it.
 
     The default constructor is "raw" and accepts arbitrary values; use
     :meth:`normalized` to reject tables with a nonzero value at the
     empty set.
     """
 
-    __slots__ = ("ground", "values", "den", "nums")
+    __slots__ = ("ground", "values", "den", "nums", "_verdicts")
 
     def __init__(self, ground: GroundSet, values: Sequence[RationalLike]):
         if len(values) != ground.size:
@@ -111,8 +120,8 @@ class SetFunction:
         den, nums = scale_to_ints(values)
         self._fill(ground, values, den, tuple(nums))
 
-    def _fill(self, *fields) -> None:  # ground, values, den, nums
-        for name, value in zip(self.__slots__, fields):
+    def _fill(self, *fields) -> None:  # ground, values, den, nums; no verdicts yet
+        for name, value in zip(self.__slots__, fields + ({},)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -295,9 +304,54 @@ def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
 #
 # Each predicate returns (verdict, witness); the witness is None on success
 # and otherwise the lexicographically first counterexample in mask order.
-# They scan the ints f.nums and share two loops: the local
-# submodularity gaps f(X+u) + f(X+v) - f(X) - f(X+u+v), and the steps
-# f(X+u) - f(X).
+# The verdict comes from the step table of f.nums: steps[u] lists
+# f(X + u) - f(X) over the sets X without u, in mask order, so monotonicity
+# is a min or max of each list, and a local submodularity gap
+# f(X+u) + f(X+v) - f(X) - f(X+u+v) is the step of u at X minus its step at
+# X + v, compared for the two halves of steps[u] along v.  Lists are built
+# by slicing and compared by map over operator functions, so no Python
+# bytecode runs per entry.  Only a failed decision runs the ordered scan
+# (_first_gap or _first_drop) that locates the first witness.  Each
+# verdict is kept on the function (SetFunction._verdicts), so a second
+# call on the same function only looks it up.
+
+
+def _halves(seq: Sequence[int], bit: int) -> Tuple[List[int], List[int]]:
+    """The entries whose index has ``bit`` clear, and those with it set, each in index order."""
+    b = 1 << bit
+    if 2 * b * b <= len(seq):
+        # few long strides: one slice per residue class modulo 2b
+        lo, hi = [0] * (len(seq) // 2), [0] * (len(seq) // 2)
+        for r in range(b):
+            lo[r::b] = seq[r :: 2 * b]
+            hi[r::b] = seq[r + b :: 2 * b]
+    else:
+        # few long blocks: one slice per block of b entries
+        lo, hi = [], []
+        for start in range(0, len(seq), 2 * b):
+            lo += seq[start : start + b]
+            hi += seq[start + b : start + 2 * b]
+    return lo, hi
+
+
+_STEP_ORDER = {"submodular": ge, "supermodular": le, "modular": eq}
+
+
+def _holds(nums: Sequence[int], n: int, shape: str) -> bool:
+    """Whether the table has the shape, decided from its step table.
+
+    The steps of u are built when u is reached, so a failure at a small u
+    costs little more than the ordered scan that then locates it.
+    """
+    steps = (list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n)))
+    if shape == "increasing":
+        return all(min(step) >= 0 for step in steps)
+    if shape == "decreasing":
+        return all(max(step) <= 0 for step in steps)
+    # bit j of the steps of u is element j + 1 for j >= u, so these are
+    # the pairs u < v; the pair v, u gives the same gaps
+    order = _STEP_ORDER[shape]
+    return all(all(map(order, *_halves(step, j))) for u, step in enumerate(steps) for j in range(u, n - 1))
 
 
 def _first_gap(nums: Sequence[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
@@ -330,31 +384,36 @@ def _first_drop(nums: Sequence[int], n: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _verdict(witness: Optional[tuple]) -> Tuple[bool, Optional[tuple]]:
-    return witness is None, witness
+def _verdict(f: SetFunction, shape: str, first_witness) -> Tuple[bool, Optional[tuple]]:
+    """(verdict, witness) of a shape predicate, decided once per function."""
+    kept = f._verdicts.get(shape)
+    if kept is None:
+        witness = None if _holds(f.nums, f.ground.n, shape) else first_witness()
+        kept = f._verdicts[shape] = (witness is None, witness)
+    return kept
 
 
 def is_submodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Local diminishing-returns test; witness is (X, u, v) on failure."""
-    return _verdict(_first_gap(f.nums, f.ground.n, False))
+    return _verdict(f, "submodular", lambda: _first_gap(f.nums, f.ground.n, False))
 
 
 def is_supermodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    return _verdict(_first_gap([-v for v in f.nums], f.ground.n, False))
+    return _verdict(f, "supermodular", lambda: _first_gap([-v for v in f.nums], f.ground.n, False))
 
 
 def is_increasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Monotone on all single-element extensions; witness is (X, u)."""
-    return _verdict(_first_drop(f.nums, f.ground.n))
+    return _verdict(f, "increasing", lambda: _first_drop(f.nums, f.ground.n))
 
 
 def is_decreasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    return _verdict(_first_drop([-v for v in f.nums], f.ground.n))
+    return _verdict(f, "decreasing", lambda: _first_drop([-v for v in f.nums], f.ground.n))
 
 
 def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Exact equality in the local submodularity form; witness is (X, u, v)."""
-    return _verdict(_first_gap(f.nums, f.ground.n, True))
+    return _verdict(f, "modular", lambda: _first_gap(f.nums, f.ground.n, True))
 
 
 def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:

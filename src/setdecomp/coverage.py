@@ -5,9 +5,9 @@ unique expansion f = sum alpha_A phi_A over nonempty A, where phi_A is
 the intersection indicator (1 iff X meets A).  f is a coverage function
 exactly when every alpha_A is nonnegative.
 
-The production transform runs in O(n 2^n) through a reflection to the
-subset lattice followed by a Moebius inversion; the explicit basis
-matrices are kept as an O(4^n) oracle only.
+The transform runs in O(n 2^n) through a reflection to the subset
+lattice followed by a Moebius inversion; the explicit O(4^n) basis
+matrices are the test suite's oracle (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -123,38 +123,6 @@ def to_coefficients(f: SetFunction) -> CoverageCoefficients:
     if tuple(_reflect(_zeta(alpha, n))) != f.nums:
         raise ExactnessError("coefficient round-trip failed; this is a bug")
     return CoverageCoefficients(f.ground, tuple(Fraction(a, f.den) for a in alpha))
-
-
-# -- explicit basis matrices (test oracle, O(4^n)) -----------------------
-
-
-def basis_matrix_apply(ground: GroundSet, alpha: Tuple[Fraction, ...]) -> SetFunction:
-    """Row X of the basis matrix indicates the sets meeting X."""
-    values = [Fraction(0)] * ground.size
-    for x in ground.nonempty_subsets():
-        acc = Fraction(0)
-        for a in ground.nonempty_subsets():
-            if x & a:
-                acc += alpha[a]
-        values[x] = acc
-    return SetFunction(ground, values)
-
-
-def inverse_matrix_apply(f: SetFunction) -> CoverageCoefficients:
-    """Entry (X, Y) is (-1)^(|X n Y| - 1) when X u Y covers the ground set."""
-    ground = f.ground
-    full = ground.full_mask
-    alpha = [Fraction(0)] * ground.size
-    for x in ground.nonempty_subsets():
-        acc = Fraction(0)
-        for y in ground.nonempty_subsets():
-            if x | y == full:
-                if popcount(x & y) & 1:
-                    acc += f.values[y]
-                else:
-                    acc -= f.values[y]
-        alpha[x] = acc
-    return CoverageCoefficients(ground, tuple(alpha))
 
 
 def support_size_bound_check(coeffs: CoverageCoefficients, k0: int) -> bool:

@@ -38,12 +38,10 @@ from setdecomp import (
 )
 from setdecomp.alternating import alt_sum, is_weakly_k_alternating
 from setdecomp.coverage import (
-    basis_matrix_apply,
     diff_decompose_canonical,
     diff_decompose_uniform,
     extremal,
     from_coefficients,
-    inverse_matrix_apply,
     to_coefficients,
 )
 from conftest import (
@@ -52,6 +50,7 @@ from conftest import (
     random_set_function,
     random_weakly_alternating,
 )
+from oracles import basis_matrix_apply, inverse_matrix_apply
 
 F = Fraction
 

@@ -28,8 +28,8 @@ from setdecomp import (
     weak_violations,
 )
 from setdecomp import alternating
-from setdecomp.alternating import alt_sum_recursive_check, is_k_alternating_bruteforce
 from conftest import random_coverage, random_set_function
+from oracles import alt_sum_recursive_check, is_k_alternating_bruteforce
 
 
 def all_tuples(size: int, count: int):

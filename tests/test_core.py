@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from setdecomp import (
+    Charge,
     GroundSet,
     GroundSetError,
     Partition,
@@ -53,6 +54,21 @@ def test_ground_set_masks():
     assert list(g.subsets()) == list(range(8))
     with pytest.raises(GroundSetError):
         g.check_mask(0b1000)
+
+
+def test_bool_masks_are_refused():
+    g = GroundSet(2)
+    f = SetFunction(g, (0, 1, 1, 2))
+    for call in (
+        lambda mask: f(mask),
+        lambda mask: Charge.of(g, [1, 1])(mask),
+        lambda mask: is_modular_on_pair(f, mask, 0),
+        lambda mask: is_modular_on_pair(f, 0, mask),
+    ):
+        assert call(1) == call(1)  # the int mask is accepted
+        for mask in (True, False):
+            with pytest.raises(GroundSetError, match="invalid subset mask"):
+                call(mask)
 
 
 def test_set_function_arithmetic():

@@ -16,15 +16,10 @@ from setdecomp import (
     to_coefficients,
 )
 from setdecomp import coverage
-from setdecomp.coverage import (
-    basis_matrix_apply,
-    diff_decompose_canonical,
-    diff_decompose_uniform,
-    extremal,
-    inverse_matrix_apply,
-)
+from setdecomp.coverage import diff_decompose_canonical, diff_decompose_uniform, extremal
 from setdecomp.alternating import NotNormalizedError
 from conftest import random_coverage, random_set_function
+from oracles import basis_matrix_apply, inverse_matrix_apply
 
 
 def test_extremal_is_intersection_indicator():

@@ -6,7 +6,7 @@ transform and the charge arithmetic run on those ints.  These tests draw
 tables with mixed denominators, some multiplied by 2^70, and compare each
 result with a reference that does the same work in ``Fraction``
 arithmetic.  They also check that a table is scaled once, when it is
-built.
+built, and that each shape predicate is decided once per function.
 """
 
 import json
@@ -37,8 +37,8 @@ from setdecomp import (
     upper_charge,
 )
 from setdecomp.cli import main
-from setdecomp.coverage import basis_matrix_apply, inverse_matrix_apply
 from conftest import random_coverage
+from oracles import basis_matrix_apply, inverse_matrix_apply
 
 DENOMINATORS = (1, 2, 3, 7, 10**6 + 3, 2**61 - 1)
 entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
@@ -64,6 +64,41 @@ def tables(draw, max_n=5):
         values = _coverage(ground, raw)
         values[draw(st.integers(1, ground.size - 1))] += draw(st.sampled_from((0, 0, 1, -1))) * draw(entries)
     return SetFunction(ground, [v * scale for v in values])
+
+
+@st.composite
+def shape_tables(draw, max_n=8):
+    """Tables on which each shape predicate holds or fails: a coverage
+    function (submodular, increasing), its negation (supermodular,
+    decreasing), a charge (modular), constant steps c|X| (modular, and
+    monotone in the sign of c) or arbitrary values; scaled, then with one
+    entry moved by 1, -1 or not at all.  Entries come from a seeded
+    Random, since a table at n = 8 has 256 of them."""
+    ground = GroundSet(draw(st.integers(1, max_n)))
+    n, size = ground.n, ground.size
+    rng = draw(st.randoms(use_true_random=False))
+
+    def entry():
+        return Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS))
+
+    kind = draw(st.sampled_from(("arbitrary", "coverage", "negated coverage", "charge", "constant steps")))
+    if kind == "arbitrary":
+        values = [entry() for _ in range(size)]
+    elif kind.endswith("coverage"):
+        # weighted hyperedges; f(X) is the weight of those meeting X
+        edges = [(rng.randrange(1, size), abs(entry())) for _ in range(rng.randint(0, 6))]
+        values = [sum((w for e, w in edges if e & X), Fraction(0)) for X in range(size)]
+        if kind == "negated coverage":
+            values = [-v for v in values]
+    elif kind == "charge":
+        values = charge_table([entry() for _ in range(n)], n)
+    else:
+        step = entry()
+        values = [step * X.bit_count() for X in range(size)]
+    scale = draw(st.sampled_from((1, 2**70)))
+    values = [v * scale for v in values]
+    values[draw(st.integers(0, size - 1))] += draw(st.sampled_from((0, 1, -1)))
+    return SetFunction(ground, values)
 
 
 @st.composite
@@ -106,7 +141,7 @@ def charge_table(atoms, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(tables())
+@given(shape_tables())
 def test_predicates_match_fraction_loops(f):
     n, vals = f.ground.n, f.values
     neg = [-v for v in vals]
@@ -119,7 +154,8 @@ def test_predicates_match_fraction_loops(f):
     }
     for predicate, witness in expected.items():
         assert predicate(f) == (witness is None, witness), predicate.__name__
-    assert is_submodular(f)[0] == global_submodularity_check(f)[0]
+    if n <= 5:  # the four-set oracle is O(4^n)
+        assert is_submodular(f)[0] == global_submodularity_check(f)[0]
 
 
 # -- coverage transform --------------------------------------------------
@@ -280,3 +316,43 @@ def test_charge_calls_scale_nothing(rng, scale_lengths):
     for name in CHARGE_CALLS:
         getattr(setdecomp, name)(f)
     assert scale_lengths == []
+
+
+# -- each shape is decided once per function -------------------------------
+
+
+PREDICATES = (is_submodular, is_supermodular, is_modular, is_increasing, is_decreasing)
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """The shapes core decides from a step table, one entry per decision."""
+    shapes = []
+    original = setdecomp.core._holds
+
+    def spy(nums, n, shape):
+        shapes.append(shape)
+        return original(nums, n, shape)
+
+    monkeypatch.setattr(setdecomp.core, "_holds", spy)
+    return shapes
+
+
+def test_charge_calls_decide_each_shape_once(rng, decisions):
+    f = random_coverage(rng, 5)
+    for name in CHARGE_CALLS:
+        getattr(setdecomp, name)(f)
+    assert sorted(decisions) == ["increasing", "submodular"]
+
+
+def test_verdicts_are_kept_per_function(decisions):
+    # concave and increasing in |X|: submodular and increasing, and the
+    # other three fail with a witness
+    values = [Fraction((0, 3, 5, 6, 6)[X.bit_count()], 3) * 2**70 for X in range(16)]
+    f, g = SetFunction(GroundSet(4), values), SetFunction(GroundSet(4), values)
+    first = [p(f) for p in PREDICATES]
+    assert [verdict for verdict, _ in first] == [True, False, False, True, False]
+    assert [p(f) for p in PREDICATES] == first
+    assert len(decisions) == len(PREDICATES)
+    assert g == f and [p(g) for p in PREDICATES] == first
+    assert len(decisions) == 2 * len(PREDICATES)
