@@ -60,7 +60,7 @@ class Charge:
 
     def as_set_function(self) -> SetFunction:
         d, atoms = scale_to_ints(self.atoms)
-        return SetFunction.from_ints(self.ground, d, _modular_table(atoms, self.ground.n))
+        return SetFunction.from_ints(self.ground, d, _modular_table(atoms))
 
     def to_json_dict(self) -> dict:
         return {"n": self.ground.n, "atoms": [format_rational(a) for a in self.atoms]}
@@ -91,12 +91,11 @@ def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False
 # denominator and check nothing; the public functions check first.
 
 
-def _modular_table(atoms: Sequence[int], n: int) -> List[int]:
+def _modular_table(atoms: Sequence[int]) -> List[int]:
     """The charge of every mask: the sum of its atoms."""
-    table = [0] * (1 << n)
-    for m in range(1, 1 << n):
-        low = m & -m
-        table[m] = table[m ^ low] + atoms[low.bit_length() - 1]
+    table = [0]
+    for a in atoms:
+        table += [t + a for t in table]
     return table
 
 
@@ -107,7 +106,7 @@ def _dual(nums: Sequence[int], eta: List[int]) -> List[int]:
 
 
 def _canonical_dual(nums: Sequence[int], n: int) -> List[int]:
-    return _dual(nums, _modular_table([nums[1 << i] for i in range(n)], n))
+    return _dual(nums, _modular_table([nums[1 << i] for i in range(n)]))
 
 
 def _lower_charge(f: SetFunction) -> Charge:
@@ -129,7 +128,7 @@ def dual_wrt(f: SetFunction, eta: Charge) -> SetFunction:
     _require(f, submodular=True, increasing=True)
     size = f.ground.size
     d, nums = scale_to_ints(f.values + eta.atoms)
-    nums, eta_table = nums[:size], _modular_table(nums[size:], f.ground.n)
+    nums, eta_table = nums[:size], _modular_table(nums[size:])
     for m in range(size):
         if nums[m] > eta_table[m]:
             raise PreconditionError(f"requires f <= eta; violated at mask {m}")

@@ -5,6 +5,10 @@ and a set function is a dense table of 2**n Fractions indexed by mask.  It
 also carries, from construction on, the least common denominator ``den`` of
 its values and the Python ints ``nums = den * values``, on which the
 predicates, transforms and charge arithmetic run; every result is exact.
+Tables cross between ints and Fractions in two places only: canonical
+"p/q" strings, the format ``format_rational`` writes, are read with
+``int()``, and every table of Fractions is made by ``_fractions`` from
+coprime (numerator, denominator) pairs.
 The shape predicates decide from one table of steps f(X + u) - f(X),
 compared list against list by built-ins, and each function keeps its
 verdicts, so the precondition checks of repeated calls on one function
@@ -29,15 +33,67 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _fractions(den: int, nums: Iterable[int]) -> Tuple[Fraction, ...]:
+    """The Fractions v / den for the ints v in nums, for an int den > 0.
+
+    Each is built from its coprime pair by setting the two slots that are
+    the whole state of a ``Fraction`` (CPython 3.10-3.13), which skips the
+    type checks and the gcd of its constructor.  Were the slots renamed,
+    setting them would raise AttributeError, never give a wrong value.
+    """
+    new = object.__new__
+    out = []
+    for v in nums:
+        g = gcd(v, den)
+        x = new(Fraction)
+        x._numerator = v // g
+        x._denominator = den // g
+        out.append(x)
+    return tuple(out)
+
+
+def _canonical(s: str) -> Optional[Tuple[int, int]]:
+    """(p, q) for an ASCII string "p" or "p/q" (optional leading minus, digits,
+    q nonzero), read with int(); None for any other string."""
+    num, slash, den = s.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if s.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+        q = int(den) if slash else 1
+        if q:
+            return int(num), q
+    return None
+
+
 def to_rational(x: RationalLike) -> Fraction:
-    """Coerce ints, Fractions and canonical "p/q" strings to Fraction; bools are refused."""
+    """Coerce ints, Fractions and strings to Fraction; bools are refused.
+
+    Canonical "p/q" strings are read with int(); any other string (" 3/4 ",
+    "1.5", "1e3", "+3") goes to the ``Fraction`` constructor, which also
+    raises for the malformed ones ("3/", "3/-4", "1/0").
+    """
     if isinstance(x, Fraction):
         return x
     if _is_int(x):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        pair = _canonical(x)
+        if pair is None:
+            return Fraction(x)
+        p, q = pair
+        return _fractions(q, (p,))[0]
     raise TypeError(f"not an exact rational: {x!r}")
+
+
+def _pair(x: RationalLike) -> Tuple[int, int]:
+    """(p, q) with q > 0 and p / q == to_rational(x); not always coprime."""
+    if type(x) is str:
+        pair = _canonical(x)
+        if pair is not None:
+            return pair
+    elif _is_int(x):
+        return x, 1
+    x = to_rational(x)
+    return x.numerator, x.denominator
 
 
 def format_rational(x: Fraction) -> str:
@@ -100,11 +156,14 @@ class SetFunction:
 
     ``den`` is the least common denominator of ``values`` and ``nums`` the
     tuple of ints with ``nums[X] == den * values[X]``, both fixed at
-    construction; code that already holds such ints calls :meth:`from_ints`.
+    construction.  The constructor reads each value as a (numerator,
+    denominator) pair, scales them to ints over their least common
+    denominator and builds ``values`` from the reduced ints, the same path
+    :meth:`from_ints` takes for code that already holds such ints.
     ``_verdicts`` maps a shape predicate's name to the (verdict, witness)
     it returned for this function.  It is filled on a predicate's first
     call; since the table cannot change, the kept answer stays right, and
-    equality, hashing and the values ignore it.
+    equality, hashing, copies and the values ignore it.
 
     The default constructor is "raw" and accepts arbitrary values; use
     :meth:`normalized` to reject tables with a nonzero value at the
@@ -116,27 +175,35 @@ class SetFunction:
     def __init__(self, ground: GroundSet, values: Sequence[RationalLike]):
         if len(values) != ground.size:
             raise ValueError(f"expected {ground.size} values, got {len(values)}")
-        values = tuple(to_rational(v) for v in values)
-        den, nums = scale_to_ints(values)
-        self._fill(ground, values, den, tuple(nums))
+        self._fill(ground, *_scale([_pair(v) for v in values]))
 
-    def _fill(self, *fields) -> None:  # ground, values, den, nums; no verdicts yet
-        for name, value in zip(self.__slots__, fields + ({},)):
+    def _fill(self, ground: GroundSet, den: int, nums: Sequence[int]) -> None:
+        """Set the fields from any positive common denominator of the values
+        and the numerators over it; no verdicts yet."""
+        # dividing out the common gcd leaves the least common denominator
+        g = gcd(den, *nums)
+        den, nums = den // g, tuple(nums) if g == 1 else tuple(v // g for v in nums)
+        for name, value in zip(self.__slots__, (ground, _fractions(den, nums), den, nums, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFunction is immutable")
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt from the ints, without the verdicts
+        return type(self).from_ints, (self.ground, self.den, self.nums)
+
     @classmethod
     def from_ints(cls, ground: GroundSet, den: int, nums: Sequence[int]) -> "SetFunction":
-        """The function with values nums[X] / den, for a positive int den."""
+        """The function with values nums[X] / den, for a positive int den.
+
+        den need not be the least common denominator: the common factor is
+        divided out, and the Fractions are built by ``_fractions``.
+        """
         if len(nums) != ground.size or den <= 0:
             raise ValueError(f"need {ground.size} numerators and a positive denominator")
-        # dividing out the common gcd leaves the least common denominator
-        g = gcd(den, *nums)
-        den, nums = den // g, tuple(v // g for v in nums)
         f = cls.__new__(cls)
-        f._fill(ground, tuple(Fraction(v, den) for v in nums), den, nums)
+        f._fill(ground, den, nums)
         return f
 
     @classmethod
@@ -289,6 +356,12 @@ def symmetrize(f: SetFunction, shift: RationalLike = 0) -> SetFunction:
 # -- integer tables ------------------------------------------------------
 
 
+def _scale(pairs: Sequence[Tuple[int, int]]) -> Tuple[int, List[int]]:
+    """The least common denominator d of the rationals p / q (q > 0) and the ints d * p / q."""
+    d = lcm(*(q for _, q in pairs))
+    return d, [p * (d // q) for p, q in pairs]
+
+
 def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
     """The least common denominator d of exact rationals and the Python ints d * v.
 
@@ -296,8 +369,7 @@ def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
     arithmetic; a table of results goes back through
     :meth:`SetFunction.from_ints`.
     """
-    d = lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
+    return _scale([(v.numerator, v.denominator) for v in values])
 
 
 # -- predicates ----------------------------------------------------------
@@ -334,6 +406,11 @@ def _halves(seq: Sequence[int], bit: int) -> Tuple[List[int], List[int]]:
     return lo, hi
 
 
+def _steps(nums: Sequence[int], n: int) -> Iterator[List[int]]:
+    """steps[u] for u = 0..n-1, each built when it is reached."""
+    return (list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n)))
+
+
 _STEP_ORDER = {"submodular": ge, "supermodular": le, "modular": eq}
 
 
@@ -343,7 +420,7 @@ def _holds(nums: Sequence[int], n: int, shape: str) -> bool:
     The steps of u are built when u is reached, so a failure at a small u
     costs little more than the ordered scan that then locates it.
     """
-    steps = (list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n)))
+    steps = _steps(nums, n)
     if shape == "increasing":
         return all(min(step) >= 0 for step in steps)
     if shape == "decreasing":
@@ -357,18 +434,20 @@ def _holds(nums: Sequence[int], n: int, shape: str) -> bool:
 def _first_gap(nums: Sequence[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
     """First (X, u, v) whose local gap is negative, or nonzero if modular.
 
-    The gap is the step of u at X minus its step at X + v, so the steps
-    f(X + u) - f(X) are computed once and the scan only compares.
+    The gap is the step of u at X minus its step at X + v.  steps[u] holds
+    the sets without u, so X sits at X with bit u deleted, and X + v (v > u)
+    2^(v-1) places further on.
     """
-    size = 1 << n
-    steps = [[nums[X | 1 << u] - nums[X] for X in range(size)] for u in range(n)]
-    for X in range(size):
+    steps = list(_steps(nums, n))
+    for X in range(1 << n):
         outside = [u for u in range(n) if not X >> u & 1]
         for a, u in enumerate(outside):
+            low = (1 << u) - 1
+            at = X >> 1 & ~low | X & low
             step = steps[u]
-            here = step[X]
+            here = step[at]
             for v in outside[a + 1 :]:
-                there = step[X | 1 << v]
+                there = step[at + (1 << v - 1)]
                 if here < there or (modular and here != there):
                     return X, u, v
     return None

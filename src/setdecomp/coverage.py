@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, sub
 from typing import List, Sequence, Tuple
 
 from .core import (
     GroundSet,
     SetFunction,
+    _fractions,
     format_rational,
     popcount,
     scale_to_ints,
@@ -76,26 +78,33 @@ def extremal(ground: GroundSet, a_mask: int) -> SetFunction:
     return SetFunction(ground, [Fraction(1 if x & a_mask else 0) for x in ground.subsets()])
 
 
+def _sweep(values: Sequence[int], n: int, op) -> List[int]:
+    """For each element i in turn, out[X] = op(out[X], out[X - i]) for every X holding i.
+
+    Each pass is a few slice assignments, by stride or by block with the
+    rule of ``core._halves``, so no Python bytecode runs per entry.
+    """
+    out = list(values)
+    size = len(out)
+    for i in range(n):
+        b = 1 << i
+        if 2 * b * b <= size:
+            for r in range(b):
+                out[r + b :: 2 * b] = map(op, out[r + b :: 2 * b], out[r :: 2 * b])
+        else:
+            for start in range(0, size, 2 * b):
+                out[start + b : start + 2 * b] = map(op, out[start + b : start + 2 * b], out[start : start + b])
+    return out
+
+
 def _zeta(values: Sequence[int], n: int) -> List[int]:
     """Subset sums: out[X] = sum over B subset X of values[B]."""
-    out = list(values)
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                out[m] += out[m ^ bit]
-    return out
+    return _sweep(values, n, add)
 
 
 def _moebius(values: Sequence[int], n: int) -> List[int]:
     """Inverse of the subset-sum transform."""
-    out = list(values)
-    for i in range(n):
-        bit = 1 << i
-        for m in range(1 << n):
-            if m & bit:
-                out[m] -= out[m ^ bit]
-    return out
+    return _sweep(values, n, sub)
 
 
 def _reflect(table: Sequence[int]) -> List[int]:
@@ -122,7 +131,7 @@ def to_coefficients(f: SetFunction) -> CoverageCoefficients:
     alpha = _moebius(_reflect(f.nums), n)
     if tuple(_reflect(_zeta(alpha, n))) != f.nums:
         raise ExactnessError("coefficient round-trip failed; this is a bug")
-    return CoverageCoefficients(f.ground, tuple(Fraction(a, f.den) for a in alpha))
+    return CoverageCoefficients(f.ground, _fractions(f.den, alpha))
 
 
 def support_size_bound_check(coeffs: CoverageCoefficients, k0: int) -> bool:

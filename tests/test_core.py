@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -24,6 +27,7 @@ from setdecomp import (
     symmetrize,
     to_rational,
 )
+from setdecomp.core import _fractions
 from conftest import random_set_function
 
 
@@ -45,6 +49,59 @@ def test_to_rational_refuses_bool():
     for x in (True, False, 0.5):
         with pytest.raises(TypeError):
             to_rational(x)
+
+
+@pytest.mark.parametrize(
+    "value", ["2/4", "-0", "007", "-12/8", " 3/4 ", "1.5", "1e3", "+3", "\u0663", 5, Fraction(3, 9)]
+)
+def test_values_read_as_the_fraction_constructor_reads_them(value):
+    # canonical strings are read with int(); the others go to Fraction
+    expected = Fraction(value)
+    assert to_rational(value) == expected and type(to_rational(value)) is Fraction
+    f = SetFunction(GroundSet(1), [Fraction(1, 3), value])
+    assert f.values == (Fraction(1, 3), expected)
+    assert all(type(v) is Fraction for v in f.values)
+    assert (f.den, f.nums) == (lcm(3, expected.denominator), tuple(v * f.den for v in f.values))
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [("1/0", ZeroDivisionError), ("3/", ValueError), ("3/-4", ValueError), ("abc", ValueError),
+     ("", ValueError), (True, TypeError), (1.5, TypeError)],
+)
+def test_bad_values_raise_as_the_fraction_constructor_does(value, error):
+    for read in (to_rational, lambda v: SetFunction(GroundSet(1), [0, v])):
+        with pytest.raises(Exception) as caught:
+            read(value)
+        assert type(caught.value) is error
+
+
+def test_fractions_match_the_fraction_constructor():
+    # _fractions sets the two slots of each Fraction itself: each entry must
+    # be the Fraction the constructor gives, down to its type, terms and hash
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    assert not hasattr(Fraction(1), "__dict__")  # so a renamed slot raises
+    rng = random.Random(12)
+    for den in (1, 10**9 + 7, 2**70 * 3):
+        nums = [0, 1, -1, den, -den, 2 * den, -3 * den]
+        nums += [rng.randint(-(10**6), 10**6) * rng.choice((1, 3, 2**70, den)) for _ in range(300)]
+        got, want = _fractions(den, nums), tuple(Fraction(v, den) for v in nums)
+        assert type(got) is tuple and got == want
+        assert all(type(x) is Fraction for x in got)
+        assert [(x.numerator, x.denominator, hash(x)) for x in got] == [
+            (x.numerator, x.denominator, hash(x)) for x in want
+        ]
+
+
+def test_copies_and_pickles_round_trip():
+    f = SetFunction(GroundSet(3), [0, "1/2", 1, "3/2", 2, "5/2", 3, "-7/2"])
+    verdict = is_submodular(f)
+    assert f._verdicts
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g is not f
+        assert (g.values, g.den, g.nums) == (f.values, f.den, f.nums)
+        assert g._verdicts == {}
+        assert is_submodular(g) == verdict
 
 
 def test_ground_set_masks():

@@ -10,7 +10,6 @@ built, and that each shape predicate is decided once per function.
 """
 
 import json
-import sys
 from fractions import Fraction
 from math import lcm
 
@@ -283,20 +282,16 @@ CHARGE_CALLS = (
 
 @pytest.fixture
 def scale_lengths(monkeypatch):
-    """Lengths of the sequences passed to scale_to_ints, through any binding."""
+    """Lengths of the tables core._scale scales: every SetFunction built
+    from values, and every scale_to_ints call."""
     lengths = []
-    original = setdecomp.core.scale_to_ints
+    original = setdecomp.core._scale
 
-    def spy(values):
-        lengths.append(len(values))
-        return original(values)
+    def spy(pairs):
+        lengths.append(len(pairs))
+        return original(pairs)
 
-    wrapped = []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "setdecomp" and getattr(module, "scale_to_ints", None) is original:
-            monkeypatch.setattr(module, "scale_to_ints", spy)
-            wrapped.append(name)
-    assert "setdecomp.core" in wrapped
+    monkeypatch.setattr(setdecomp.core, "_scale", spy)
     return lengths
 
 
