@@ -68,21 +68,26 @@ class AlternatingWitness:
 
 
 def alt_sum(f: SetFunction, a0: int, classes: Sequence[int]) -> Fraction:
-    """Exact alternating sum over all 2^k index subsets."""
-    k = len(classes)
-    if k < 1:
+    """Exact V_f(a0; classes) for k >= 1 classes, which may overlap or be empty.
+
+    Summed over the 2^k unions in Python ints scaled by the common
+    denominator of f, by the kernel :func:`max_disjoint_alt_sum` also uses.
+    """
+    if len(classes) < 1:
         raise ValueError("alternating sum needs at least one class")
     f.ground.check_mask(a0)
     for c in classes:
         f.ground.check_mask(c)
-    total = 0
-    for code in range(1 << k):
-        union = a0
-        for i in range(k):
-            if code >> i & 1:
-                union |= classes[i]
-        total += -f.nums[union] if popcount(code) & 1 else f.nums[union]
-    return Fraction(total, f.den)
+    return Fraction(_alt_ints(f.nums, a0, classes), f.den)
+
+
+def _alt_ints(nums: Sequence[int], a0: int, classes: Sequence[int]) -> int:
+    """den * V_f: nums summed over the unions of a0 with an even number of
+    classes, minus the sum over those with an odd number."""
+    even, odd = [a0], []
+    for c in classes:
+        even, odd = even + [u | c for u in odd], odd + [u | c for u in even]
+    return sum(map(nums.__getitem__, even)) - sum(map(nums.__getitem__, odd))
 
 
 def _require_normalized(f: SetFunction) -> None:
@@ -218,10 +223,7 @@ def max_disjoint_alt_sum(
         raise EnumerationLimitError(f"n={n}, k_max={k_max} needs {total} tuples (limit {ENUMERATION_LIMIT})")
 
     def value(t: Tuple[int, Tuple[int, ...]]) -> int:
-        even, odd = [t[0]], []  # unions of an even / odd number of classes
-        for c in t[1]:
-            even, odd = even + [u | c for u in odd], odd + [u | c for u in even]
-        return sum(map(f.nums.__getitem__, even)) - sum(map(f.nums.__getitem__, odd))
+        return _alt_ints(f.nums, *t)
 
     best = max(_disjoint_tuples(n, k_max), key=value, default=None)
     return (None, None) if best is None else (Fraction(value(best), f.den), best)

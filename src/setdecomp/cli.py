@@ -156,22 +156,18 @@ def cmd_check(args) -> int:
     report["n"] = f.ground.n
     report["norm"] = format_rational(norm_inf(f))
 
-    sub, sub_wit = is_submodular(f)
-    report["submodular"] = {"holds": sub}
-    if sub_wit:
-        report["submodular"]["witness"] = {
-            "X": sub_wit[0], "u": sub_wit[1], "v": sub_wit[2]
-        }
-    inc, inc_wit = is_increasing(f)
-    report["increasing"] = {"holds": inc}
-    if inc_wit:
-        report["increasing"]["witness"] = {"X": inc_wit[0], "u": inc_wit[1]}
-    dec, dec_wit = is_decreasing(f)
-    report["decreasing"] = {"holds": dec}
-    if dec_wit:
-        report["decreasing"]["witness"] = {"X": dec_wit[0], "u": dec_wit[1]}
-    mod, _ = is_modular(f)
-    report["modular"] = {"holds": mod}
+    # report key, predicate and the names of its witness fields; the table
+    # is read per call, so the predicates resolve like any other call here
+    for name, predicate, fields in (
+        ("submodular", is_submodular, ("X", "u", "v")),
+        ("increasing", is_increasing, ("X", "u")),
+        ("decreasing", is_decreasing, ("X", "u")),
+        ("modular", is_modular, ()),  # no witness printed
+    ):
+        holds, witness = predicate(f)
+        report[name] = {"holds": holds}
+        if witness and fields:
+            report[name]["witness"] = dict(zip(fields, witness))
 
     if f(0) == 0:
         found = alt.weak_violations(f)

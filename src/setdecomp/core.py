@@ -52,47 +52,38 @@ def _fractions(den: int, nums: Iterable[int]) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _canonical(s: str) -> Optional[Tuple[int, int]]:
-    """(p, q) for an ASCII string "p" or "p/q" (optional leading minus, digits,
-    q nonzero), read with int(); None for any other string."""
-    num, slash, den = s.partition("/")
-    digits = num[1:] if num[:1] == "-" else num
-    if s.isascii() and digits.isdigit() and (not slash or den.isdigit()):
-        q = int(den) if slash else 1
-        if q:
-            return int(num), q
-    return None
-
-
 def to_rational(x: RationalLike) -> Fraction:
     """Coerce ints, Fractions and strings to Fraction; bools are refused.
 
-    Canonical "p/q" strings are read with int(); any other string (" 3/4 ",
-    "1.5", "1e3", "+3") goes to the ``Fraction`` constructor, which also
-    raises for the malformed ones ("3/", "3/-4", "1/0").
+    A Fraction is returned as it is; anything else is read by ``_pair``.
     """
     if isinstance(x, Fraction):
         return x
-    if _is_int(x):
-        return Fraction(x)
-    if isinstance(x, str):
-        pair = _canonical(x)
-        if pair is None:
-            return Fraction(x)
-        p, q = pair
-        return _fractions(q, (p,))[0]
-    raise TypeError(f"not an exact rational: {x!r}")
+    p, q = _pair(x)
+    return _fractions(q, (p,))[0]
 
 
 def _pair(x: RationalLike) -> Tuple[int, int]:
-    """(p, q) with q > 0 and p / q == to_rational(x); not always coprime."""
-    if type(x) is str:
-        pair = _canonical(x)
-        if pair is not None:
-            return pair
+    """(p, q) with q > 0 and p / q the value of x; not always coprime.
+
+    An int is (x, 1) and a Fraction its terms.  A canonical string, ASCII
+    "p" or "p/q" with an optional leading minus and q nonzero, is read with
+    int(); any other string (" 3/4 ", "1.5", "1e3", "+3") goes to the
+    ``Fraction`` constructor, which also raises for the malformed ones
+    ("3/", "3/-4", "1/0").  Bools and other types raise TypeError.
+    """
+    if isinstance(x, str):
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if x.isascii() and digits.isdigit() and (not slash or den.isdigit()):
+            q = int(den) if slash else 1
+            if q:
+                return int(num), q
+        x = Fraction(x)
     elif _is_int(x):
         return x, 1
-    x = to_rational(x)
+    elif not isinstance(x, Fraction):
+        raise TypeError(f"not an exact rational: {x!r}")
     return x.numerator, x.denominator
 
 
@@ -281,7 +272,11 @@ class SetFunction:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetFunction":
-        return cls(GroundSet(d["n"]), d["values"])
+        values = d["values"]
+        # a string or an object would be read entry by entry, as characters or keys
+        if not isinstance(values, list):
+            raise ValueError(f"values must be a list, got {type(values).__name__}")
+        return cls(GroundSet(d["n"]), values)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ import io
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -53,6 +53,19 @@ class GraphError(ValueError):
     pass
 
 
+def _check_vertex_count(n: int) -> None:
+    if not (_is_int(n) and 0 <= n <= MAX_GROUND):
+        raise GraphError(f"vertex count must be an int between 0 and {MAX_GROUND}")
+
+
+def _vertex_sets_json(n: int, weighted_masks: Iterable[Tuple[int, Fraction]]) -> List[dict]:
+    """One {"vertices": [...], "weight": "p/q"} entry per (mask, weight)."""
+    return [
+        {"vertices": [i for i in range(n) if mask >> i & 1], "weight": format_rational(w)}
+        for mask, w in weighted_masks
+    ]
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Simple graph; edges are (u, v, weight) with u < v and weight >= 0."""
@@ -61,8 +74,7 @@ class WeightedGraph:
     edges: Tuple[Tuple[int, int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and 0 <= self.n <= MAX_GROUND):
-            raise GraphError(f"vertex count must be an int between 0 and {MAX_GROUND}")
+        _check_vertex_count(self.n)
         seen = set()
         for u, v, w in self.edges:
             if not (_is_int(u) and _is_int(v) and 0 <= u < v < self.n):
@@ -74,7 +86,13 @@ class WeightedGraph:
             seen.add((u, v))
 
     @classmethod
-    def build(cls, n: int, edges: Sequence[Tuple[int, int, object]]) -> "WeightedGraph":
+    def build(cls, n: int, edges: Iterable[Tuple[int, int, object]]) -> "WeightedGraph":
+        """The graph with each (u, v, w) stored as u < v and a Fraction.
+
+        n is checked before the edges are read, so the lazy edge iterable
+        of a graph too large to accept is refused without being built.
+        """
+        _check_vertex_count(n)
         norm = []
         for u, v, w in edges:
             if u > v:
@@ -148,8 +166,7 @@ class WeightedHypergraph:
     hyperedges: Tuple[Tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.n) and 0 <= self.n <= MAX_GROUND):
-            raise GraphError(f"vertex count must be an int between 0 and {MAX_GROUND}")
+        _check_vertex_count(self.n)
         for mask, _ in self.hyperedges:
             if not _is_int(mask):
                 raise GraphError(f"hyperedge mask {mask!r} is not an int")
@@ -159,28 +176,22 @@ class WeightedHypergraph:
                 raise GraphError(f"hyperedge mask {mask} has vertices outside range")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "hyperedges": [
-                {
-                    "vertices": [i for i in range(self.n) if mask >> i & 1],
-                    "weight": format_rational(w),
-                }
-                for mask, w in self.hyperedges
-            ],
-        }
+        return {"n": self.n, "hyperedges": _vertex_sets_json(self.n, self.hyperedges)}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedHypergraph":
+        n = data["n"]
+        _check_vertex_count(n)
         hyperedges = []
         for entry in data["hyperedges"]:
             mask = 0
             for v in entry["vertices"]:
-                if not _is_int(v):
-                    raise GraphError(f"vertex {v!r} is not an int")
+                # checked before the shift, which a huge or negative v would break
+                if not (_is_int(v) and 0 <= v < n):
+                    raise GraphError(f"vertex {v!r} is not an int in range(0, {n})")
                 mask |= 1 << v
             hyperedges.append((mask, to_rational(entry["weight"])))
-        return cls(n=data["n"], hyperedges=tuple(hyperedges))
+        return cls(n=n, hyperedges=tuple(hyperedges))
 
 
 GraphLike = Union[WeightedGraph, WeightedHypergraph]
@@ -335,16 +346,7 @@ class CliqueWeights:
         return SetFunction.from_ints(*_induced_ints(self.graph.n, self.weights.items()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "n": self.graph.n,
-            "weights": [
-                {
-                    "vertices": [i for i in range(self.graph.n) if mask >> i & 1],
-                    "weight": format_rational(w),
-                }
-                for mask, w in sorted(self.weights.items())
-            ],
-        }
+        return {"n": self.graph.n, "weights": _vertex_sets_json(self.graph.n, sorted(self.weights.items()))}
 
 
 def recover_clique_weights(g: WeightedGraph, phi1: SetFunction) -> CliqueWeights:
@@ -517,56 +519,46 @@ def complete_graph_decomposition(n: int) -> Decomposition:
 
 
 # -- generators ----------------------------------------------------------
+#
+# Each generator hands WeightedGraph.build a lazy edge iterable, so an
+# oversized n is refused before any edge is made.
 
 
 def complete(n: int) -> WeightedGraph:
-    return WeightedGraph.build(
-        n, [(u, v, _ONE) for u in range(n) for v in range(u + 1, n)]
-    )
+    return WeightedGraph.build(n, ((u, v, _ONE) for u in range(n) for v in range(u + 1, n)))
 
 
 def complete_minus_edge(n: int) -> WeightedGraph:
     if n < 2:
         raise GraphError("need at least 2 vertices to drop an edge")
     return WeightedGraph.build(
-        n,
-        [
-            (u, v, _ONE)
-            for u in range(n)
-            for v in range(u + 1, n)
-            if (u, v) != (0, 1)
-        ],
+        n, ((u, v, _ONE) for u in range(n) for v in range(u + 1, n) if (u, v) != (0, 1))
     )
 
 
 def cycle(n: int) -> WeightedGraph:
     if n < 3:
         raise GraphError("cycles need at least 3 vertices")
-    return WeightedGraph.build(n, [(v, (v + 1) % n, _ONE) for v in range(n)])
+    return WeightedGraph.build(n, ((v, (v + 1) % n, _ONE) for v in range(n)))
 
 
 def path(n: int) -> WeightedGraph:
     if n < 2:
         raise GraphError("paths need at least 2 vertices")
-    return WeightedGraph.build(n, [(v, v + 1, _ONE) for v in range(n - 1)])
+    return WeightedGraph.build(n, ((v, v + 1, _ONE) for v in range(n - 1)))
 
 
 def complete_bipartite(a: int, b: int) -> WeightedGraph:
-    return WeightedGraph.build(
-        a + b, [(u, a + v, _ONE) for u in range(a) for v in range(b)]
-    )
+    return WeightedGraph.build(a + b, ((u, a + v, _ONE) for u in range(a) for v in range(b)))
 
 
 def wheel(n: int) -> WeightedGraph:
     """Hub vertex 0 joined to a rim cycle on the other n - 1 vertices."""
     if n < 4:
         raise GraphError("wheels need at least 4 vertices")
-    edges = [(0, v, _ONE) for v in range(1, n)]
-    rim = list(range(1, n))
-    for i, v in enumerate(rim):
-        u = rim[(i + 1) % len(rim)]
-        edges.append((min(u, v), max(u, v), _ONE))
-    return WeightedGraph.build(n, edges)
+    hub = ((0, v, _ONE) for v in range(1, n))
+    rim = ((v, v + 1, _ONE) for v in range(1, n - 1))
+    return WeightedGraph.build(n, chain(hub, rim, [(1, n - 1, _ONE)]))
 
 
 def hyperedge(k: int) -> WeightedHypergraph:

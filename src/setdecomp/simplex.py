@@ -17,9 +17,8 @@ certifies, :func:`solve_lp` pivots the dual LP max b.y, A^T y <= c,
 y >= 0, whose slack basis is feasible because c >= 0: the dual simplex
 method on the primal (Lemke 1954).
 
-Exact pivoting uses gmpy2 rationals when the optional ``exact`` extra is
-installed; they are an order of magnitude faster than Fraction in the
-pivot loop.
+Every pivot runs on ``Fraction``, so the value, assignment and
+certificates come straight out of the tableau.
 """
 
 from __future__ import annotations
@@ -28,11 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
-
-try:
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
 
 from .core import RationalLike, scale_to_ints, to_rational
 
@@ -125,7 +119,7 @@ def _min_simplex(
     the reduced cost c_j - z_j and objrow[-1] is -objective.
     """
     ncols = len(rows[0]) - 1 if rows else len(costs)
-    objrow = list(costs) + [_mpq(0)]
+    objrow = list(costs) + [Fraction(0)]
     for r, b in enumerate(basis):
         cb = costs[b]
         if cb:
@@ -175,14 +169,14 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
     # internal minimize; free variables split into positive/negative parts
     split = not lp.nonneg
     width = 2 * n if split else n
-    zero = _mpq(0)
-    one = _mpq(1)
+    zero = Fraction(0)
+    one = Fraction(1)
     sense = -1 if lp.maximize else 1
-    obj = [sense * _mpq(to_rational(v)) for v in lp.objective]
+    obj = [sense * to_rational(v) for v in lp.objective]
     if split:
         obj += [-v for v in obj]
 
-    rhs = [_mpq(to_rational(b)) for _, _, b in lp.constraints]
+    rhs = [to_rational(b) for _, _, b in lp.constraints]
     signs = [-1 if b < 0 else 1 for b in rhs]  # -1 if the row gets negated
     rels = [
         {"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
@@ -200,7 +194,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         row = [zero] * (ncols + 1)
         row[-1] = -b if sign < 0 else b
         for j, v in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
-            v = _mpq(to_rational(v))
+            v = to_rational(v)
             if v:
                 if sign < 0:
                     v = -v
@@ -226,7 +220,7 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
             raise ExactnessError(f"phase 1 ended {status}")
         if -objrow1[-1] > 0:
             # Farkas: y_i = cost(e_i column) - its reduced cost; y.b > 0, y.A <= 0
-            farkas = [Fraction((costs1[c] - objrow1[c]) * s) for c, s in zip(ref_col, signs)]
+            farkas = [(costs1[c] - objrow1[c]) * s for c, s in zip(ref_col, signs)]
             return LPSolution(status="infeasible", certificate=farkas)
         # drive leftover artificials out of the basis
         for r in range(len(basis) - 1, -1, -1):
@@ -258,15 +252,15 @@ def solve_lp(lp: LinearProgram) -> LPSolution:
         xs[b] = rows[r][-1]
     del rows  # free the tableau before the answer is allocated
     assignment = _assemble(xs, n, split)
-    value = Fraction(-sense * objrow2[-1])
-    duals = [Fraction(-sense * s * objrow2[c]) for c, s in zip(ref_col, signs)]
+    value = -sense * objrow2[-1]
+    duals = [-sense * s * objrow2[c] for c, s in zip(ref_col, signs)]
     return LPSolution(status="optimal", value=value, assignment=assignment, certificate=duals)
 
 
 def _assemble(xs: List, n: int, split: bool) -> List[Fraction]:
     if split:
-        return [Fraction(xs[j] - xs[n + j]) for j in range(n)]
-    return [Fraction(xs[j]) for j in range(n)]
+        return [xs[j] - xs[n + j] for j in range(n)]
+    return xs[:n]
 
 
 # -- structured route ----------------------------------------------------

@@ -31,6 +31,20 @@ def alt_sum_recursive_check(f: SetFunction, a0: int, classes: Sequence[int]) -> 
     return alt_sum(f, a0, head) - alt_sum(f, a0 | classes[-1], head)
 
 
+def alt_sum_by_index_subsets(values: Sequence[Fraction], a0: int, classes: Sequence[int]) -> Fraction:
+    """V(A0; A1..Ak) read off its definition: a Fraction sum over the 2^k
+    index subsets K of (-1)^|K| f(A0 u the classes in K)."""
+    total = Fraction(0)
+    k = len(classes)
+    for code in range(1 << k):
+        union = a0
+        for i in range(k):
+            if code >> i & 1:
+                union |= classes[i]
+        total += -values[union] if popcount(code) & 1 else values[union]
+    return total
+
+
 def is_k_alternating_bruteforce(f: SetFunction, k: int) -> Tuple[bool, Optional[AlternatingWitness]]:
     """Enumerate arbitrary (not necessarily disjoint) tuples.
 
@@ -47,13 +61,7 @@ def is_k_alternating_bruteforce(f: SetFunction, k: int) -> Tuple[bool, Optional[
 
     def rec(depth: int, a0: int) -> Optional[AlternatingWitness]:
         if depth == k:
-            v = Fraction(0)
-            for code in range(1 << k):
-                union = a0
-                for i in range(k):
-                    if code >> i & 1:
-                        union |= classes[i]
-                v += -vals[union] if popcount(code) & 1 else vals[union]
+            v = alt_sum_by_index_subsets(vals, a0, classes)
             if v > 0:
                 return AlternatingWitness(a0, tuple(classes), v)
             return None

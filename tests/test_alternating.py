@@ -29,7 +29,7 @@ from setdecomp import (
 )
 from setdecomp import alternating
 from conftest import random_coverage, random_set_function
-from oracles import alt_sum_recursive_check, is_k_alternating_bruteforce
+from oracles import alt_sum_by_index_subsets, alt_sum_recursive_check, is_k_alternating_bruteforce
 
 
 def all_tuples(size: int, count: int):
@@ -52,6 +52,17 @@ def test_alt_sum_matches_recursion_exhaustively():
             for combo in all_tuples(f.ground.size, k + 1):
                 a0, classes = combo[0], combo[1:]
                 assert alt_sum(f, a0, classes) == alt_sum_recursive_check(f, a0, classes)
+
+
+def test_alt_sum_matches_the_definition(rng):
+    # classes drawn from every mask, so they overlap A0 and each other or are empty
+    for n in (1, 3, 5):
+        for _ in range(10):
+            f = random_set_function(rng, n, normalized=False)
+            for k in (1, 2, 3, 5):
+                a0 = rng.randrange(f.ground.size)
+                classes = [rng.choice([0, rng.randrange(f.ground.size)]) for _ in range(k)]
+                assert alt_sum(f, a0, classes) == alt_sum_by_index_subsets(f.values, a0, classes)
 
 
 def test_alt_sum_reductions(rng):
@@ -276,7 +287,7 @@ def assert_attains(f, k_max, m, tuple_):
     for c in classes:
         assert c & union == 0
         union |= c
-    assert alt_sum(f, a0, classes) == m
+    assert alt_sum_by_index_subsets(f.values, a0, classes) == m
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

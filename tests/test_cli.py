@@ -323,15 +323,29 @@ def test_float_vertex_is_a_bad_input(capsys, tmp_path):
         {"n": "2", "values": ["0", "1", "1", "2"]},
         {"n": 1, "values": [False, True]},
         {"n": 2, "edges": [[0, 1, True]]},
+        {"n": 2, "values": "0123"},
+        {"n": 2, "values": {"0": "9", "1": "9", "2": "9", "3": "9"}},
     ],
 )
 def test_bool_float_or_string_numbers_are_bad_input(capsys, tmp_path, payload):
-    # a JSON true is not the number 1, and a ground size must be an int
+    # a JSON true is not the number 1, a ground size must be an int, and
+    # values must be a list
     path = write_json(tmp_path / "f.json", payload)
     assert main(["check", path]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "bad input object" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("vertex", [100000, -1])
+def test_hyperedge_vertex_out_of_range_is_bad_input(capsys, tmp_path, vertex):
+    payload = {"n": 3, "hyperedges": [{"vertices": [0, vertex], "weight": "1"}]}
+    path = write_json(tmp_path / "h.json", payload)
+    assert main(["check", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad input object" in captured.err and "Traceback" not in captured.err
+    assert f"vertex {vertex} " in captured.err
 
 
 def test_main_uses_the_parser_built_at_import(capsys, monkeypatch, triangle_path):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -259,6 +260,29 @@ def test_generators_shapes():
     assert len(h.hyperedges) == 1 and h.hyperedges[0][0] == 0b111
     with pytest.raises(GraphError):
         cycle(2)
+
+
+# each makes about 40000 edges, several MB, if the edge list is built
+OVERSIZED = [
+    (complete, (300,)),
+    (complete_minus_edge, (300,)),
+    (cycle, (40000,)),
+    (path, (40000,)),
+    (complete_bipartite, (200, 200)),
+    (wheel, (20000,)),
+]
+
+
+@pytest.mark.parametrize("make, args", OVERSIZED, ids=[make.__name__ for make, _ in OVERSIZED])
+def test_generators_refuse_an_oversized_graph_before_building_it(make, args):
+    tracemalloc.start()
+    try:
+        with pytest.raises(GraphError, match="vertex count"):
+            make(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(

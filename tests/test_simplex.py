@@ -52,6 +52,22 @@ def test_infeasible_with_farkas():
     assert y[0] * F(-1) > 0
 
 
+@pytest.mark.parametrize(
+    "lp, status",
+    [
+        (LinearProgram(2, [1, "1/2"], True, [([1, 1], "<=", "3/2"), ({0: 2}, ">=", 1)], True), "optimal"),
+        (LinearProgram(1, [0], False, [([1], "<=", -1)], nonneg=True), "infeasible"),
+        (LinearProgram(2, ["-1/3", 0], False, [([1, -1], "=", 2)]), "unbounded"),
+    ],
+)
+def test_results_are_fractions_for_int_and_string_inputs(lp, status):
+    # the tableau holds Fractions only, so no result needs a converting copy
+    sol = solve_lp(lp)
+    assert sol.status == status
+    numbers = sol.assignment + sol.certificate + ([] if sol.value is None else [sol.value])
+    assert numbers and all(type(v) is F for v in numbers)
+
+
 def test_equality_and_free_variables():
     # min x + y s.t. x - y = 2, free variables
     lp = LinearProgram(
@@ -233,24 +249,23 @@ def reference_solve_exact(rows, rhs, costs):
     """The dual-simplex fallback as a hand-built tableau: one row per
     primal variable, m dual columns, n slacks and the rhs, with x read
     off the reduced costs of the slacks."""
-    mpq = simplex._mpq
     n, m = len(costs), len(rows)
-    tab = [[mpq(0)] * (m + n) + [mpq(c)] for c in costs]
+    tab = [[F(0)] * (m + n) + [F(c)] for c in costs]
     for i, row in enumerate(rows):
         for j, a in row.items():
-            tab[j][i] = mpq(a)
+            tab[j][i] = F(a)
     for j in range(n):
-        tab[j][m + j] = mpq(1)
+        tab[j][m + j] = F(1)
     basis = [m + j for j in range(n)]
-    costs_min = [-mpq(b) for b in rhs] + [mpq(0)] * n
+    costs_min = [-F(b) for b in rhs] + [F(0)] * n
     status, objrow, _ = simplex._min_simplex(tab, basis, costs_min, [True] * (m + n))
     if status == "unbounded":
         return "infeasible", None, [], []
-    x = [F(objrow[m + j]) for j in range(n)]
-    y = [mpq(0)] * (m + n)
+    x = [objrow[m + j] for j in range(n)]
+    y = [F(0)] * (m + n)
     for r, b in enumerate(basis):
         y[b] = tab[r][-1]
-    return "optimal", F(objrow[-1]), x, [F(v) for v in y[:m]]
+    return "optimal", objrow[-1], x, y[:m]
 
 
 def test_exact_pivoting_matches_reference_tableau(rng):
