@@ -14,12 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .core import (
     GroundSet,
     RationalLike,
     SetFunction,
+    _check_table,
     format_rational,
     is_increasing,
     is_submodular,
@@ -45,6 +47,7 @@ class Charge:
 
     @classmethod
     def of(cls, ground: GroundSet, atoms: Sequence[RationalLike]) -> "Charge":
+        _check_table(atoms)
         return cls(ground, tuple(to_rational(a) for a in atoms))
 
     def __call__(self, mask: int) -> Fraction:
@@ -126,10 +129,11 @@ def dual_wrt(f: SetFunction, eta: Charge) -> SetFunction:
     if eta.ground != f.ground:
         raise PreconditionError("charge is for a different ground set")
     _require(f, submodular=True, increasing=True)
-    size = f.ground.size
-    d, nums = scale_to_ints(f.values + eta.atoms)
-    nums, eta_table = nums[:size], _modular_table(nums[size:])
-    for m in range(size):
+    de, atoms = scale_to_ints(eta.atoms)
+    d = lcm(f.den, de)
+    nums = [v * (d // f.den) for v in f.nums]
+    eta_table = _modular_table([a * (d // de) for a in atoms])
+    for m in range(f.ground.size):
         if nums[m] > eta_table[m]:
             raise PreconditionError(f"requires f <= eta; violated at mask {m}")
     return SetFunction.from_ints(f.ground, d, _dual(nums, eta_table))

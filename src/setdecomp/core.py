@@ -17,6 +17,7 @@ cost one decision each.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -85,6 +86,12 @@ def _pair(x: RationalLike) -> Tuple[int, int]:
     elif not isinstance(x, Fraction):
         raise TypeError(f"not an exact rational: {x!r}")
     return x.numerator, x.denominator
+
+
+def _check_table(values) -> None:
+    """Refuse a str, bytes or mapping: its items are characters, bytes or keys."""
+    if isinstance(values, (str, bytes, Mapping)):
+        raise TypeError(f"a table of values is a sequence, not a {type(values).__name__}")
 
 
 def format_rational(x: Fraction) -> str:
@@ -164,6 +171,7 @@ class SetFunction:
     __slots__ = ("ground", "values", "den", "nums", "_verdicts")
 
     def __init__(self, ground: GroundSet, values: Sequence[RationalLike]):
+        _check_table(values)
         if len(values) != ground.size:
             raise ValueError(f"expected {ground.size} values, got {len(values)}")
         self._fill(ground, *_scale([_pair(v) for v in values]))
@@ -215,6 +223,7 @@ class SetFunction:
     @classmethod
     def cardinality_based(cls, ground: GroundSet, g: Sequence[RationalLike]) -> "SetFunction":
         """Build f(X) = g[|X|] from a table of n+1 values."""
+        _check_table(g)
         if len(g) != ground.n + 1:
             raise ValueError(f"need {ground.n + 1} cardinality values")
         gr = [to_rational(v) for v in g]

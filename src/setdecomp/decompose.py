@@ -8,8 +8,10 @@ optimal values are the plus-norm and minus-norm of psi.
 
 Every optimum comes from :func:`setdecomp.simplex.solve_min_nonneg`: a
 HiGHS solution certified exactly over the rationals, or exact pivoting
-when certification fails, so returned objectives are exact.
-Decomposition LPs are capped at n <= 10 ground elements.
+when certification fails, so returned objectives are exact.  The LP's
+right-hand sides are summed as ints over psi's common denominator, and
+made Fractions in one pass.  Decomposition LPs are capped at n <= 10
+ground elements.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .alternating import is_weakly_infinite_alternating
 from .charges import Charge, PreconditionError
 from .core import (
     SetFunction,
+    _fractions,
     format_rational,
     is_submodular,
     norm_inf,
@@ -101,14 +104,17 @@ def _build_rows(
     all +-1; variable j represents phi1 of mask j+1 and phi1(empty) = 0
     drops out.  Monotone steps of phi1 are merged with the steps forced
     by the shape of phi2, and likewise for the local submodularity rows.
+    Each right-hand side is summed as an int over psi.den (times the
+    denominator of c_bound), and the Fractions are made once, at the end.
     """
     g = psi.ground
     n = g.n
-    # psi = nums / den over ints, so each right-hand side costs one Fraction
+    scale = 1 if c_bound is None else c_bound.denominator
+    nums = [v * scale for v in psi.nums]
     rows: List[Dict[int, int]] = []
-    rhs: List[Fraction] = []
+    rhs: List[int] = []
 
-    def add(row: Dict[int, int], b: Fraction) -> None:
+    def add(row: Dict[int, int], b: int) -> None:
         rows.append(row)
         rhs.append(b)
 
@@ -121,7 +127,7 @@ def _build_rows(
             row = {xu - 1: 1}
             if x:
                 row[x - 1] = -1
-            add(row, Fraction(max(0, psi.nums[xu] - psi.nums[x]), psi.den))
+            add(row, max(0, nums[xu] - nums[x]))
 
     # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X)
     for x in range(g.size):
@@ -133,28 +139,28 @@ def _build_rows(
                     continue
                 xu, xv = x | 1 << u, x | 1 << v
                 xuv = xu | 1 << v
-                s_psi = psi.nums[xu] + psi.nums[xv] - psi.nums[xuv] - psi.nums[x]
+                s_psi = nums[xu] + nums[xv] - nums[xuv] - nums[x]
                 row = {xu - 1: 1, xv - 1: 1, xuv - 1: -1}
                 if x:
                     row[x - 1] = -1
                 if kind == "sum":
                     # 0 <= s_phi1 <= s_psi
-                    add(row, _ZERO)
-                    add({j: -a for j, a in row.items()}, Fraction(-s_psi, psi.den))
+                    add(row, 0)
+                    add({j: -a for j, a in row.items()}, -s_psi)
                 else:
                     # s_phi1 >= max(0, s_psi)
-                    add(row, Fraction(max(0, s_psi), psi.den))
+                    add(row, max(0, s_psi))
 
     if c_bound is not None:
-        # both parts boxed inside [-bound, bound]
-        bound = c_bound * norm_inf(psi)
+        # both parts boxed inside [-bound, bound], bound = c * norm_inf(psi)
+        bound = c_bound.numerator * max(map(abs, psi.nums))
         for x in range(1, g.size):
             add({x - 1: -1}, -bound)  # -phi1(X) >= -bound
             # phi2 is psi - phi1 (sum) or phi1 - psi (diff); either way
             # |phi1(X) - psi(X)| <= bound
-            add({x - 1: 1}, psi.values[x] - bound)
-            add({x - 1: -1}, -bound - psi.values[x])
-    return rows, rhs
+            add({x - 1: 1}, nums[x] - bound)
+            add({x - 1: -1}, -bound - nums[x])
+    return rows, list(_fractions(psi.den * scale, rhs))
 
 
 def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):

@@ -473,7 +473,7 @@ def clique_bound(g: WeightedGraph) -> Fraction:
     costs = []
     for k in cliques:
         size = popcount(k)
-        costs.append(Fraction((size + 1) // 2 * (size // 2)))
+        costs.append((size + 1) // 2 * (size // 2))
     rows = []
     rhs = []
     for u, v, w in g.edges:

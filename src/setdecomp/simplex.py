@@ -8,17 +8,18 @@ Farkas vector, or improving ray).
 
 :func:`solve_min_nonneg` is the route for the structured LPs
 (decompositions, triangle cover, clique bound): min c.x, A x >= b, x >= 0
-with c >= 0 and A given as sparse rows.  HiGHS solves it in floating
-point; the primal/dual pair is rounded to rationals and trusted only
-after an exact certificate over the sparse rows passes (primal and dual
-feasibility, equal objectives).  An LP that HiGHS reports infeasible is
-certified infeasible through its elastic relaxation.  When neither
-certifies, :func:`solve_lp` pivots the dual LP max b.y, A^T y <= c,
-y >= 0, whose slack basis is feasible because c >= 0: the dual simplex
-method on the primal (Lemke 1954).
+with c >= 0 and A given as sparse rows.  It scales b and c to ints once
+and climbs one ladder: HiGHS solves the LP in floating point and the
+rounded primal/dual pair is trusted only after an exact certificate over
+the ints passes (primal and dual feasibility, equal objectives); an LP
+that HiGHS reports infeasible is certified infeasible through its elastic
+relaxation; when neither certifies, :func:`solve_lp` pivots the dual LP
+max b.y, A^T y <= c, y >= 0, whose slack basis is feasible because
+c >= 0: the dual simplex method on the primal (Lemke 1954).
 
-Every pivot runs on ``Fraction``, so the value, assignment and
-certificates come straight out of the tableau.
+Every pivot runs on ``Fraction`` and clears the pivot column from the
+constraint rows and the objective row in one pass, so the value,
+assignment and certificates come straight out of the tableau.
 """
 
 from __future__ import annotations
@@ -90,19 +91,13 @@ def _pivot(rows: List[List], objrow: List, basis: List[int], r: int, j: int) -> 
     inv = 1 / prow[j]
     if inv != 1:
         rows[r] = prow = [a * inv for a in prow]
-    for other in rows:
-        if other is prow:
-            continue
+    nonzero = [(idx, p) for idx, p in enumerate(prow) if p]
+    # one pass clears column j from every other row and the objective row
+    for other in (*rows, objrow):
         f = other[j]
-        if f:
-            for idx, p in enumerate(prow):
-                if p:
-                    other[idx] -= f * p
-    f = objrow[j]
-    if f:
-        for idx, p in enumerate(prow):
-            if p:
-                objrow[idx] -= f * p
+        if f and other is not prow:
+            for idx, p in nonzero:
+                other[idx] -= f * p
     basis[r] = j
 
 
@@ -129,20 +124,11 @@ def _min_simplex(
     iters = 0
     while True:
         iters += 1
-        enter = -1
-        if iters < _BLAND_SWITCH:
-            best = 0
-            for j in range(ncols):
-                if allowed[j] and objrow[j] < best:
-                    best = objrow[j]
-                    enter = j
-        else:
-            for j in range(ncols):
-                if allowed[j] and objrow[j] < 0:
-                    enter = j
-                    break
-        if enter < 0:
+        negative = [j for j, ok, d in zip(range(ncols), allowed, objrow) if ok and d < 0]
+        if not negative:
             return "optimal", objrow, None
+        # Dantzig: the lowest index among the most negative; Bland: the lowest
+        enter = min(negative, key=objrow.__getitem__) if iters < _BLAND_SWITCH else negative[0]
         ratio = None
         leave = -1
         for r, row in enumerate(rows):
@@ -266,6 +252,7 @@ def _assemble(xs: List, n: int, split: bool) -> List[Fraction]:
 # -- structured route ----------------------------------------------------
 
 SparseRow = Mapping[int, Rational]
+Scaled = Tuple[int, List[int]]  # (common denominator, int numerators), as scale_to_ints gives
 
 
 def _round(values: List[float], limit: int) -> List[Fraction]:
@@ -275,60 +262,44 @@ def _round(values: List[float], limit: int) -> List[Fraction]:
 
 
 def _certify(
-    rows: Sequence[SparseRow],
-    rhs: Sequence[Rational],
-    costs: Sequence[Rational],
-    x: Sequence[Fraction],
-    y: Sequence[Fraction],
-) -> bool:
-    """Exact check that x is primal optimal and y dual optimal.
+    rows: Sequence[SparseRow], b: Scaled, c: Scaled, x: List[Fraction], y: List[Fraction]
+) -> Optional[Fraction]:
+    """The optimum c.x if x is primal optimal and y dual optimal, else None.
 
-    Checks x >= 0, y >= 0, A x >= b, A^T y <= c and c.x == b.y; weak
-    duality then proves both optimal.  x, y, rhs and costs are each
-    scaled to integers by their common denominator, so every sum runs
-    over Python ints when the coefficients are ints.
+    x and y are scaled to ints like b and c, so every check runs over
+    Python ints: x >= 0, y >= 0, A x >= b, A^T y <= c and c.x == b.y,
+    after which weak duality proves both optimal.
     """
-    if any(v < 0 for v in x) or any(v < 0 for v in y):
-        return False
+    (db, bs), (dc, cs) = b, c
     dx, px = scale_to_ints(x)
     dy, qy = scale_to_ints(y)
-    db, bs = scale_to_ints(rhs)
-    dc, cs = scale_to_ints(costs)
+    if min(px, default=0) < 0 or min(qy, default=0) < 0:
+        return None
     # rows[i].x >= b_i  <=>  (sum a px) * db >= bs_i * dx
-    for row, b in zip(rows, bs):
-        if sum(a * px[j] for j, a in row.items()) * db < b * dx:
-            return False
+    for row, bi in zip(rows, bs):
+        if sum(a * px[j] for j, a in row.items()) * db < bi * dx:
+            return None
     # column j of A^T y <= c_j  <=>  (sum a qy) * dc <= cs_j * dy
     col = [0] * len(cs)
     for row, q in zip(rows, qy):
         if q:
             for j, a in row.items():
                 col[j] += a * q
-    if any(t * dc > c * dy for t, c in zip(col, cs)):
-        return False
-    primal = sum(c * p for c, p in zip(cs, px) if c)
-    dual = sum(b * q for b, q in zip(bs, qy) if q)
-    return primal * db * dy == dual * dc * dx
-
-
-def _certified_guess(
-    rows: Sequence[SparseRow],
-    rhs: Sequence[Rational],
-    costs: Sequence[Rational],
-    elastic: bool = False,
-) -> Optional[Tuple]:
-    """Solve with HiGHS and return the rounded pair if it certifies.
-
-    If HiGHS finds the LP infeasible, the always-feasible elastic LP min
-    sum(s), A x + s >= b, x, s >= 0 is certified instead: a positive
-    optimum proves infeasibility, its dual being a Farkas vector.
-    """
-    if not costs:  # HiGHS rejects an LP without variables
+    if any(t * dc > cj * dy for t, cj in zip(col, cs)):
         return None
+    primal = sum(cj * p for cj, p in zip(cs, px) if cj)
+    dual = sum(bi * q for bi, q in zip(bs, qy) if q)
+    return Fraction(primal, dc * dx) if primal * db * dy == dual * dc * dx else None
+
+
+def _certified_guess(rows: Sequence[SparseRow], b: Scaled, c: Scaled) -> Tuple[int, Optional[tuple]]:
+    """HiGHS's status on min c.x, A x >= b, x >= 0, and its guess (value,
+    x, y) rounded to rationals if that certifies, else None."""
     import numpy as np
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
+    (db, bs), (dc, cs) = b, c
     indptr = [0]
     indices: List[int] = []
     data: List[float] = []
@@ -338,31 +309,27 @@ def _certified_guess(
         indptr.append(len(indices))
     a_ub = csr_matrix(
         (np.array(data, dtype=float), np.array(indices, dtype=np.int64), indptr),
-        shape=(len(rows), len(costs)),
+        shape=(len(rows), len(cs)),
     )
+    # int true division is correctly rounded, so these are float(c_j) and
+    # -float(b_i), bit for bit (-0.0 included)
     res = linprog(
-        np.array([float(v) for v in costs]),
+        np.array([cj / dc for cj in cs]),
         A_ub=a_ub,
-        b_ub=np.array([-float(v) for v in rhs]),
+        b_ub=np.array([-(bi / db) for bi in bs]),
         bounds=(0, None),
         method="highs",
     )
-    if res.status == 2 and not elastic:  # HiGHS status 2: infeasible
-        n = len(costs)
-        stretched = [{**row, n + i: 1} for i, row in enumerate(rows)]
-        got = _certified_guess(stretched, rhs, [0] * n + [1] * len(rows), elastic=True)
-        return ("infeasible", None, [], []) if got is not None and got[1] > 0 else None
-    if not res.success:
-        return None
-    xf = res.x.tolist()
-    yf = (-res.ineqlin.marginals).tolist()
-    for limit in (10**6, 10**12):
-        x = _round(xf, limit)
-        y = _round(yf, limit)
-        if _certify(rows, rhs, costs, x, y):
-            value = Fraction(sum(c * v for c, v in zip(costs, x) if c))
-            return "optimal", value, x, y
-    return None
+    if res.success:
+        xf = res.x.tolist()
+        yf = (-res.ineqlin.marginals).tolist()
+        for limit in (10**6, 10**12):
+            x = _round(xf, limit)
+            y = _round(yf, limit)
+            value = _certify(rows, b, c, x, y)
+            if value is not None:
+                return res.status, (value, x, y)
+    return res.status, None
 
 
 def _solve_exact(
@@ -401,13 +368,25 @@ def solve_min_nonneg(
     rows holds one sparse row per constraint, a {column: coefficient}
     map; coefficients, rhs and costs are ints or Fractions.  Returns
     (status, value, x, y) with status "optimal" or "infeasible"; for an
-    optimum, y is an optimal dual (one multiplier per row).  The HiGHS
-    guess, or its infeasibility verdict, is returned only once certified
-    exactly; otherwise the LP is pivoted exactly.
+    optimum, y is an optimal dual (one multiplier per row).
+
+    rhs and costs are scaled to ints once.  The rungs, in order: HiGHS's
+    guess, rounded and certified; if HiGHS finds the LP infeasible, the
+    always-feasible elastic LP min sum(s), A x + s >= b, x, s >= 0,
+    whose certified positive optimum proves infeasibility (its dual is a
+    Farkas vector); otherwise exact pivoting.
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")
-    got = _certified_guess(rows, rhs, costs)
-    if got is not None:
-        return got
+    if costs:  # HiGHS rejects an LP without variables
+        b, c = scale_to_ints(rhs), scale_to_ints(costs)
+        status, got = _certified_guess(rows, b, c)
+        if status == 2:  # HiGHS status 2: infeasible
+            n, m = len(costs), len(rows)
+            stretched = [{**row, n + i: 1} for i, row in enumerate(rows)]
+            _, got = _certified_guess(stretched, b, (1, [0] * n + [1] * m))
+            if got is not None and got[0] > 0:
+                return "infeasible", None, [], []
+        elif got is not None:
+            return ("optimal", *got)
     return _solve_exact(rows, rhs, costs)

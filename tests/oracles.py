@@ -1,11 +1,12 @@
 """Reference implementations the tests compare the library against.
 
-Each is a direct, slow reading of a definition: exponential enumerations
-and O(4^n) basis matrices over Fraction values.  None runs in the library.
+Each is a direct, slow reading of a definition: exponential enumerations,
+O(4^n) basis matrices and LP rows over Fraction values.  None runs in the
+library.
 """
 
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from setdecomp import (
     AlternatingWitness,
@@ -15,6 +16,7 @@ from setdecomp import (
     NotNormalizedError,
     SetFunction,
     alt_sum,
+    norm_inf,
     popcount,
 )
 
@@ -109,3 +111,59 @@ def inverse_matrix_apply(f: SetFunction) -> CoverageCoefficients:
                     acc -= f.values[y]
         alpha[x] = acc
     return CoverageCoefficients(ground, tuple(alpha))
+
+
+# -- decomposition LPs ---------------------------------------------------
+
+
+def decomposition_rows_fractions(
+    psi: SetFunction, kind: str, c_bound: Optional[Fraction]
+) -> Tuple[List[Dict[int, int]], List[Fraction]]:
+    """The rows and right-hand sides of the decomposition LP, one Fraction
+    per right-hand side, in the library's row order: monotone steps, then
+    local submodularity, then the box of c * ||psi|| when c_bound is set."""
+    g = psi.ground
+    n = g.n
+    rows: List[Dict[int, int]] = []
+    rhs: List[Fraction] = []
+
+    def add(row: Dict[int, int], b: Fraction) -> None:
+        rows.append(row)
+        rhs.append(b)
+
+    for x in range(g.size):
+        for u in range(n):
+            if x >> u & 1:
+                continue
+            xu = x | 1 << u
+            row = {xu - 1: 1}
+            if x:
+                row[x - 1] = -1
+            add(row, max(Fraction(0), psi.values[xu] - psi.values[x]))
+
+    for x in range(g.size):
+        for u in range(n):
+            if x >> u & 1:
+                continue
+            for v in range(u + 1, n):
+                if x >> v & 1:
+                    continue
+                xu, xv = x | 1 << u, x | 1 << v
+                xuv = xu | 1 << v
+                s_psi = psi.values[xu] + psi.values[xv] - psi.values[xuv] - psi.values[x]
+                row = {xu - 1: 1, xv - 1: 1, xuv - 1: -1}
+                if x:
+                    row[x - 1] = -1
+                if kind == "sum":
+                    add(row, Fraction(0))
+                    add({j: -a for j, a in row.items()}, -s_psi)
+                else:
+                    add(row, max(Fraction(0), s_psi))
+
+    if c_bound is not None:
+        bound = c_bound * norm_inf(psi)
+        for x in range(1, g.size):
+            add({x - 1: -1}, -bound)
+            add({x - 1: 1}, psi.values[x] - bound)
+            add({x - 1: -1}, -bound - psi.values[x])
+    return rows, rhs

@@ -130,6 +130,21 @@ def test_preconditions():
         dual_wrt(f, Charge.of(GroundSet(3), [1, 1, 1]))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Charge.of(GroundSet(3), "123"),
+        lambda: Charge.of(GroundSet(3), b"123"),
+        lambda: Charge.of(GroundSet(3), {0: 5, 1: 5, 2: 5}),
+        lambda: Charge.from_json_dict({"n": 3, "atoms": "123"}),
+    ],
+    ids=["str", "bytes", "mapping", "json-str"],
+)
+def test_a_string_bytes_or_mapping_is_not_a_list_of_atoms(make):
+    with pytest.raises(TypeError, match="sequence"):
+        make()
+
+
 def singleton_charge(f):
     return Charge(f.ground, tuple(f.values[1 << i] for i in range(f.ground.n)))
 

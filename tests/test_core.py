@@ -52,6 +52,17 @@ def test_to_rational_refuses_bool():
 
 
 @pytest.mark.parametrize(
+    "values", ["0123", b"0123", {0: "5", 1: "5", 2: "5", 3: "5"}], ids=["str", "bytes", "mapping"]
+)
+def test_a_string_bytes_or_mapping_is_not_a_table(values):
+    # read item by item, these would be the characters, the bytes or the keys
+    with pytest.raises(TypeError, match="sequence"):
+        SetFunction(GroundSet(2), values)
+    with pytest.raises(TypeError, match="sequence"):
+        SetFunction.cardinality_based(GroundSet(3), values)
+
+
+@pytest.mark.parametrize(
     "value", ["2/4", "-0", "007", "-12/8", " 3/4 ", "1.5", "1e3", "+3", "\u0663", 5, Fraction(3, 9)]
 )
 def test_values_read_as_the_fraction_constructor_reads_them(value):

@@ -29,6 +29,7 @@ from setdecomp.graphs import (
 from setdecomp import WeightedGraph, decompose, graphs, simplex
 from setdecomp.simplex import ExactnessError, LinearProgram, solve_lp
 from conftest import random_coverage, random_set_function, random_weakly_alternating
+from oracles import decomposition_rows_fractions
 
 F = Fraction
 
@@ -110,6 +111,22 @@ def test_infeasible_box_is_certified_without_pivoting(monkeypatch):
     psi = cut_function(WeightedGraph.build(6, edges))
     assert c_bounded_feasible(psi, "sum", F(1)) == (False, None)
     assert calls == []
+
+
+@pytest.mark.parametrize("kind", ["sum", "diff"])
+@pytest.mark.parametrize("c", [None, F(1, 3), F(5, 2), F(3, 7)], ids=["none", "1/3", "5/2", "3/7"])
+def test_int_right_hand_sides_match_the_fraction_rows(kind, c, rng):
+    # the int sums over psi.den (times c's denominator) give the rows and
+    # right-hand sides of one Fraction per row, in the same order
+    for _ in range(12):
+        n = rng.randint(1, 4)
+        dens = rng.sample(range(1, 7), rng.randint(1, 3))
+        values = [F(0)] + [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(2**n - 1)]
+        psi = SetFunction(GroundSet(n), values)
+        rows, rhs = decompose._build_rows(psi, kind, c)
+        ref_rows, ref_rhs = decomposition_rows_fractions(psi, kind, c)
+        assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+        assert list(rhs) == ref_rhs
 
 
 def test_sum_rejects_non_submodular():

@@ -65,3 +65,26 @@ def test_charge_oracle_and_exact_pivoting_load_neither_numpy_nor_scipy():
         "assert simplex._solve_exact([{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}], [1, 2, -1], [1, 2, 1])[:2] == ('optimal', 3)"
     )
     assert _loaded_heavy_modules(code) == "[]"
+
+
+def test_benchmark_tracer_counts_one_structured_lp_and_one_highs_call():
+    # perfbench/spans.py counts a structured LP from the positional arguments
+    # of solve_min_nonneg and a HiGHS call through scipy.optimize.linprog,
+    # which the LP layer imports inside the call; a keyword call or a
+    # module-level import would leave these counts at 0
+    import importlib.util
+
+    import setdecomp.cli  # noqa: F401  (the tracer wraps every layer)
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        setdecomp.optimal_sum_decomposition(setdecomp.cut_function(setdecomp.complete(4)))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["simplex.structured_calls"] == 1
+    assert tracer.counts["simplex.presolve_calls"] == 1

@@ -339,6 +339,48 @@ def test_spoiled_guess_falls_back_to_exact(spoil, monkeypatch):
     assert len(calls) == 1
 
 
+def highs_infeasible_on(call_numbers, monkeypatch):
+    """Patch linprog to report status 2 (infeasible) on the given calls,
+    numbered from 0; returns the list of every call's result."""
+    real = scipy.optimize.linprog
+    results = []
+
+    def patched(*args, **kwargs):
+        res = real(*args, **kwargs)
+        if len(results) in call_numbers:
+            res.status, res.success = 2, False
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", patched)
+    return results
+
+
+def test_infeasible_verdicts_on_every_call_end_in_one_exact_pivot(monkeypatch):
+    # the elastic LP gets no elastic LP of its own when HiGHS calls it infeasible
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
+    rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
+    expected = simplex._solve_exact(rows, rhs, costs)
+    assert expected[:2] == ("optimal", F(5, 2))
+    results = highs_infeasible_on(range(10), monkeypatch)
+    calls = spy_exact(monkeypatch)
+    assert solve_min_nonneg(rows, rhs, costs) == expected
+    assert len(results) == 2 and len(calls) == 1
+
+
+def test_false_infeasible_verdict_falls_back_after_a_zero_elastic_optimum(monkeypatch):
+    # a feasible LP: its elastic LP certifies optimum 0, which proves nothing
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
+    rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
+    expected = simplex._solve_exact(rows, rhs, costs)
+    results = highs_infeasible_on({0}, monkeypatch)
+    calls = spy_exact(monkeypatch)
+    assert solve_min_nonneg(rows, rhs, costs) == expected
+    assert len(results) == 2 and len(calls) == 1
+    elastic = results[1]
+    assert elastic.success and elastic.fun == 0 and len(elastic.x) == len(costs) + len(rows)
+
+
 def test_structured_infeasible():
     # x0 >= 2 and x0 <= 1
     rows = [{0: 1}, {0: -1}]
