@@ -42,13 +42,16 @@ class Charge:
     atoms: Tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
+        _check_table(self.atoms)
         if len(self.atoms) != self.ground.n:
             raise ValueError(f"expected {self.ground.n} atoms, got {len(self.atoms)}")
+        # every atom read as an exact rational: a str becomes a Fraction,
+        # a float or bool raises TypeError
+        object.__setattr__(self, "atoms", tuple(map(to_rational, self.atoms)))
 
     @classmethod
     def of(cls, ground: GroundSet, atoms: Sequence[RationalLike]) -> "Charge":
-        _check_table(atoms)
-        return cls(ground, tuple(to_rational(a) for a in atoms))
+        return cls(ground, atoms)
 
     def __call__(self, mask: int) -> Fraction:
         self.ground.check_mask(mask)
@@ -57,9 +60,6 @@ class Charge:
             if mask >> i & 1:
                 total += self.atoms[i]
         return total
-
-    def is_nonnegative(self) -> bool:
-        return all(a >= 0 for a in self.atoms)
 
     def as_set_function(self) -> SetFunction:
         d, atoms = scale_to_ints(self.atoms)

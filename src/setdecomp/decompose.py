@@ -8,10 +8,11 @@ optimal values are the plus-norm and minus-norm of psi.
 
 Every optimum comes from :func:`setdecomp.simplex.solve_min_nonneg`: a
 HiGHS solution certified exactly over the rationals, or exact pivoting
-when certification fails, so returned objectives are exact.  The LP's
-right-hand sides are summed as ints over psi's common denominator, and
-made Fractions in one pass.  Decomposition LPs are capped at n <= 10
-ground elements.
+when certification fails, so returned objectives are exact.  The LP is
+built from index arithmetic on subset masks, straight into CSR arrays,
+with its right-hand sides gathered as ints over psi's common
+denominator; no row becomes a dict or a Fraction unless exact pivoting
+runs.  Decomposition LPs are capped at n <= 10 ground elements.
 """
 
 from __future__ import annotations
@@ -19,24 +20,22 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .alternating import is_weakly_infinite_alternating
 from .charges import Charge, PreconditionError
 from .core import (
     SetFunction,
-    _fractions,
     format_rational,
     is_submodular,
     norm_inf,
+    scale_to_ints,
     to_rational,
 )
 from .coverage import CoverageCoefficients, from_coefficients, to_coefficients
-from .simplex import ExactnessError, solve_min_nonneg
+from .simplex import _INT64_LIMIT, ExactnessError, _CSRRows, _ScaledInts, solve_min_nonneg
 
 LP_MAX_N = 10
-
-_ZERO = Fraction(0)
 
 
 class DecompositionError(ValueError):
@@ -95,72 +94,72 @@ def _check_input(psi: SetFunction, kind: str) -> None:
         )
 
 
-def _build_rows(
-    psi: SetFunction, kind: str, c_bound: Optional[Fraction]
-) -> Tuple[List[Dict[int, int]], List[Fraction]]:
+def _build_rows(psi: SetFunction, kind: str, c_bound: Optional[Fraction]) -> Tuple[_CSRRows, _ScaledInts]:
     """Constraint system A x >= b over variables phi1(X), X != empty.
 
-    Each row is sparse, {variable: coefficient} with at most 4 entries,
-    all +-1; variable j represents phi1 of mask j+1 and phi1(empty) = 0
-    drops out.  Monotone steps of phi1 are merged with the steps forced
-    by the shape of phi2, and likewise for the local submodularity rows.
-    Each right-hand side is summed as an int over psi.den (times the
-    denominator of c_bound), and the Fractions are made once, at the end.
+    Variable j represents phi1 of mask j+1, and phi1(empty) = 0 drops
+    out.  Each row has at most 4 entries, all +-1.  The monotone steps
+    of phi1 are merged with the steps forced by the shape of phi2, and
+    likewise for the local submodularity rows.  Every row is read off
+    mask arithmetic on index arrays, one block of rows at a time, and
+    each right-hand side is gathered from psi.nums as an int over
+    psi.den (times the denominator of c_bound).
     """
+    import numpy as np
+
     g = psi.ground
     n = g.n
     scale = 1 if c_bound is None else c_bound.denominator
-    nums = [v * scale for v in psi.nums]
-    rows: List[Dict[int, int]] = []
-    rhs: List[int] = []
+    peak = max(map(abs, psi.nums))
+    bound = 0 if c_bound is None else c_bound.numerator * peak
+    # a right-hand side is at most four values of psi, or one plus the bound
+    wide = 4 * peak * scale + bound >= _INT64_LIMIT
+    nums = np.array(psi.nums, dtype=object if wide else np.int64) * scale
+    bits = 1 << np.arange(n)
+    masks = np.arange(g.size)
+    free = (masks[:, None] & bits) == 0  # free[X, u]: u is not in X
+    # blocks of (masks, signs, rhs): row r has coefficient signs[r, k] on
+    # phi1(masks[r, k]), in the order k runs, and a mask of 0 is no entry
+    blocks = []
 
-    def add(row: Dict[int, int], b: int) -> None:
-        rows.append(row)
-        rhs.append(b)
+    # steps: phi1(X+u) - phi1(X) >= max(0, psi(X+u) - psi(X)), for X, then u
+    x, u = np.nonzero(free)
+    xu = x | bits[u]
+    blocks.append((np.stack([xu, x], axis=1), np.array([1, -1]), np.maximum(nums[xu] - nums[x], 0)))
 
-    # steps: phi1(X+u) - phi1(X) >= max(0, psi(X+u) - psi(X))
-    for x in range(g.size):
-        for u in range(n):
-            if x >> u & 1:
-                continue
-            xu = x | 1 << u
-            row = {xu - 1: 1}
-            if x:
-                row[x - 1] = -1
-            add(row, max(0, nums[xu] - nums[x]))
-
-    # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X)
-    for x in range(g.size):
-        for u in range(n):
-            if x >> u & 1:
-                continue
-            for v in range(u + 1, n):
-                if x >> v & 1:
-                    continue
-                xu, xv = x | 1 << u, x | 1 << v
-                xuv = xu | 1 << v
-                s_psi = nums[xu] + nums[xv] - nums[xuv] - nums[x]
-                row = {xu - 1: 1, xv - 1: 1, xuv - 1: -1}
-                if x:
-                    row[x - 1] = -1
-                if kind == "sum":
-                    # 0 <= s_phi1 <= s_psi
-                    add(row, 0)
-                    add({j: -a for j, a in row.items()}, -s_psi)
-                else:
-                    # s_phi1 >= max(0, s_psi)
-                    add(row, max(0, s_psi))
+    # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X),
+    # for X, then u < v
+    us, vs = np.triu_indices(n, 1)
+    x, pair = np.nonzero(free[:, us] & free[:, vs])
+    xu, xv = x | bits[us[pair]], x | bits[vs[pair]]
+    xuv = xu | xv
+    s_psi = nums[xu] + nums[xv] - nums[xuv] - nums[x]
+    quads = np.stack([xu, xv, xuv, x], axis=1)
+    signs = np.array([1, 1, -1, -1])
+    if kind == "sum":
+        # 0 <= s_phi1 <= s_psi: each row, then its negation
+        pairs = np.tile([signs, -signs], (len(x), 1))
+        bounds = np.stack([np.zeros_like(s_psi), -s_psi], axis=1).ravel()
+        blocks.append((np.repeat(quads, 2, axis=0), pairs, bounds))
+    else:
+        # s_phi1 >= max(0, s_psi)
+        blocks.append((quads, signs, np.maximum(s_psi, 0)))
 
     if c_bound is not None:
-        # both parts boxed inside [-bound, bound], bound = c * norm_inf(psi)
-        bound = c_bound.numerator * max(map(abs, psi.nums))
-        for x in range(1, g.size):
-            add({x - 1: -1}, -bound)  # -phi1(X) >= -bound
-            # phi2 is psi - phi1 (sum) or phi1 - psi (diff); either way
-            # |phi1(X) - psi(X)| <= bound
-            add({x - 1: 1}, nums[x] - bound)
-            add({x - 1: -1}, -bound - nums[x])
-    return rows, list(_fractions(psi.den * scale, rhs))
+        # both parts boxed inside [-bound, bound], bound = c * norm_inf(psi):
+        # -phi1(X) >= -bound, and |phi1(X) - psi(X)| <= bound, since phi2
+        # is psi - phi1 (sum) or phi1 - psi (diff)
+        v = nums[1:]
+        box = np.stack([np.full_like(v, -bound), v - bound, -bound - v], axis=1).ravel()
+        blocks.append((np.repeat(masks[1:], 3)[:, None], np.tile([-1, 1, -1], g.size - 1)[:, None], box))
+
+    entries = [m > 0 for m, _, _ in blocks]
+    indptr = np.zeros(sum(len(e) for e in entries) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([e.sum(axis=1) for e in entries]), out=indptr[1:])
+    indices = np.concatenate([m[e] - 1 for (m, _, _), e in zip(blocks, entries)])
+    coefs = np.concatenate([np.broadcast_to(s, m.shape)[e] for (m, s, _), e in zip(blocks, entries)])
+    rhs = np.concatenate([b for _, _, b in blocks])
+    return _CSRRows(indptr, indices, coefs, 1, g.size - 1), _ScaledInts(psi.den * scale, rhs)
 
 
 def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
@@ -174,7 +173,8 @@ def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
         return None
     if value != x[g.full_mask - 1]:
         raise ExactnessError("LP optimum is not phi1(J)")
-    phi1 = SetFunction(g, tuple([_ZERO] + x))
+    den, nums = scale_to_ints(x)
+    phi1 = SetFunction.from_ints(g, den, [0, *nums])
     phi2 = psi - phi1 if kind == "sum" else phi1 - psi
     return Decomposition(phi1=phi1, phi2=phi2, kind=kind, objective=value)
 

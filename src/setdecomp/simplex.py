@@ -8,10 +8,13 @@ Farkas vector, or improving ray).
 
 :func:`solve_min_nonneg` is the route for the structured LPs
 (decompositions, triangle cover, clique bound): min c.x, A x >= b, x >= 0
-with c >= 0 and A given as sparse rows.  It scales b and c to ints once
-and climbs one ladder: HiGHS solves the LP in floating point and the
-rounded primal/dual pair is trusted only after an exact certificate over
-the ints passes (primal and dual feasibility, equal objectives); an LP
+with c >= 0 and A given as sparse rows.  It holds A in CSR form as int
+arrays over one common denominator, scales b and c to ints once, and
+climbs one ladder: HiGHS (reached through ``_highs``) solves the LP in
+floating point, its guess is rounded to scaled ints, and the primal/dual
+pair is trusted only after an exact certificate passes (primal and dual
+feasibility, equal objectives), one pass over the arrays, in int64 when a
+bound on every sum and product fits and on Python ints otherwise; an LP
 that HiGHS reports infeasible is certified infeasible through its elastic
 relaxation; when neither certifies, :func:`solve_lp` pivots the dual LP
 max b.y, A^T y <= c, y >= 0, whose slack basis is feasible because
@@ -26,10 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from numbers import Rational
+from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from .core import RationalLike, scale_to_ints, to_rational
+from .core import RationalLike, _fractions, scale_to_ints, to_rational
 
 Relation = str  # "<=", "=", ">="
 
@@ -252,84 +257,244 @@ def _assemble(xs: List, n: int, split: bool) -> List[Fraction]:
 # -- structured route ----------------------------------------------------
 
 SparseRow = Mapping[int, Rational]
-Scaled = Tuple[int, List[int]]  # (common denominator, int numerators), as scale_to_ints gives
+Scaled = Tuple[int, "np.ndarray"]  # (positive common denominator, numerators as an int array)
+
+_INT64_LIMIT = 2**63
+_FLOAT_EXACT = 2**53  # ints up to this size are exact in a float64
 
 
-def _round(values: List[float], limit: int) -> List[Fraction]:
-    # LP vertices repeat few distinct values; round each once
-    exact = {v: Fraction(v).limit_denominator(limit) for v in set(values)}
-    return [exact[v] for v in values]
+def _int_array(values: Sequence[int]):
+    """Python ints as an int64 array when each fits, else as an object array."""
+    import numpy as np
+
+    peak = max(map(abs, values), default=0)
+    return np.array(values, dtype=np.int64 if peak < _INT64_LIMIT else object)
 
 
-def _certify(
-    rows: Sequence[SparseRow], b: Scaled, c: Scaled, x: List[Fraction], y: List[Fraction]
-) -> Optional[Fraction]:
+def _max_abs(values) -> int:
+    return int(abs(values).max(initial=0))
+
+
+def _quotients(nums, den: int):
+    """The floats nums[k] / den, each rounded as Python's int / int rounds it.
+
+    When numerators and denominator are exact in a float64, one IEEE
+    division rounds correctly as well; bigger ones divide as Python ints.
+    """
+    import numpy as np
+
+    if den <= _FLOAT_EXACT and _max_abs(nums) <= _FLOAT_EXACT:
+        return nums.astype(float) / den
+    return np.array([v / den for v in nums.tolist()], dtype=float)
+
+
+def _row_sums(values, indptr):
+    """The sum of each CSR row's entries, in values' dtype.
+
+    ``reduceat`` gives an empty row the next entry instead of 0, so it
+    sums the filled rows only.
+    """
+    import numpy as np
+
+    out = np.zeros(len(indptr) - 1, dtype=values.dtype)
+    starts = indptr[:-1]
+    filled = starts < indptr[1:]
+    if values.size:
+        out[filled] = np.add.reduceat(values, starts[filled])
+    return out
+
+
+def _column_sums(values, indices, ncols: int):
+    import numpy as np
+
+    out = np.zeros(ncols, dtype=values.dtype)
+    np.add.at(out, indices, values)
+    return out
+
+
+class _CSRRows:
+    """The rows of A, each read as a {column: coefficient} map, held in CSR form.
+
+    Row i holds the entries k in indptr[i]:indptr[i+1], with column
+    indices[k] and coefficient nums[k] / den, in the order of its map.
+    nums comes from :func:`_int_array`, den is a positive int, and the
+    largest row and column L1 norms of nums are kept for the
+    certificate's overflow bound.  Iterating gives one map per row, with
+    int coefficients when den is 1, which is how exact pivoting reads
+    rows; nothing else needs them.
+    """
+
+    __slots__ = ("indptr", "indices", "nums", "den", "ncols", "row_l1", "col_l1")
+
+    def __init__(self, indptr, indices, nums, den: int, ncols: int):
+        self.indptr, self.indices, self.nums, self.den, self.ncols = indptr, indices, nums, den, ncols
+        mags = abs(nums)
+        self.row_l1 = _max_abs(_row_sums(mags, indptr))
+        self.col_l1 = _max_abs(_column_sums(mags, indices, ncols))
+
+    @classmethod
+    def from_maps(cls, rows: Sequence[SparseRow], ncols: int) -> "_CSRRows":
+        """The rows of {column: int or Fraction} maps, scaled to ints once."""
+        import numpy as np
+
+        indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=indptr[1:])
+        indices = np.array([j for row in rows for j in row], dtype=np.int64)
+        den, nums = scale_to_ints([a for row in rows for a in row.values()])
+        return cls(indptr, indices, _int_array(nums), den, ncols)
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __iter__(self):
+        ptr = self.indptr.tolist()
+        cols = self.indices.tolist()
+        nums = self.nums.tolist()
+        coefs = nums if self.den == 1 else _fractions(self.den, nums)
+        for start, end in zip(ptr, ptr[1:]):
+            yield dict(zip(cols[start:end], coefs[start:end]))
+
+    def negated_floats(self):
+        """-A as the float CSR matrix HiGHS reads, each entry -float(a)."""
+        from scipy.sparse import csr_matrix
+
+        data = -_quotients(self.nums, self.den)
+        return csr_matrix((data, self.indices, self.indptr), shape=(len(self), self.ncols))
+
+    def with_slacks(self) -> "_CSRRows":
+        """The rows of A x + s >= b: row i gains column ncols + i with coefficient 1."""
+        import numpy as np
+
+        m = len(self)
+        ends = self.indptr[1:]
+        return _CSRRows(
+            self.indptr + np.arange(m + 1),
+            np.insert(self.indices, ends, self.ncols + np.arange(m)),
+            np.insert(self.nums, ends, self.den),
+            self.den,
+            self.ncols + m,
+        )
+
+
+class _ScaledInts:
+    """The rationals nums[i] / den, read as Fractions only when iterated."""
+
+    __slots__ = ("den", "nums")
+
+    def __init__(self, den: int, nums):
+        self.den, self.nums = den, nums
+
+    def __len__(self) -> int:
+        return len(self.nums)
+
+    def __iter__(self):
+        return iter(_fractions(self.den, self.nums.tolist()))
+
+
+def _scaled(values) -> Scaled:
+    if isinstance(values, _ScaledInts):
+        return values.den, values.nums
+    den, nums = scale_to_ints(values)
+    return den, _int_array(nums)
+
+
+def _round(values: List[float], limit: int) -> Scaled:
+    """Each float as the nearest rational with denominator <= limit, all over their lcm.
+
+    LP vertices repeat few distinct values, so each is rounded once.  A
+    float whose own ratio p/q has q <= limit is that ratio, as
+    ``Fraction(v).limit_denominator(limit)`` would return it.
+    """
+    pairs = {}
+    for v in set(values):
+        p, q = v.as_integer_ratio()
+        if q > limit:
+            r = Fraction(v).limit_denominator(limit)
+            p, q = r.numerator, r.denominator
+        pairs[v] = p, q
+    d = lcm(*(q for _, q in pairs.values()))
+    scaled = {v: p * (d // q) for v, (p, q) in pairs.items()}
+    return d, _int_array([scaled[v] for v in values])
+
+
+def _dot(u, v) -> int:
+    """The exact dot product of two int arrays, as a Python int."""
+    import numpy as np
+
+    nz = np.flatnonzero(v)
+    return sum(map(mul, u[nz].tolist(), v[nz].tolist()))
+
+
+def _certify(a: _CSRRows, b: Scaled, c: Scaled, x: Scaled, y: Scaled) -> Optional[Fraction]:
     """The optimum c.x if x is primal optimal and y dual optimal, else None.
 
-    x and y are scaled to ints like b and c, so every check runs over
-    Python ints: x >= 0, y >= 0, A x >= b, A^T y <= c and c.x == b.y,
-    after which weak duality proves both optimal.
+    Everything is scaled to ints, so one pass over arrays checks x >= 0,
+    y >= 0, A x >= b, A^T y <= c and c.x == b.y, after which weak
+    duality proves both optimal.  The sums and products run in int64
+    when a bound on each of them stays below 2^63, and on Python ints
+    (an object array, the same code) when it does not.
     """
-    (db, bs), (dc, cs) = b, c
-    dx, px = scale_to_ints(x)
-    dy, qy = scale_to_ints(y)
-    if min(px, default=0) < 0 or min(qy, default=0) < 0:
+    import numpy as np
+
+    (db, bs), (dc, cs), (dx, px), (dy, qy) = b, c, x, y
+    if len(px) and px.min() < 0 or len(qy) and qy.min() < 0:
         return None
-    # rows[i].x >= b_i  <=>  (sum a px) * db >= bs_i * dx
-    for row, bi in zip(rows, bs):
-        if sum(a * px[j] for j, a in row.items()) * db < bi * dx:
-            return None
-    # column j of A^T y <= c_j  <=>  (sum a qy) * dc <= cs_j * dy
-    col = [0] * len(cs)
-    for row, q in zip(rows, qy):
-        if q:
-            for j, a in row.items():
-                col[j] += a * q
-    if any(t * dc > cj * dy for t, cj in zip(col, cs)):
+    den = a.den
+    # A x >= b  <=>  (A_int px) * db >= bs * dx * den, and likewise for A^T y <= c
+    widest = max(
+        max(a.row_l1 * _max_abs(px), 1) * db,
+        max(_max_abs(bs), 1) * dx * den,
+        max(a.col_l1 * _max_abs(qy), 1) * dc,
+        max(_max_abs(cs), 1) * dy * den,
+    )
+    dtype = np.int64 if widest < _INT64_LIMIT else object
+    coefs = a.nums.astype(dtype)
+    p, q = px.astype(dtype), qy.astype(dtype)
+    if np.any(_row_sums(coefs * p[a.indices], a.indptr) * db < bs.astype(dtype) * (dx * den)):
         return None
-    primal = sum(cj * p for cj, p in zip(cs, px) if cj)
-    dual = sum(bi * q for bi, q in zip(bs, qy) if q)
+    q_entries = np.repeat(q, np.diff(a.indptr))
+    used = np.flatnonzero(q_entries)
+    col = _column_sums(coefs[used] * q_entries[used], a.indices[used], a.ncols)
+    if np.any(col * dc > cs.astype(dtype) * (dy * den)):
+        return None
+    primal, dual = _dot(cs, px), _dot(bs, qy)
     return Fraction(primal, dc * dx) if primal * db * dy == dual * dc * dx else None
 
 
-def _certified_guess(rows: Sequence[SparseRow], b: Scaled, c: Scaled) -> Tuple[int, Optional[tuple]]:
-    """HiGHS's status on min c.x, A x >= b, x >= 0, and its guess (value,
-    x, y) rounded to rationals if that certifies, else None."""
-    import numpy as np
+def _highs(a_ub, c, b):
+    """HiGHS on min c.x, a_ub x <= b, x >= 0: (status, x, y) with y >= 0
+    the multipliers of -a_ub x >= -b, as float lists, or (status, None,
+    None) when HiGHS reports no optimum."""
     from scipy.optimize import linprog
-    from scipy.sparse import csr_matrix
 
+    res = linprog(c, A_ub=a_ub, b_ub=b, bounds=(0, None), method="highs")
+    if not res.success:
+        return res.status, None, None
+    return res.status, res.x.tolist(), (-res.ineqlin.marginals).tolist()
+
+
+def _certified_guess(a: _CSRRows, b: Scaled, c: Scaled) -> Tuple[int, Optional[tuple]]:
+    """HiGHS's status on min c.x, A x >= b, x >= 0, and its guess (value,
+    x, y), rounded to scaled ints, if that certifies, else None."""
     (db, bs), (dc, cs) = b, c
-    indptr = [0]
-    indices: List[int] = []
-    data: List[float] = []
-    for row in rows:
-        indices.extend(row)
-        data.extend(-float(a) for a in row.values())
-        indptr.append(len(indices))
-    a_ub = csr_matrix(
-        (np.array(data, dtype=float), np.array(indices, dtype=np.int64), indptr),
-        shape=(len(rows), len(cs)),
-    )
-    # int true division is correctly rounded, so these are float(c_j) and
-    # -float(b_i), bit for bit (-0.0 included)
-    res = linprog(
-        np.array([cj / dc for cj in cs]),
-        A_ub=a_ub,
-        b_ub=np.array([-(bi / db) for bi in bs]),
-        bounds=(0, None),
-        method="highs",
-    )
-    if res.success:
-        xf = res.x.tolist()
-        yf = (-res.ineqlin.marginals).tolist()
+    # these are float(a), float(c_j) and -float(b_i), bit for bit (-0.0 included)
+    status, xf, yf = _highs(a.negated_floats(), _quotients(cs, dc), -_quotients(bs, db))
+    if xf is not None:
         for limit in (10**6, 10**12):
-            x = _round(xf, limit)
-            y = _round(yf, limit)
-            value = _certify(rows, b, c, x, y)
+            x, y = _round(xf, limit), _round(yf, limit)
+            value = _certify(a, b, c, x, y)
             if value is not None:
-                return res.status, (value, x, y)
-    return res.status, None
+                return status, (value, x, y)
+    return status, None
+
+
+def _fraction_list(scaled: Scaled) -> List[Fraction]:
+    """The Fractions of a scaled vector, one object per distinct value."""
+    den, nums = scaled
+    nums = nums.tolist()
+    distinct = set(nums)
+    exact = dict(zip(distinct, _fractions(den, distinct)))
+    return [exact[v] for v in nums]
 
 
 def _solve_exact(
@@ -366,27 +531,30 @@ def solve_min_nonneg(
     """min costs.x subject to rows[i].x >= rhs[i], x >= 0, costs >= 0.
 
     rows holds one sparse row per constraint, a {column: coefficient}
-    map; coefficients, rhs and costs are ints or Fractions.  Returns
-    (status, value, x, y) with status "optimal" or "infeasible"; for an
-    optimum, y is an optimal dual (one multiplier per row).
+    map, and coefficients, rhs and costs are ints or Fractions; the
+    decomposition LPs pass their rows and rhs already scaled to int
+    arrays (``_CSRRows`` and ``_ScaledInts``).  Returns (status, value,
+    x, y) with status "optimal" or "infeasible"; for an optimum, y is an
+    optimal dual (one multiplier per row).
 
-    rhs and costs are scaled to ints once.  The rungs, in order: HiGHS's
-    guess, rounded and certified; if HiGHS finds the LP infeasible, the
-    always-feasible elastic LP min sum(s), A x + s >= b, x, s >= 0,
-    whose certified positive optimum proves infeasibility (its dual is a
-    Farkas vector); otherwise exact pivoting.
+    The rows, rhs and costs are scaled to ints once.  The rungs, in
+    order: HiGHS's guess, rounded and certified; if HiGHS finds the LP
+    infeasible, the always-feasible elastic LP min sum(s), A x + s >= b,
+    x, s >= 0, whose certified positive optimum proves infeasibility (its
+    dual is a Farkas vector); otherwise exact pivoting.
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")
     if costs:  # HiGHS rejects an LP without variables
-        b, c = scale_to_ints(rhs), scale_to_ints(costs)
-        status, got = _certified_guess(rows, b, c)
+        n, m = len(costs), len(rows)
+        a = rows if isinstance(rows, _CSRRows) else _CSRRows.from_maps(rows, n)
+        b, c = _scaled(rhs), _scaled(costs)
+        status, got = _certified_guess(a, b, c)
         if status == 2:  # HiGHS status 2: infeasible
-            n, m = len(costs), len(rows)
-            stretched = [{**row, n + i: 1} for i, row in enumerate(rows)]
-            _, got = _certified_guess(stretched, b, (1, [0] * n + [1] * m))
+            _, got = _certified_guess(a.with_slacks(), b, (1, _int_array([0] * n + [1] * m)))
             if got is not None and got[0] > 0:
                 return "infeasible", None, [], []
         elif got is not None:
-            return ("optimal", *got)
+            value, x, y = got
+            return "optimal", value, _fraction_list(x), _fraction_list(y)
     return _solve_exact(rows, rhs, costs)

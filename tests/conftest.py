@@ -60,3 +60,43 @@ def random_graph(rng: random.Random, n: int, p: float = 0.5) -> WeightedGraph:
 @pytest.fixture
 def rng():
     return random.Random(20260826)
+
+
+def spy_exact(monkeypatch):
+    """The argument tuples of every exact-pivoting fallback."""
+    from setdecomp import simplex
+
+    calls = []
+    real = simplex._solve_exact
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(simplex, "_solve_exact", spy)
+    return calls
+
+
+def spy_certificate_dtypes(monkeypatch):
+    """The dtype of the row sums A x in each certificate check, one per
+    check (the L1 norms taken when rows are built are not recorded)."""
+    from setdecomp import simplex
+
+    dtypes, inside = [], []
+    real_certify, real_sums = simplex._certify, simplex._row_sums
+
+    def certify(*args):
+        inside.append(True)
+        try:
+            return real_certify(*args)
+        finally:
+            inside.pop()
+
+    def row_sums(values, indptr):
+        if inside:
+            dtypes.append(values.dtype)
+        return real_sums(values, indptr)
+
+    monkeypatch.setattr(simplex, "_certify", certify)
+    monkeypatch.setattr(simplex, "_row_sums", row_sums)
+    return dtypes

@@ -145,6 +145,19 @@ def test_a_string_bytes_or_mapping_is_not_a_list_of_atoms(make):
         make()
 
 
+def test_string_atoms_are_read_as_fractions():
+    c = Charge(GroundSet(2), ("1", "2/3"))
+    assert c.atoms == (Fraction(1), Fraction(2, 3))
+    assert all(type(a) is Fraction for a in c.atoms)
+    assert c(3) == Fraction(5, 3)
+
+
+@pytest.mark.parametrize("atoms", [(1.5, 2), (True, 2)], ids=["float", "bool"])
+def test_float_or_bool_atoms_are_refused(atoms):
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Charge(GroundSet(2), atoms)
+
+
 def singleton_charge(f):
     return Charge(f.ground, tuple(f.values[1 << i] for i in range(f.ground.n)))
 

@@ -1,7 +1,9 @@
+import random
 import warnings
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from setdecomp import (
@@ -28,7 +30,13 @@ from setdecomp.graphs import (
 )
 from setdecomp import WeightedGraph, decompose, graphs, simplex
 from setdecomp.simplex import ExactnessError, LinearProgram, solve_lp
-from conftest import random_coverage, random_set_function, random_weakly_alternating
+from conftest import (
+    random_coverage,
+    random_set_function,
+    random_weakly_alternating,
+    spy_certificate_dtypes,
+    spy_exact,
+)
 from oracles import decomposition_rows_fractions
 
 F = Fraction
@@ -317,3 +325,69 @@ def test_decomposition_json_round_trip(rng):
     assert again.phi2 == dec.phi2
     assert again.kind == dec.kind
     assert again.objective == dec.objective
+
+
+@pytest.mark.parametrize("kind", ["sum", "diff"])
+def test_products_past_int64_are_certified_on_python_ints(kind, monkeypatch):
+    # psi * 2^64 puts the certificate's products past int64, so it checks
+    # them on an object array of Python ints and accepts HiGHS's guess;
+    # the optimum is 2^64 times the small one, phi1 included
+    solve = optimal_sum_decomposition if kind == "sum" else optimal_diff_decomposition
+    psi = cut_function(complete(4))
+    small = solve(psi)
+    dtypes = spy_certificate_dtypes(monkeypatch)
+    fallbacks = spy_exact(monkeypatch)
+    big = solve(psi.scale(2**64))
+    assert dtypes == [object] and fallbacks == []
+    check_shape(psi.scale(2**64), big)
+    assert big.objective == small.objective * 2**64
+    assert big.phi1 == small.phi1.scale(2**64)
+
+
+def test_right_hand_sides_past_int64_stay_python_ints():
+    psi = cut_function(complete(4)).scale(2**70)
+    rows, rhs = decompose._build_rows(psi, "sum", F(3, 2))
+    assert rhs.nums.dtype == object and max(rhs.nums) > 2**63
+    ref_rows, ref_rhs = decomposition_rows_fractions(psi, "sum", F(3, 2))
+    assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
+    assert list(rhs) == ref_rhs
+
+
+def test_interleaved_decompositions_match_the_fraction_rows(rng):
+    # no state carries over between LPs of different n, kind and box: each
+    # optimum is feasible for its own Fraction rows and, where exact
+    # pivoting is quick, equal to the exact optimum of those rows
+    boxes = (None, F(1, 2), F(2), F(5, 2))
+    cases = [(n, kind, c) for n in (2, 3, 4, 5) for kind in ("sum", "diff") for c in boxes]
+    rng.shuffle(cases)
+    for n, kind, c in cases:
+        psi = random_submodular(rng, n)
+        rows, rhs = decomposition_rows_fractions(psi, kind, c)
+        costs = [0] * (2**n - 1)
+        costs[-1] = 1
+        if c is None:
+            dec = (optimal_sum_decomposition if kind == "sum" else optimal_diff_decomposition)(psi)
+        else:
+            feasible, dec = c_bounded_feasible(psi, kind, c)
+            if not feasible:
+                assert n > 3 or simplex._solve_exact(rows, rhs, costs)[0] == "infeasible"
+                continue
+        x = dec.phi1.values[1:]
+        assert all(sum(a * x[j] for j, a in row.items()) >= b for row, b in zip(rows, rhs))
+        if n <= 3:
+            assert dec.objective == simplex._solve_exact(rows, rhs, costs)[1]
+
+
+def test_benchmark_sized_sum_lp_certifies_in_int64(monkeypatch):
+    # an n = 6 cut function with p/q weights, q <= 4, like the benchmark's
+    rng = random.Random(6)
+    edges = [
+        (u, v, F(rng.randint(1, 9), rng.randint(1, 4)))
+        for u, v in combinations(range(6), 2)
+        if rng.random() < 0.6
+    ]
+    dtypes = spy_certificate_dtypes(monkeypatch)
+    fallbacks = spy_exact(monkeypatch)
+    dec = optimal_sum_decomposition(cut_function(WeightedGraph.build(6, edges)))
+    assert dec.objective > 0 and fallbacks == []
+    assert dtypes == [np.int64]

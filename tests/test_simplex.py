@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+from conftest import spy_certificate_dtypes, spy_exact
 from setdecomp import simplex
 from setdecomp.simplex import (
     LinearProgram,
@@ -233,18 +234,6 @@ def random_structured_lp(rng):
     return rows, rhs, costs
 
 
-def spy_exact(monkeypatch):
-    calls = []
-    real = simplex._solve_exact
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(simplex, "_solve_exact", spy)
-    return calls
-
-
 def reference_solve_exact(rows, rhs, costs):
     """The dual-simplex fallback as a hand-built tableau: one row per
     primal variable, m dual columns, n slacks and the rhs, with x read
@@ -390,3 +379,76 @@ def test_structured_infeasible():
 def test_structured_rejects_negative_costs():
     with pytest.raises(ValueError):
         solve_min_nonneg([{0: 1}], [F(1)], [F(-1)])
+
+
+def fraction_certificate(rows, rhs, costs, x, y):
+    """The certificate read off its definition in Fractions: c.x when x and
+    y are feasible and c.x == b.y, else None."""
+    if any(v < 0 for v in x) or any(v < 0 for v in y):
+        return None
+    if any(sum(a * x[j] for j, a in row.items()) < b for row, b in zip(rows, rhs)):
+        return None
+    col = [F(0)] * len(costs)
+    for row, yi in zip(rows, y):
+        for j, a in row.items():
+            col[j] += a * yi
+    if any(t > c for t, c in zip(col, costs)):
+        return None
+    value = sum((c * v for c, v in zip(costs, x)), F(0))
+    return value if value == sum((b * v for b, v in zip(rhs, y)), F(0)) else None
+
+
+def spoiled_pairs(x, y, costs, rhs):
+    """Pairs (x, y) the certificate must refuse, each spoiled one way."""
+    j = next((j for j, c in enumerate(costs) if c > 0), None)
+    i = next((i for i, b in enumerate(rhs) if b != 0), None)
+    out = [(x[:k] + [F(-1, 3)] + x[k + 1:], y) for k in range(len(x))][:1]
+    out += [(x, y[:k] + [F(-1, 2)] + y[k + 1:]) for k in range(len(y))][:1]
+    if j is not None:  # c.x moves off b.y
+        out.append((x[:j] + [x[j] + F(1, 7)] + x[j + 1:], y))
+    if i is not None:  # b.y moves off c.x
+        out.append((x, y[:i] + [y[i] + F(1, 5)] + y[i + 1:]))
+    return out
+
+
+def test_array_certificate_matches_the_fraction_oracle(rng, monkeypatch):
+    dtypes = spy_certificate_dtypes(monkeypatch)
+    checked = refused = 0
+    for trial in range(150):
+        rows, rhs, costs = random_structured_lp(rng)
+        # Fraction coefficients in some rows, and an empty row now and then
+        rows = [
+            {j: F(a, rng.randint(1, 3)) for j, a in row.items()} if rng.random() < 0.5 else row
+            for row in rows
+        ]
+        if trial % 3 == 0:
+            at = rng.randint(0, len(rows))
+            rows.insert(at, {})
+            rhs.insert(at, F(-rng.randint(0, 2)))
+        status, value, x, y = simplex._solve_exact(rows, rhs, costs)
+        if status != "optimal":
+            continue
+        a = simplex._CSRRows.from_maps(rows, len(costs))
+        b, c = simplex._scaled(rhs), simplex._scaled(costs)
+        assert simplex._certify(a, b, c, simplex._scaled(x), simplex._scaled(y)) == value
+        # the same pair over a denominator 2^70 times larger runs on Python ints
+        dx, px = simplex._scaled(x)
+        del dtypes[:]
+        assert simplex._certify(a, b, c, (dx << 70, px.astype(object) << 70), simplex._scaled(y)) == value
+        assert dtypes == [object]
+        for xs, ys in spoiled_pairs(x, y, costs, rhs):
+            assert fraction_certificate(rows, rhs, costs, xs, ys) is None
+            assert simplex._certify(a, b, c, simplex._scaled(xs), simplex._scaled(ys)) is None
+            refused += 1
+        checked += 1
+    assert checked > 20 and refused > 3 * checked
+
+
+def test_highs_seam_returns_floats_or_no_guess():
+    a_ub = np.array([[-1.0, -1.0]])
+    status, x, y = simplex._highs(a_ub, np.array([1.0, 2.0]), np.array([-1.0]))
+    assert status == 0 and x == [1.0, 0.0] and y == [1.0]
+    assert all(type(v) is float for v in x + y)
+    # x0 >= 1 and x0 <= 0
+    status, x, y = simplex._highs(np.array([[-1.0], [1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))
+    assert (status, x, y) == (2, None, None)
