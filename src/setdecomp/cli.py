@@ -36,6 +36,7 @@ from . import graphs as gr
 from .core import (
     GroundSet,
     Partition,
+    PartitionError,
     SetFunction,
     format_rational,
     norm_inf,
@@ -78,7 +79,7 @@ def _parse_payload(raw: bytes, path: str):
     if path.endswith(".csv"):
         try:
             return "graph", gr.WeightedGraph.from_csv(text)
-        except (gr.GraphError, ValueError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise CliError(f"bad CSV edge list: {exc}", EXIT_PARSE)
     try:
         data = json.loads(text)
@@ -94,7 +95,7 @@ def _parse_payload(raw: bytes, path: str):
             return "graph", gr.WeightedGraph.from_json_dict(data)
         if "hyperedges" in data:
             return "hypergraph", gr.WeightedHypergraph.from_json_dict(data)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise CliError(f"bad input object: {exc}", EXIT_PARSE)
     raise CliError(
         "input must contain 'values', 'edges' or 'hyperedges'", EXIT_PARSE
@@ -109,8 +110,11 @@ def _require_size(n: int, cap: int, what: str, hint: str = "") -> None:
 def _emit(args, payload: dict) -> None:
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc}", EXIT_PARSE)
     else:
         sys.stdout.write(text)
 
@@ -292,11 +296,15 @@ def _lnl(ell: int, x_mask: int, n: Optional[int] = None) -> SetFunction:
 
 
 def _partition_matroid_rank(*sizes: int) -> SetFunction:
+    # every size and their sum are checked first: a huge size is a huge mask
+    ground = GroundSet(sum(sizes))
+    if any(s < 1 for s in sizes):
+        raise PartitionError("partition classes must be nonempty")
     classes, offset = [], 0
     for s in sizes:
         classes.append(((1 << s) - 1) << offset)
         offset += s
-    return alt.make_partition_matroid_rank(Partition(GroundSet(offset), tuple(classes)))
+    return alt.make_partition_matroid_rank(Partition(ground, tuple(classes)))
 
 
 GENERATORS = {

@@ -94,12 +94,11 @@ def _check_table(values) -> None:
         raise TypeError(f"a table of values is a sequence, not a {type(values).__name__}")
 
 
-def format_rational(x: Fraction) -> str:
-    """Canonical string form: "p" for integers, "p/q" otherwise."""
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_rational(x: Union[Fraction, int]) -> str:
+    """Canonical string form of a Fraction or int: "p" for integers, "p/q"
+    otherwise."""
+    p, q = x.numerator, x.denominator
+    return str(p) if q == 1 else f"{p}/{q}"
 
 
 class GroundSetError(ValueError):

@@ -13,7 +13,11 @@ plus-decomposition part phi1 are the Moebius transform of phi1.
 
 On top of these sit the max-cut brute force, clique-weight recovery from
 a monotonic sum-decomposition, fractional triangle packing/cover LPs,
-and the two LP upper bounds on the plus-norm of the cut function.
+and the two LP upper bounds on the plus-norm of the cut function.  Both
+bounds are w(E) minus an edge-cover LP built by ``_edge_cover``: w(E) - nu*
+covers each triangle once, and the clique bound covers each clique of
+k >= 3 vertices by the edges a maximum cut of it leaves uncut.  Its LP
+contains the triangle LP's rows, so the clique bound is at most w(E) - nu*.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import io
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .core import (
@@ -258,11 +262,13 @@ def verify_cut_identities(
 ) -> bool:
     """Check the three modular-defect identities relating d, i and e.
 
-    With x and y omitted, checks every pair of subsets (n <= 6 only).
+    With x and y both omitted, checks every pair of subsets (n <= 6 only).
     """
     h = _as_hypergraph(g)
     full = (1 << h.n) - 1
-    if x is None or y is None:
+    if (x is None) != (y is None):
+        raise GraphError("give both x and y, or neither for the exhaustive check")
+    if x is None:
         if h.n > 6:
             raise GraphError("exhaustive identity check is capped at n <= 6")
         pairs = product(range(full + 1), repeat=2)
@@ -440,6 +446,19 @@ class TriangleLPResult:
         }
 
 
+def _edge_cover(
+    g: WeightedGraph, vertex_sets: Sequence[Sequence[int]], demands: Sequence[int]
+) -> Tuple[Fraction, List[Fraction], List[Fraction]]:
+    """min w.y, y >= 0, with y summing to at least each sorted vertex set's
+    demand over its edges; returns the optimum, y and an optimal dual."""
+    eidx = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+    rows = [{eidx[e]: 1 for e in combinations(vs, 2)} for vs in vertex_sets]
+    status, value, y, x = solve_min_nonneg(rows, demands, [w for _, _, w in g.edges])
+    if status != "optimal":  # y = max(demands) on every edge is feasible
+        raise ExactnessError(f"edge cover LP ended {status}")
+    return value, y, x
+
+
 def triangle_lps(g: WeightedGraph) -> TriangleLPResult:
     """Fractional triangle packing and edge cover; the optima coincide.
 
@@ -449,44 +468,29 @@ def triangle_lps(g: WeightedGraph) -> TriangleLPResult:
     tris = triangles_of(g)
     if not tris:
         return TriangleLPResult(_ZERO, _ZERO, {}, {})
-    edges = [(u, v) for u, v, _ in g.edges]
-    eidx = {e: i for i, e in enumerate(edges)}
-
-    # cover: min sum w(e) y(e) subject to hitting every triangle
-    crows = [{eidx[(a, b)]: 1, eidx[(a, c)]: 1, eidx[(b, c)]: 1} for a, b, c in tris]
-    rhs = [1] * len(tris)
-    status, tau, y, x = solve_min_nonneg(crows, rhs, [w for _, _, w in g.edges])
-    if status != "optimal":  # y = 1 on every edge is feasible
-        raise ExactnessError(f"triangle cover LP ended {status}")
+    tau, y, x = _edge_cover(g, tris, [1] * len(tris))
     nu = sum(x, _ZERO)
     if nu != tau:  # LP duality ties packing and cover optima
         raise ExactnessError(f"packing optimum {nu} differs from cover optimum {tau}")
     packing = dict(zip(tris, x))
-    cover = {e: y[i] for i, e in enumerate(edges)}
+    cover = {(u, v): yi for (u, v, _), yi in zip(g.edges, y)}
     return TriangleLPResult(nu_star=nu, tau_star=tau, packing=packing, cover=cover)
 
 
 def clique_bound(g: WeightedGraph) -> Fraction:
-    """LP upper bound on the plus-norm of the cut function: spread each
-    edge weight over cliques z(K) and pay ceil(k/2)*floor(k/2) per clique."""
-    cliques = enumerate_cliques(g)
-    costs = []
-    for k in cliques:
-        size = popcount(k)
-        costs.append((size + 1) // 2 * (size // 2))
-    rows = []
-    rhs = []
-    for u, v, w in g.edges:
-        emask = 1 << u | 1 << v
-        row = {j: 1 for j, k in enumerate(cliques) if emask & ~k == 0}
-        rows.append(row)
-        rhs.append(w)
-        rows.append({j: -1 for j in row})
-        rhs.append(-w)
-    status, value, _, _ = solve_min_nonneg(rows, rhs, costs)
-    if status != "optimal":  # z on edges is feasible
-        raise ExactnessError(f"clique LP ended {status}")
-    return value
+    """LP upper bound on the plus-norm of the cut function: spread each edge
+    weight over cliques and pay ceil(k/2)*floor(k/2) per k-clique.  Without
+    the edge columns and by duality, this is w(E) minus an edge-cover LP in
+    which each clique K of k >= 3 vertices needs u(K) = C(k, 2) -
+    ceil(k/2)*floor(k/2), the edges a max cut of K leaves uncut; a triangle
+    has u = 1, so the bound is at most w(E) - nu*."""
+    sets, demands = [], []
+    for mask in enumerate_cliques(g):
+        k = popcount(mask)
+        if k >= 3:
+            sets.append([v for v in range(g.n) if mask >> v & 1])
+            demands.append(k * (k - 1) // 2 - (k + 1) // 2 * (k // 2))
+    return g.total_weight() - _edge_cover(g, sets, demands)[0]
 
 
 def nu_star_bound(g: WeightedGraph) -> Fraction:
@@ -565,6 +569,7 @@ def hyperedge(k: int) -> WeightedHypergraph:
     """A single unit hyperedge spanning k vertices."""
     if k < 1:
         raise GraphError("hyperedges must be nonempty")
+    _check_vertex_count(k)  # before the shift, which a huge k makes huge
     return WeightedHypergraph(n=k, hyperedges=(((1 << k) - 1, _ONE),))
 
 

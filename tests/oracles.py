@@ -1,8 +1,8 @@
 """Reference implementations the tests compare the library against.
 
 Each is a direct, slow reading of a definition: exponential enumerations,
-O(4^n) basis matrices and LP rows over Fraction values.  None runs in the
-library.
+O(4^n) basis matrices, LP rows over Fraction values and LPs in the form
+their definitions give.  None runs in the library.
 """
 
 from fractions import Fraction
@@ -13,11 +13,15 @@ from setdecomp import (
     CoverageCoefficients,
     EnumerationLimitError,
     GroundSet,
+    LinearProgram,
     NotNormalizedError,
     SetFunction,
+    WeightedGraph,
     alt_sum,
+    enumerate_cliques,
     norm_inf,
     popcount,
+    solve_lp,
 )
 
 
@@ -167,3 +171,23 @@ def decomposition_rows_fractions(
             add({x - 1: 1}, psi.values[x] - bound)
             add({x - 1: -1}, -bound - psi.values[x])
     return rows, rhs
+
+
+# -- graph bounds --------------------------------------------------------
+
+
+def clique_bound_equality_lp(g: WeightedGraph) -> Fraction:
+    """The clique bound as first stated: min sum ceil(k/2)*floor(k/2) z(K)
+    over every clique K, singletons and edges included, subject to
+    sum_{K contains e} z(K) = w(e) for each edge e and z >= 0, solved by
+    exact two-phase pivoting on the equality rows."""
+    cliques = enumerate_cliques(g)
+    costs = [(popcount(k) + 1) // 2 * (popcount(k) // 2) for k in cliques]
+    constraints = [
+        ({j: 1 for j, k in enumerate(cliques) if (1 << u | 1 << v) & ~k == 0}, "=", w)
+        for u, v, w in g.edges
+    ]
+    sol = solve_lp(LinearProgram(len(cliques), costs, False, constraints, nonneg=True))
+    if sol.status != "optimal":  # z on the edges alone is feasible
+        raise ValueError(f"clique equality LP ended {sol.status}")
+    return sol.value

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -172,6 +173,31 @@ def test_parse_errors(tmp_path, capsys):
     empty = tmp_path / "obj.json"
     empty.write_text("{}")
     assert main(["check", str(empty)]) == 1
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("f.json", json.dumps({"n": 1, "values": ["0", "1/0"]}), "bad input object"),
+        ("g.json", json.dumps({"n": 2, "edges": [[0, 1, "3/0"]]}), "bad input object"),
+        ("g.csv", "0,1,2/0\n", "bad CSV edge list"),
+    ],
+    ids=["values", "edge-weight", "csv-weight"],
+)
+def test_zero_denominator_is_bad_input(capsys, tmp_path, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert message in captured.err
+
+
+def test_unwritable_output_is_an_io_error(capsys, tmp_path, triangle_path):
+    target = tmp_path / "missing_dir" / "out.json"
+    assert main(["check", triangle_path, "--output", str(target)]) == 1
+    captured = capsys.readouterr()
+    assert f"cannot write {target}" in captured.err and captured.out == ""
 
 
 def test_csv_input(capsys, tmp_path):
@@ -402,6 +428,19 @@ def test_generate_bad_name_or_parameters(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("sizes", [["20000000"], ["20000000", "-19999990"]], ids=["huge", "huge-and-negative"])
+def test_partition_matroid_rank_refuses_oversized_classes_before_building_them(capsys, sizes):
+    # a 20000000-element class is a 2.5 MB mask if it is built
+    tracemalloc.start()
+    try:
+        assert main(["generate", "partition-matroid-rank", *sizes]) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "bad generator parameters" in capsys.readouterr().err
 
 
 def test_readme_command_lines_parse():

@@ -39,6 +39,7 @@ from setdecomp import (
 )
 from setdecomp import graphs, simplex
 from conftest import random_graph
+from oracles import clique_bound_equality_lp
 
 F = Fraction
 
@@ -99,6 +100,14 @@ def test_cut_identities_hypergraphs(rng):
             hedges.append((mask, F(rng.randint(1, 3), rng.randint(1, 2))))
         h = WeightedHypergraph(5, tuple(hedges))
         assert verify_cut_identities(h)
+
+
+@pytest.mark.parametrize("pair", [{"x": 3}, {"y": 3}])
+def test_cut_identities_refuse_a_lone_subset(pair):
+    # one subset given alone is not silently widened to every pair
+    with pytest.raises(GraphError, match="both x and y"):
+        verify_cut_identities(complete(7), **pair)
+    assert verify_cut_identities(complete(7), x=3, y=12)
 
 
 def test_max_cut_values():
@@ -216,6 +225,36 @@ def test_bound_ordering(rng):
         assert plus <= cb <= nb
 
 
+def weighted_gnp(rng, n, p, weights):
+    return WeightedGraph.build(
+        n, [(u, v, rng.choice(weights)) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    )
+
+
+def test_clique_bound_matches_the_equality_lp(rng):
+    # the edge-cover LP against the clique LP it is derived from: another
+    # formulation, solved by exact pivoting on its equality rows
+    ratios = [F(p, q) for p in range(7) for q in range(1, 4)]
+    cases = [
+        weighted_gnp(rng, rng.randint(1, 7), rng.choice([0.3, 0.5, 0.7, 0.9, 1.0]), ratios)
+        for _ in range(100)
+    ]
+    # cliques of 5 or more vertices bind in dense graphs with few distinct
+    # weights, where the bound drops below the triangle bound w(E) - nu*
+    for _ in range(20):
+        q = rng.randint(1, 3)
+        pair = [F(rng.randint(0, 6), q) for _ in range(2)]
+        cases.append(weighted_gnp(rng, rng.randint(5, 6), rng.choice([0.7, 0.9, 1.0]), pair))
+    for g in cases:
+        assert clique_bound(g) == clique_bound_equality_lp(g)
+    assert any(clique_bound(g) < nu_star_bound(g) for g in cases[100:])
+
+
+def test_clique_bound_of_complete_graphs_is_the_max_cut():
+    for n in range(1, 13):
+        assert clique_bound(complete(n)) == n // 2 * ((n + 1) // 2)
+
+
 def test_clique_bound_certifies_former_cliff_graph(monkeypatch):
     import numpy as np
     from scipy.optimize import linprog
@@ -270,6 +309,7 @@ OVERSIZED = [
     (path, (40000,)),
     (complete_bipartite, (200, 200)),
     (wheel, (20000,)),
+    (hyperedge, (20000000,)),  # one 20000000-bit mask
 ]
 
 
