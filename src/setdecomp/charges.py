@@ -179,18 +179,12 @@ def verify_lower_charge_maximality(f: SetFunction) -> bool:
     n = f.ground.n
     full = f.ground.full_mask
     f_j = f.values[full]
-    constraints = []
-    for x in f.ground.subsets():
-        # a(J) - a(X) = a(J \ X)
-        row = [Fraction(1) if not x >> i & 1 else Fraction(0) for i in range(n)]
-        constraints.append((row, "<=", f_j - f.values[x]))
-    lp = LinearProgram(
-        num_vars=n,
-        objective=[Fraction(1)] * n,
-        maximize=True,
-        constraints=constraints,
-    )
-    sol = solve_lp(lp)
+    # a(J) - a(X) = a(J \ X); f(J) - f(X) >= 0 since f is increasing
+    constraints = [
+        ([Fraction(0) if x >> i & 1 else Fraction(1) for i in range(n)], f_j - f.values[x])
+        for x in f.ground.subsets()
+    ]
+    sol = solve_lp(LinearProgram(num_vars=n, objective=[Fraction(1)] * n, constraints=constraints))
     if sol.status != "optimal":
         return False
     expected = _lower_charge(f)

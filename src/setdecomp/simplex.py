@@ -1,10 +1,11 @@
 """Exact rational linear programming.
 
-:func:`solve_lp` is the one exact simplex: a two-phase tableau over exact
-rationals (Dantzig pricing, then Bland's rule against cycling) for LPs
-with free or nonnegative variables and dense or sparse constraint rows.
-It returns status, optimum, assignment and a certificate (dual vector,
-Farkas vector, or improving ray).
+:func:`solve_lp` is the one exact simplex: it maximizes c.x subject to
+A x <= b with b >= 0, over free or nonnegative variables and dense or
+sparse constraint rows, on a tableau of exact rationals that starts from
+the feasible slack basis (Dantzig pricing, then Bland's rule against
+cycling).  It returns status ("optimal" or "unbounded"), optimum,
+assignment and, for an optimum, the dual vector that certifies it.
 
 :func:`solve_min_nonneg` is the route for the structured LPs
 (decompositions, triangle cover, clique bound): min c.x, A x >= b, x >= 0
@@ -22,7 +23,7 @@ c >= 0: the dual simplex method on the primal (Lemke 1954).
 
 Every pivot runs on ``Fraction`` and clears the pivot column from the
 constraint rows and the objective row in one pass, so the value,
-assignment and certificates come straight out of the tableau.
+assignment and duals come straight out of the tableau.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ from numbers import Rational
 from operator import mul
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
-from .core import RationalLike, _fractions, scale_to_ints, to_rational
-
-Relation = str  # "<=", "=", ">="
+from .core import RationalLike, _fractions, _is_int, scale_to_ints, to_rational
 
 # Dantzig pricing until this many iterations, then Bland (guarantees
 # termination); both deterministic.
@@ -49,40 +48,43 @@ class ExactnessError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """Exact-rational LP.  Variables are free unless nonneg is set.
+    """Exact-rational LP: max objective.x subject to row.x <= rhs for each
+    (row, rhs) pair in constraints, every rhs >= 0.  Variables are free
+    unless nonneg is set.
 
-    Each constraint row is a dense sequence of num_vars coefficients or a
-    sparse {column: coefficient} map; columns a map leaves out are 0.
+    Each row is a dense sequence of num_vars coefficients or a sparse
+    {column: coefficient} map; columns a map leaves out are 0.  Since
+    every rhs is nonnegative, x = 0 is feasible.
     """
 
     num_vars: int
     objective: Sequence[RationalLike]
-    maximize: bool
-    constraints: List[
-        Tuple[Union[Sequence[RationalLike], Mapping[int, RationalLike]], Relation, RationalLike]
-    ]
+    constraints: List[Tuple[Union[Sequence[RationalLike], Mapping[int, RationalLike]], RationalLike]]
     nonneg: bool = False
 
     def validate(self) -> None:
         if len(self.objective) != self.num_vars:
             raise ValueError("objective length does not match variable count")
-        for row, rel, _ in self.constraints:
+        for constraint in self.constraints:
+            if len(constraint) != 2:
+                raise ValueError(f"a constraint is a (row, rhs) pair, got {constraint!r}")
+            row, rhs = constraint
             if isinstance(row, Mapping):
-                if not all(isinstance(j, int) and 0 <= j < self.num_vars for j in row):
+                if not all(_is_int(j) and 0 <= j < self.num_vars for j in row):
                     raise ValueError("sparse constraint column out of range")
             elif len(row) != self.num_vars:
                 raise ValueError("constraint row length does not match variable count")
-            if rel not in ("<=", "=", ">="):
-                raise ValueError(f"unknown relation {rel!r}")
+            if to_rational(rhs) < 0:
+                raise ValueError(f"constraint right-hand side {rhs!r} is negative")
 
 
 @dataclass
 class LPSolution:
-    """status is one of "optimal", "infeasible", "unbounded".
+    """status is "optimal" or "unbounded".
 
-    For optimal solutions, certificate holds one dual multiplier per
-    constraint proving the optimum; for infeasible, a Farkas vector; for
-    unbounded, an improving feasible ray.
+    For an optimum, certificate holds one dual multiplier per constraint,
+    y >= 0 with A^T y >= objective (equal on free variables) and
+    rhs.y = value, which proves the optimum; an unbounded LP has none.
     """
 
     status: str
@@ -106,36 +108,24 @@ def _pivot(rows: List[List], objrow: List, basis: List[int], r: int, j: int) -> 
     basis[r] = j
 
 
-def _min_simplex(
-    rows: List[List],
-    basis: List[int],
-    costs: List,
-    allowed: Sequence[bool],
-) -> Tuple[str, List, Optional[int]]:
+def _min_simplex(rows: List[List], basis: List[int], costs: List) -> Tuple[str, List]:
     """Minimize costs over the tableau in place.
 
-    rows[r] has width ncols+1 (rhs last); basis columns form an identity.
-    Returns (status, objrow, entering-column-if-unbounded); objrow[j] is
-    the reduced cost c_j - z_j and objrow[-1] is -objective.
+    rows[r] has width len(costs)+1 (rhs last, >= 0); the basis columns
+    form an identity and cost 0, so the costs are the starting reduced
+    costs.  Returns (status, objrow); objrow[j] is the reduced cost
+    c_j - z_j and objrow[-1] is -objective.
     """
-    ncols = len(rows[0]) - 1 if rows else len(costs)
     objrow = list(costs) + [Fraction(0)]
-    for r, b in enumerate(basis):
-        cb = costs[b]
-        if cb:
-            for idx, a in enumerate(rows[r]):
-                if a:
-                    objrow[idx] -= cb * a
     iters = 0
     while True:
         iters += 1
-        negative = [j for j, ok, d in zip(range(ncols), allowed, objrow) if ok and d < 0]
+        negative = [j for j, d in enumerate(objrow[:-1]) if d < 0]
         if not negative:
-            return "optimal", objrow, None
+            return "optimal", objrow
         # Dantzig: the lowest index among the most negative; Bland: the lowest
         enter = min(negative, key=objrow.__getitem__) if iters < _BLAND_SWITCH else negative[0]
-        ratio = None
-        leave = -1
+        ratio, leave = None, -1
         for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
@@ -144,114 +134,51 @@ def _min_simplex(
                     ratio = t
                     leave = r
         if leave < 0:
-            return "unbounded", objrow, enter
+            return "unbounded", objrow
         _pivot(rows, objrow, basis, leave, enter)
 
 
 def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Generic exact two-phase simplex.
+    """Exact simplex from the slack basis, feasible because every rhs >= 0.
 
-    Tableau columns: the variables, their negated copies when free, one
-    slack per inequality and one artificial per >= or = row (after rows
-    with a negative right-hand side are negated), each group in row order.
+    Tableau columns: the variables, their negated copies when free, and
+    one slack per row, in row order; it minimizes -objective.x.
     """
     lp.validate()
-    n = lp.num_vars
-    # internal minimize; free variables split into positive/negative parts
-    split = not lp.nonneg
+    n, m = lp.num_vars, len(lp.constraints)
+    split = not lp.nonneg  # a free variable is the difference of two nonnegative ones
     width = 2 * n if split else n
     zero = Fraction(0)
-    one = Fraction(1)
-    sense = -1 if lp.maximize else 1
-    obj = [sense * to_rational(v) for v in lp.objective]
+    costs = [-to_rational(v) for v in lp.objective]
     if split:
-        obj += [-v for v in obj]
-
-    rhs = [to_rational(b) for _, _, b in lp.constraints]
-    signs = [-1 if b < 0 else 1 for b in rhs]  # -1 if the row gets negated
-    rels = [
-        {"<=": ">=", ">=": "<=", "=": "="}[rel] if sign < 0 else rel
-        for (_, rel, _), sign in zip(lp.constraints, signs)
-    ]
-    nslack = sum(1 for rel in rels if rel != "=")
-    art_start = width + nslack
-    ncols = art_start + sum(1 for rel in rels if rel != "<=")
+        costs += [-v for v in costs]
+    costs += [zero] * m
 
     # one row per constraint, built once: shared zeros, nonzeros filled in
     rows: List[List] = []
-    basis: List[int] = []
-    slack, art = width, art_start
-    for (coeffs, _, _), rel, sign, b in zip(lp.constraints, rels, signs, rhs):
-        row = [zero] * (ncols + 1)
-        row[-1] = -b if sign < 0 else b
+    for i, (coeffs, b) in enumerate(lp.constraints):
+        row = [zero] * (width + m + 1)
+        row[-1] = to_rational(b)
         for j, v in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
             v = to_rational(v)
             if v:
-                if sign < 0:
-                    v = -v
                 row[j] = v
                 if split:
                     row[n + j] = -v
-        if rel != "=":
-            row[slack] = one if rel == "<=" else -one
-            slack += 1
-        if rel == "<=":
-            basis.append(slack - 1)
-        else:
-            row[art] = one
-            basis.append(art)
-            art += 1
+        row[width + i] = Fraction(1)
         rows.append(row)
-    ref_col = list(basis)  # column that started as the unit vector e_i, for the duals
+    basis = list(range(width, width + m))
 
-    if ncols > art_start:
-        costs1 = [zero] * art_start + [one] * (ncols - art_start)
-        status, objrow1, _ = _min_simplex(rows, basis, costs1, [True] * ncols)
-        if status != "optimal":  # the phase-1 objective is bounded below by 0
-            raise ExactnessError(f"phase 1 ended {status}")
-        if -objrow1[-1] > 0:
-            # Farkas: y_i = cost(e_i column) - its reduced cost; y.b > 0, y.A <= 0
-            farkas = [(costs1[c] - objrow1[c]) * s for c, s in zip(ref_col, signs)]
-            return LPSolution(status="infeasible", certificate=farkas)
-        # drive leftover artificials out of the basis
-        for r in range(len(basis) - 1, -1, -1):
-            if basis[r] >= art_start:
-                piv = next((j for j in range(art_start) if rows[r][j] != 0), None)
-                if piv is None:
-                    del rows[r]
-                    del basis[r]
-                else:
-                    dummy = [zero] * (ncols + 1)
-                    _pivot(rows, dummy, basis, r, piv)
-
-    costs2 = obj + [zero] * (ncols - width)
-    allowed2 = [True] * art_start + [False] * (ncols - art_start)
-    status, objrow2, enter = _min_simplex(rows, basis, costs2, allowed2)
-
+    status, objrow = _min_simplex(rows, basis, costs)
     if status == "unbounded":
-        if enter is None:
-            raise ExactnessError("unbounded phase 2 without an improving column")
-        direction = [zero] * ncols
-        direction[enter] = one
-        for r, b in enumerate(basis):
-            direction[b] = -rows[r][enter]
-        ray = _assemble(direction, n, split)
-        return LPSolution(status="unbounded", certificate=ray)
-
-    xs = [zero] * ncols
+        return LPSolution(status="unbounded")
+    xs = [zero] * (width + m)
     for r, b in enumerate(basis):
         xs[b] = rows[r][-1]
     del rows  # free the tableau before the answer is allocated
-    assignment = _assemble(xs, n, split)
-    value = -sense * objrow2[-1]
-    duals = [-sense * s * objrow2[c] for c, s in zip(ref_col, signs)]
-    return LPSolution(status="optimal", value=value, assignment=assignment, certificate=duals)
-
-
-def _assemble(xs: List, n: int, split: bool) -> List[Fraction]:
-    if split:
-        return [xs[j] - xs[n + j] for j in range(n)]
-    return xs[:n]
+    assignment = [xs[j] - xs[n + j] for j in range(n)] if split else xs[:n]
+    # the dual y_i is the reduced cost of slack i
+    return LPSolution("optimal", objrow[-1], assignment, objrow[width:-1])
 
 
 # -- structured route ----------------------------------------------------
@@ -334,9 +261,11 @@ class _CSRRows:
 
     @classmethod
     def from_maps(cls, rows: Sequence[SparseRow], ncols: int) -> "_CSRRows":
-        """The rows of {column: int or Fraction} maps, scaled to ints once."""
+        """The rows of {column: int or Fraction} maps, each column an int in 0..ncols-1, scaled to ints once."""
         import numpy as np
 
+        if not all(_is_int(j) and 0 <= j < ncols for row in rows for j in row):
+            raise ValueError(f"a sparse row's column is not an int in 0..{ncols - 1}")
         indptr = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum([len(row) for row in rows], out=indptr[1:])
         indices = np.array([j for row in rows for j in row], dtype=np.int64)
@@ -505,16 +434,14 @@ def _solve_exact(
     """Exact pivoting on the dual, max b.y subject to A^T y <= c, y >= 0.
 
     :func:`solve_lp` starts it from the slack basis, feasible because
-    c >= 0, so phase 1 does not run.  The dual's optimum y comes with
-    its certificate, which is an optimal x; an unbounded dual means an
-    infeasible primal.
+    c >= 0.  The dual's optimum y comes with its certificate, which is
+    an optimal x; an unbounded dual means an infeasible primal.
     """
     cols: List[dict] = [{} for _ in costs]
     for i, row in enumerate(rows):
         for j, a in row.items():
             cols[j][i] = a
-    constraints = [(col, "<=", c) for col, c in zip(cols, costs)]
-    sol = solve_lp(LinearProgram(len(rows), rhs, maximize=True, constraints=constraints, nonneg=True))
+    sol = solve_lp(LinearProgram(len(rows), rhs, list(zip(cols, costs)), nonneg=True))
     if sol.status == "unbounded":
         return "infeasible", None, [], []
     x = sol.certificate
@@ -545,9 +472,11 @@ def solve_min_nonneg(
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
+    n, m = len(costs), len(rows)
+    a = rows if isinstance(rows, _CSRRows) else _CSRRows.from_maps(rows, n)
     if costs:  # HiGHS rejects an LP without variables
-        n, m = len(costs), len(rows)
-        a = rows if isinstance(rows, _CSRRows) else _CSRRows.from_maps(rows, n)
         b, c = _scaled(rhs), _scaled(costs)
         status, got = _certified_guess(a, b, c)
         if status == 2:  # HiGHS status 2: infeasible

@@ -179,15 +179,17 @@ def decomposition_rows_fractions(
 def clique_bound_equality_lp(g: WeightedGraph) -> Fraction:
     """The clique bound as first stated: min sum ceil(k/2)*floor(k/2) z(K)
     over every clique K, singletons and edges included, subject to
-    sum_{K contains e} z(K) = w(e) for each edge e and z >= 0, solved by
-    exact two-phase pivoting on the equality rows."""
+    sum_{K contains e} z(K) = w(e) for each edge e and z >= 0, solved
+    exactly through its LP dual: max w.y over free y, one row
+    sum_{e in K} y(e) <= ceil(k/2)*floor(k/2) per clique K.  z on the
+    edges alone is feasible and the costs are >= 0, so both optima exist
+    and are equal."""
     cliques = enumerate_cliques(g)
     costs = [(popcount(k) + 1) // 2 * (popcount(k) // 2) for k in cliques]
-    constraints = [
-        ({j: 1 for j, k in enumerate(cliques) if (1 << u | 1 << v) & ~k == 0}, "=", w)
-        for u, v, w in g.edges
+    columns = [
+        {e: 1 for e, (u, v, _) in enumerate(g.edges) if (1 << u | 1 << v) & ~k == 0} for k in cliques
     ]
-    sol = solve_lp(LinearProgram(len(cliques), costs, False, constraints, nonneg=True))
-    if sol.status != "optimal":  # z on the edges alone is feasible
-        raise ValueError(f"clique equality LP ended {sol.status}")
+    sol = solve_lp(LinearProgram(len(g.edges), [w for _, _, w in g.edges], list(zip(columns, costs))))
+    if sol.status != "optimal":
+        raise ValueError(f"clique equality LP dual ended {sol.status}")
     return sol.value

@@ -178,14 +178,16 @@ def test_diff_warns_on_non_submodular():
 
 
 def global_formulation_value(psi):
-    """Independent sum-decomposition LP using four-set submodularity rows."""
+    """Independent sum-decomposition LP using four-set submodularity rows:
+    min phi1(V) subject to rows.phi1 >= rhs, phi1 >= 0, solved exactly
+    through its LP dual max rhs.y, rows^T y <= objective, y >= 0."""
     g = psi.ground
     n_vars = g.size - 1  # phi1(X) for X != 0
 
     def var(mask):
         return mask - 1
 
-    constraints = []
+    rows, rhs = [], []
     subsets = list(g.subsets())
 
     def phi1_coeffs(scaled):
@@ -201,21 +203,22 @@ def global_formulation_value(psi):
                 continue
             # phi1(x) + phi1(y) >= phi1(x|y) + phi1(x&y)
             row = phi1_coeffs([(x, F(1)), (y, F(1)), (x | y, F(-1)), (x & y, F(-1))])
-            constraints.append((row, ">=", F(0)))
+            rows.append(row)
+            rhs.append(F(0))
             # phi2 = psi - phi1 submodular: phi2(x)+phi2(y)-phi2(x|y)-phi2(x&y) >= 0
-            row2 = [-a for a in row]
-            rhs2 = -(psi(x) + psi(y) - psi(x | y) - psi(x & y))
-            constraints.append((row2, ">=", rhs2))
+            rows.append([-a for a in row])
+            rhs.append(-(psi(x) + psi(y) - psi(x | y) - psi(x & y)))
         # monotone phi1 and antitone phi2 via x vs x|{u}
         for u in range(g.n):
             if x >> u & 1:
                 continue
             xu = x | (1 << u)
             row = phi1_coeffs([(xu, F(1)), (x, F(-1))])
-            constraints.append((row, ">=", F(0)))
-            constraints.append((row, ">=", psi(xu) - psi(x)))
+            rows += [row, row]
+            rhs += [F(0), psi(xu) - psi(x)]
     objective = phi1_coeffs([(g.full_mask, F(1))])
-    lp = LinearProgram(n_vars, objective, maximize=False, constraints=constraints, nonneg=True)
+    columns = [[row[j] for row in rows] for j in range(n_vars)]
+    lp = LinearProgram(len(rows), rhs, list(zip(columns, objective)), nonneg=True)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     return sol.value

@@ -18,7 +18,7 @@ F = Fraction
 
 
 def test_bounded_max():
-    lp = LinearProgram(1, [F(1)], maximize=True, constraints=[([F(1)], "<=", F(3))], nonneg=True)
+    lp = LinearProgram(1, [F(1)], constraints=[([F(1)], F(3))], nonneg=True)
     sol = solve_lp(lp)
     assert sol.status == "optimal"
     assert sol.value == 3
@@ -28,37 +28,17 @@ def test_bounded_max():
 
 
 def test_unbounded_with_ray():
-    lp = LinearProgram(1, [F(1)], maximize=True, constraints=[([F(1)], ">=", F(0))], nonneg=True)
-    sol = solve_lp(lp)
-    assert sol.status == "unbounded"
-    ray = sol.certificate
-    # the ray is feasible for the homogenized constraints and improves the goal
-    assert ray[0] > 0
-
-
-def test_infeasible_with_farkas():
-    lp = LinearProgram(
-        1,
-        [F(0)],
-        maximize=False,
-        constraints=[([F(1)], "<=", F(-1))],
-        nonneg=True,
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "infeasible"
-    y = sol.certificate
-    # Farkas: y combines the rows into 0 >= y.A x while y.b > 0,
-    # so no nonnegative x can satisfy the system
-    assert y[0] * F(1) <= 0
-    assert y[0] * F(-1) > 0
+    # x0 - x1 <= 0 leaves x0 = x1 free to grow
+    lp = LinearProgram(2, [F(1), F(0)], constraints=[([F(1), F(-1)], F(0))], nonneg=True)
+    assert solve_lp(lp) == LPSolution(status="unbounded")
 
 
 @pytest.mark.parametrize(
     "lp, status",
     [
-        (LinearProgram(2, [1, "1/2"], True, [([1, 1], "<=", "3/2"), ({0: 2}, ">=", 1)], True), "optimal"),
-        (LinearProgram(1, [0], False, [([1], "<=", -1)], nonneg=True), "infeasible"),
-        (LinearProgram(2, ["-1/3", 0], False, [([1, -1], "=", 2)]), "unbounded"),
+        (LinearProgram(2, [1, "1/2"], [([1, 1], "3/2"), ({0: 2}, 1)], True), "optimal"),
+        (LinearProgram(2, ["-1/3", 0], [([1, -1], 2), ({0: -1}, "1/2")]), "optimal"),
+        (LinearProgram(2, ["1/3", 0], [([-1, 1], "2/3")]), "unbounded"),
     ],
 )
 def test_results_are_fractions_for_int_and_string_inputs(lp, status):
@@ -66,123 +46,93 @@ def test_results_are_fractions_for_int_and_string_inputs(lp, status):
     sol = solve_lp(lp)
     assert sol.status == status
     numbers = sol.assignment + sol.certificate + ([] if sol.value is None else [sol.value])
-    assert numbers and all(type(v) is F for v in numbers)
+    assert all(type(v) is F for v in numbers)
+    assert bool(numbers) == (status == "optimal")
 
 
 def test_equality_and_free_variables():
-    # min x + y s.t. x - y = 2, free variables
-    lp = LinearProgram(
-        2,
-        [F(1), F(1)],
-        maximize=False,
-        constraints=[([F(1), F(-1)], "=", F(2))],
-    )
+    # x = y as two rows with rhs 0, free variables: max x + y is unbounded
+    equal = [([F(1), F(-1)], F(0)), ([F(-1), F(1)], F(0))]
+    assert solve_lp(LinearProgram(2, [F(1), F(1)], equal)).status == "unbounded"
+    lp = LinearProgram(2, [F(1), F(1)], equal + [({0: F(1)}, F(3))])
     sol = solve_lp(lp)
-    # y can go to -inf together with x, objective x + y = 2 + 2y unbounded below
-    assert sol.status == "unbounded"
+    assert (sol.status, sol.value, sol.assignment) == ("optimal", 6, [F(3), F(3)])
+    verify_optimal(lp, sol)
+    # a free variable takes a negative value: max -x subject to x >= -3
+    lp = LinearProgram(1, [F(-1)], [([F(-1)], F(3))])
+    sol = solve_lp(lp)
+    assert (sol.status, sol.value, sol.assignment) == ("optimal", 3, [F(-3)])
+    verify_optimal(lp, sol)
 
 
 def test_degenerate_and_redundant_rows():
     lp = LinearProgram(
         2,
         [F(1), F(2)],
-        maximize=False,
         constraints=[
-            ([F(1), F(1)], ">=", F(1)),
-            ([F(2), F(2)], ">=", F(2)),  # redundant copy
-            ([F(1), F(0)], "<=", F(1)),
+            ([F(1), F(1)], F(1)),
+            ([F(1), F(1)], F(1)),  # duplicated row
+            ([F(-1), F(1)], F(0)),  # degenerate at the start: rhs 0
         ],
         nonneg=True,
     )
     sol = solve_lp(lp)
     assert sol.status == "optimal"
-    assert sol.value == 1
-    assert sol.assignment == [F(1), F(0)]
+    assert sol.value == F(3, 2)
+    assert sol.assignment == [F(1, 2), F(1, 2)]
+    verify_optimal(lp, sol)
 
 
 def verify_optimal(lp, sol):
+    """x is feasible and y >= 0 is dual feasible with b.y equal to the value."""
     assert sol.status == "optimal"
-    for (row, rel, rhs), y in zip(lp.constraints, sol.certificate):
-        lhs = sum(a * x for a, x in zip(row, sol.assignment))
-        if rel == "<=":
-            assert lhs <= rhs
-        elif rel == ">=":
-            assert lhs >= rhs
-        else:
-            assert lhs == rhs
+    x, y = sol.assignment, sol.certificate
+    assert not lp.nonneg or all(v >= 0 for v in x)
+    assert all(v >= 0 for v in y) and len(y) == len(lp.constraints)
+    dense = [
+        [row.get(j, 0) for j in range(lp.num_vars)] if isinstance(row, dict) else row
+        for row, _ in lp.constraints
+    ]
+    for row, (_, rhs) in zip(dense, lp.constraints):
+        assert sum(a * v for a, v in zip(row, x)) <= rhs
+    for j, c in enumerate(lp.objective):
+        col = sum(row[j] * v for row, v in zip(dense, y))
+        assert col >= c if lp.nonneg else col == c
     # strong duality: certificate value equals primal value
-    dual_value = sum(y * rhs for (_, _, rhs), y in zip(lp.constraints, sol.certificate))
-    assert dual_value == sol.value
+    assert sum(rhs * v for (_, rhs), v in zip(lp.constraints, y)) == sol.value
+    assert sum(c * v for c, v in zip(lp.objective, x)) == sol.value
 
 
 def test_random_lps_certificates(rng):
-    for _ in range(40):
+    statuses = set()
+    for _ in range(60):
         n = rng.randint(1, 4)
-        m = rng.randint(1, 5)
-        constraints = []
-        for _ in range(m):
-            row = [F(rng.randint(-3, 3)) for _ in range(n)]
-            rel = rng.choice(["<=", ">=", "="])
-            constraints.append((row, rel, F(rng.randint(-2, 4))))
-        lp = LinearProgram(
-            n,
-            [F(rng.randint(-3, 3)) for _ in range(n)],
-            maximize=rng.random() < 0.5,
-            constraints=constraints,
-            nonneg=True,
-        )
+        constraints = [
+            ([F(rng.randint(-3, 3)) for _ in range(n)], F(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        objective = [F(rng.randint(-3, 3)) for _ in range(n)]
+        lp = LinearProgram(n, objective, constraints, nonneg=rng.random() < 0.5)
         sol = solve_lp(lp)
+        statuses.add(sol.status)
         if sol.status == "optimal":
             verify_optimal(lp, sol)
-
-
-def test_structured_matches_generic(rng):
-    # min c.x, A x >= b, x >= 0 with c >= 0: the structured solver must agree
-    # with the generic tableau on status and optimal value
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        m = rng.randint(1, 5)
-        rows = [[F(rng.randint(-2, 3)) for _ in range(n)] for _ in range(m)]
-        rhs = [F(rng.randint(-2, 3)) for _ in range(m)]
-        costs = [F(rng.randint(0, 3)) for _ in range(n)]
-        sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
-        status, value, x, y = solve_min_nonneg(sparse, rhs, costs)
-        lp = LinearProgram(
-            n,
-            costs,
-            maximize=False,
-            constraints=[(row, ">=", b) for row, b in zip(rows, rhs)],
-            nonneg=True,
-        )
-        ref = solve_lp(lp)
-        assert status == ref.status
-        if status == "optimal":
-            assert value == ref.value
-            for row, b in zip(rows, rhs):
-                assert sum(a * xi for a, xi in zip(row, x)) >= b
-            assert all(xi >= 0 for xi in x)
-            # dual feasibility and strong duality
-            assert all(yi >= 0 for yi in y)
-            for j in range(n):
-                assert sum(rows[i][j] * y[i] for i in range(m)) <= costs[j]
-            assert sum(b * yi for b, yi in zip(rhs, y)) == value
+    assert statuses == {"optimal", "unbounded"}
 
 
 def test_validation_errors():
-    with pytest.raises(ValueError):
-        LinearProgram(2, [F(1)], maximize=True, constraints=[]).validate()
-    with pytest.raises(ValueError):
-        LinearProgram(
-            1, [F(1)], maximize=True, constraints=[([F(1), F(2)], "<=", F(0))]
-        ).validate()
-    with pytest.raises(ValueError):
-        LinearProgram(
-            1, [F(1)], maximize=True, constraints=[([F(1)], "<", F(0))]
-        ).validate()
-    with pytest.raises(ValueError):
-        LinearProgram(
-            2, [F(1), F(1)], maximize=True, constraints=[({0: F(1), 2: F(1)}, "<=", F(1))]
-        ).validate()
+    bad = [
+        LinearProgram(2, [F(1)], constraints=[]),
+        LinearProgram(1, [F(1)], constraints=[([F(1), F(2)], F(0))]),
+        LinearProgram(2, [F(1), F(1)], constraints=[({0: F(1), 2: F(1)}, F(1))]),
+        LinearProgram(2, [F(1), F(1)], constraints=[({True: F(1)}, F(1))]),  # a bool is not a column
+        LinearProgram(1, [F(1)], constraints=[([F(1)], "<=", F(1))]),  # a constraint is a (row, rhs) pair
+    ]
+    # x = 0 is feasible only when every rhs is nonnegative
+    bad += [LinearProgram(1, [F(1)], constraints=[([F(1)], rhs)]) for rhs in (-1, F(-1, 2), "-1/2")]
+    for lp in bad:
+        with pytest.raises(ValueError):
+            solve_lp(lp)
 
 
 def random_dense_lp(rng):
@@ -190,7 +140,7 @@ def random_dense_lp(rng):
     constraints = []
     for _ in range(rng.randint(0, 5)):
         row = [F(rng.randint(-3, 3)) if rng.random() < 0.6 else F(0) for _ in range(n)]
-        constraints.append((row, rng.choice(["<=", ">=", "="]), F(rng.randint(-2, 4))))
+        constraints.append((row, F(rng.randint(0, 4))))
     objective = [F(rng.randint(-3, 3)) for _ in range(n)]
     return n, objective, constraints
 
@@ -199,13 +149,13 @@ def test_sparse_rows_solve_like_dense_rows(rng):
     statuses = set()
     for _ in range(200):
         n, objective, constraints = random_dense_lp(rng)
-        sparse = [({j: a for j, a in enumerate(row) if a}, rel, b) for row, rel, b in constraints]
-        maximize, nonneg = rng.random() < 0.5, rng.random() < 0.5
-        dense_sol = solve_lp(LinearProgram(n, objective, maximize, constraints, nonneg))
-        sparse_sol = solve_lp(LinearProgram(n, objective, maximize, sparse, nonneg))
+        sparse = [({j: a for j, a in enumerate(row) if a}, b) for row, b in constraints]
+        nonneg = rng.random() < 0.5
+        dense_sol = solve_lp(LinearProgram(n, objective, constraints, nonneg))
+        sparse_sol = solve_lp(LinearProgram(n, objective, sparse, nonneg))
         assert sparse_sol == dense_sol
         statuses.add(dense_sol.status)
-    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert statuses == {"optimal", "unbounded"}
 
 
 def check_structured_optimum(rows, rhs, costs, value, x, y):
@@ -247,7 +197,7 @@ def reference_solve_exact(rows, rhs, costs):
         tab[j][m + j] = F(1)
     basis = [m + j for j in range(n)]
     costs_min = [-F(b) for b in rhs] + [F(0)] * n
-    status, objrow, _ = simplex._min_simplex(tab, basis, costs_min, [True] * (m + n))
+    status, objrow = simplex._min_simplex(tab, basis, costs_min)
     if status == "unbounded":
         return "infeasible", None, [], []
     x = [objrow[m + j] for j in range(n)]
@@ -379,6 +329,22 @@ def test_structured_infeasible():
 def test_structured_rejects_negative_costs():
     with pytest.raises(ValueError):
         solve_min_nonneg([{0: 1}], [F(1)], [F(-1)])
+
+
+@pytest.mark.parametrize(
+    "rows, rhs",
+    [
+        ([{True: 1}], [F(1)]),  # a bool is not a column index
+        ([{0.0: 1}], [F(1)]),
+        ([{5: 1}], [F(1)]),  # past the last of the 2 columns
+        ([{-1: 1}], [F(1)]),
+        ([{0: 1}, {1: 1}], [F(1)]),  # one rhs for two rows
+    ],
+    ids=["bool-key", "float-key", "past-last-column", "negative-key", "rhs-count"],
+)
+def test_structured_rejects_malformed_rows(rows, rhs):
+    with pytest.raises(ValueError):
+        solve_min_nonneg(rows, rhs, [F(1), F(1)])
 
 
 def fraction_certificate(rows, rhs, costs, x, y):
