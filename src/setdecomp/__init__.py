@@ -63,7 +63,7 @@ from .charges import (
     upper_charge,
     verify_lower_charge_maximality,
 )
-from .simplex import ExactnessError, LinearProgram, LPSolution, solve_lp, solve_min_nonneg
+from .simplex import ExactnessError, solve_min_nonneg
 from .decompose import (
     Decomposition,
     DecompositionError,

@@ -19,7 +19,6 @@ from typing import List, Sequence, Tuple
 
 from .core import (
     GroundSet,
-    RationalLike,
     SetFunction,
     _check_table,
     format_rational,
@@ -49,10 +48,6 @@ class Charge:
         # a float or bool raises TypeError
         object.__setattr__(self, "atoms", tuple(map(to_rational, self.atoms)))
 
-    @classmethod
-    def of(cls, ground: GroundSet, atoms: Sequence[RationalLike]) -> "Charge":
-        return cls(ground, atoms)
-
     def __call__(self, mask: int) -> Fraction:
         self.ground.check_mask(mask)
         total = Fraction(0)
@@ -70,7 +65,7 @@ class Charge:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Charge":
-        return cls.of(GroundSet(d["n"]), d["atoms"])
+        return cls(GroundSet(d["n"]), d["atoms"])
 
 
 def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False) -> None:
@@ -169,23 +164,24 @@ def double_dual(f: SetFunction) -> SetFunction:
 def verify_lower_charge_maximality(f: SetFunction) -> bool:
     """LP oracle for the lower charge.
 
-    Maximizes the total of a charge subject to a(J) - a(X) <= f(J) - f(X)
-    for every X (the exact condition for f - a to stay increasing), then
-    compares optimum and optimizer against the closed form.
+    The largest charge a with f - a increasing maximizes a(J) subject to
+    a(J) - a(X) = a(J \\ X) <= f(J) - f(X) for every X.  Its row
+    X = J \\ x caps a(x) at f(J) - f(J \\ x), which is >= 0 because f is
+    increasing, so restricting the LP to a >= 0 keeps its optimum.  That
+    restricted LP is the dual of the covering LP min sum_X (f(J) - f(X)) z_X
+    subject to sum_{X not containing x} z_X >= 1 for each x, z >= 0, whose
+    costs are >= 0; exact pivoting solves it, and its optimal dual, the
+    charge, is compared with the closed form.
     """
-    from .simplex import LinearProgram, solve_lp
+    from .simplex import _solve_exact
 
     _require(f, nonneg=True, submodular=True, increasing=True)
     n = f.ground.n
     full = f.ground.full_mask
     f_j = f.values[full]
-    # a(J) - a(X) = a(J \ X); f(J) - f(X) >= 0 since f is increasing
-    constraints = [
-        ([Fraction(0) if x >> i & 1 else Fraction(1) for i in range(n)], f_j - f.values[x])
-        for x in f.ground.subsets()
-    ]
-    sol = solve_lp(LinearProgram(num_vars=n, objective=[Fraction(1)] * n, constraints=constraints))
-    if sol.status != "optimal":
-        return False
+    rows = [{x: 1 for x in f.ground.subsets() if not x >> i & 1} for i in range(n)]
+    costs = [f_j - v for v in f.values]
+    # z_X = 1 for X empty is feasible, so the LP has an optimum
+    _, value, _, atoms = _solve_exact(rows, [1] * n, costs)
     expected = _lower_charge(f)
-    return sol.value == expected(full) and tuple(sol.assignment) == expected.atoms
+    return value == expected(full) and tuple(atoms) == expected.atoms

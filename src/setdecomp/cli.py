@@ -34,6 +34,7 @@ from . import coverage as cov
 from . import decompose as dc
 from . import graphs as gr
 from .core import (
+    MAX_GROUND,
     GroundSet,
     Partition,
     PartitionError,
@@ -102,6 +103,11 @@ def _parse_payload(raw: bytes, path: str):
     )
 
 
+def _ground_size(kind: str, obj) -> int:
+    """n of the input's function, read before a graph's 2^n cut table is built."""
+    return obj.ground.n if kind == "function" else max(obj.n, 1)  # no vertices: n = 1
+
+
 def _require_size(n: int, cap: int, what: str, hint: str = "") -> None:
     if n > cap:
         raise CliError(f"{what} refused at n={n} (cap {cap}){hint}", EXIT_SIZE)
@@ -144,7 +150,6 @@ def _alternating_profile(found: list) -> list:
 def cmd_check(args) -> int:
     raw = _read_input(args.input)
     kind, obj = _parse_payload(raw, args.input)
-    f = obj if kind == "function" else gr.cut_function(obj)
     if args.max_n > CHECK_MAX_N and not args.ack:
         raise CliError(
             f"--max-n {args.max_n} exceeds the default cap {CHECK_MAX_N}; "
@@ -152,9 +157,10 @@ def cmd_check(args) -> int:
             EXIT_SIZE,
         )
     _require_size(
-        f.ground.n, args.max_n, "property battery",
+        _ground_size(kind, obj), args.max_n, "property battery",
         "; raise --max-n if you accept the exponential cost",
     )
+    f = obj if kind == "function" else gr.cut_function(obj)
 
     report = _provenance(raw)
     report["n"] = f.ground.n
@@ -201,8 +207,8 @@ def cmd_decompose(args) -> int:
         raise CliError(f"--c applies only to --kind sum or diff, not {args.kind}", EXIT_PARSE)
     raw = _read_input(args.input)
     kind, obj = _parse_payload(raw, args.input)
+    _require_size(_ground_size(kind, obj), dc.LP_MAX_N, "decomposition")
     f = obj if kind == "function" else gr.cut_function(obj)
-    _require_size(f.ground.n, dc.LP_MAX_N, "decomposition")
 
     report = _provenance(raw)
     report["kind"] = args.kind
@@ -403,8 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common], help="run the property battery on an input")
     p.add_argument("input")
-    p.add_argument("--max-n", type=int, dest="max_n", default=CHECK_MAX_N,
-                   help=f"ground-size cap (default {CHECK_MAX_N})")
+    p.add_argument("--max-n", type=int, choices=range(1, MAX_GROUND + 1), metavar="N",
+                   dest="max_n", default=CHECK_MAX_N,
+                   help=f"ground-size cap, 1..{MAX_GROUND} (default {CHECK_MAX_N})")
     p.add_argument("--i-know-this-is-exponential", action="store_true", dest="ack",
                    help=f"confirm raising --max-n past {CHECK_MAX_N}")
     p.set_defaults(func=cmd_check)

@@ -133,11 +133,6 @@ class GroundSet:
     def nonempty_subsets(self) -> Iterator[int]:
         return iter(range(1, 1 << self.n))
 
-    def elements(self, mask: int) -> Iterator[int]:
-        for i in range(self.n):
-            if mask >> i & 1:
-                yield i
-
     def check_mask(self, mask: int) -> int:
         if not _is_int(mask) or mask < 0 or mask > self.full_mask:
             raise GroundSetError(f"invalid subset mask {mask!r} for ground set of size {self.n}")

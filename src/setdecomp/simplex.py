@@ -1,41 +1,37 @@
 """Exact rational linear programming.
 
-:func:`solve_lp` is the one exact simplex: it maximizes c.x subject to
-A x <= b with b >= 0, over free or nonnegative variables and dense or
-sparse constraint rows, on a tableau of exact rationals that starts from
-the feasible slack basis (Dantzig pricing, then Bland's rule against
-cycling).  It returns status ("optimal" or "unbounded"), optimum,
-assignment and, for an optimum, the dual vector that certifies it.
+:func:`solve_min_nonneg` solves every LP the library poses: min c.x
+subject to A x >= b, x >= 0, with c >= 0 and A given as sparse rows
+(decompositions, triangle cover, clique bound).  It holds A in CSR form
+as int arrays over one common denominator, scales b and c to ints once,
+and climbs one ladder: HiGHS (reached through ``_highs``) solves the LP
+in floating point, its guess is rounded to scaled ints, and the
+primal/dual pair is trusted only after an exact certificate passes
+(primal and dual feasibility, equal objectives), one pass over the
+arrays, in int64 when a bound on every sum and product fits and on
+Python ints otherwise; an LP that HiGHS reports infeasible is certified
+infeasible through its elastic relaxation.
 
-:func:`solve_min_nonneg` is the route for the structured LPs
-(decompositions, triangle cover, clique bound): min c.x, A x >= b, x >= 0
-with c >= 0 and A given as sparse rows.  It holds A in CSR form as int
-arrays over one common denominator, scales b and c to ints once, and
-climbs one ladder: HiGHS (reached through ``_highs``) solves the LP in
-floating point, its guess is rounded to scaled ints, and the primal/dual
-pair is trusted only after an exact certificate passes (primal and dual
-feasibility, equal objectives), one pass over the arrays, in int64 when a
-bound on every sum and product fits and on Python ints otherwise; an LP
-that HiGHS reports infeasible is certified infeasible through its elastic
-relaxation; when neither certifies, :func:`solve_lp` pivots the dual LP
-max b.y, A^T y <= c, y >= 0, whose slack basis is feasible because
-c >= 0: the dual simplex method on the primal (Lemke 1954).
-
-Every pivot runs on ``Fraction`` and clears the pivot column from the
-constraint rows and the objective row in one pass, so the value,
-assignment and duals come straight out of the tableau.
+When neither certifies, :func:`_solve_exact` is the one exact simplex.
+It pivots the dual LP max b.y, A^T y <= c, y >= 0 on a tableau of
+``Fraction`` entries, starting from its slack basis, which is feasible
+because c >= 0: the dual simplex method on the primal (Lemke 1954).
+Pricing is Dantzig's, then Bland's rule against cycling.  Every pivot
+clears the pivot column from the constraint rows and the objective row
+in one pass, so the value, the primal x and the duals y come straight
+out of the tableau.  The lower-charge oracle in ``charges`` calls it
+directly on a small covering LP of the same form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
 from operator import mul
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, Optional, Sequence, Tuple
 
-from .core import RationalLike, _fractions, _is_int, scale_to_ints, to_rational
+from .core import _fractions, _is_int, scale_to_ints, to_rational
 
 # Dantzig pricing until this many iterations, then Bland (guarantees
 # termination); both deterministic.
@@ -44,53 +40,6 @@ _BLAND_SWITCH = 20000
 
 class ExactnessError(RuntimeError):
     """An exactness check on a computed result failed; the result is not trusted."""
-
-
-@dataclass
-class LinearProgram:
-    """Exact-rational LP: max objective.x subject to row.x <= rhs for each
-    (row, rhs) pair in constraints, every rhs >= 0.  Variables are free
-    unless nonneg is set.
-
-    Each row is a dense sequence of num_vars coefficients or a sparse
-    {column: coefficient} map; columns a map leaves out are 0.  Since
-    every rhs is nonnegative, x = 0 is feasible.
-    """
-
-    num_vars: int
-    objective: Sequence[RationalLike]
-    constraints: List[Tuple[Union[Sequence[RationalLike], Mapping[int, RationalLike]], RationalLike]]
-    nonneg: bool = False
-
-    def validate(self) -> None:
-        if len(self.objective) != self.num_vars:
-            raise ValueError("objective length does not match variable count")
-        for constraint in self.constraints:
-            if len(constraint) != 2:
-                raise ValueError(f"a constraint is a (row, rhs) pair, got {constraint!r}")
-            row, rhs = constraint
-            if isinstance(row, Mapping):
-                if not all(_is_int(j) and 0 <= j < self.num_vars for j in row):
-                    raise ValueError("sparse constraint column out of range")
-            elif len(row) != self.num_vars:
-                raise ValueError("constraint row length does not match variable count")
-            if to_rational(rhs) < 0:
-                raise ValueError(f"constraint right-hand side {rhs!r} is negative")
-
-
-@dataclass
-class LPSolution:
-    """status is "optimal" or "unbounded".
-
-    For an optimum, certificate holds one dual multiplier per constraint,
-    y >= 0 with A^T y >= objective (equal on free variables) and
-    rhs.y = value, which proves the optimum; an unbounded LP has none.
-    """
-
-    status: str
-    value: Optional[Fraction] = None
-    assignment: List[Fraction] = field(default_factory=list)
-    certificate: List[Fraction] = field(default_factory=list)
 
 
 def _pivot(rows: List[List], objrow: List, basis: List[int], r: int, j: int) -> None:
@@ -138,47 +87,43 @@ def _min_simplex(rows: List[List], basis: List[int], costs: List) -> Tuple[str, 
         _pivot(rows, objrow, basis, leave, enter)
 
 
-def solve_lp(lp: LinearProgram) -> LPSolution:
-    """Exact simplex from the slack basis, feasible because every rhs >= 0.
+def _solve_exact(
+    rows: Sequence[SparseRow],
+    rhs: Sequence[Rational],
+    costs: Sequence[Rational],
+) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
+    """Exact pivoting on the dual, max b.y subject to A^T y <= c, y >= 0.
 
-    Tableau columns: the variables, their negated copies when free, and
-    one slack per row, in row order; it minimizes -objective.x.
+    The tableau has one row per primal variable j: column j of A across
+    the m dual columns, then n slack columns, then c_j >= 0 as the rhs,
+    so the slack basis is feasible.  It minimizes -b.y.  At an optimum,
+    the reduced costs of the slacks are an optimal x; an unbounded dual
+    means an infeasible primal.  Ints and strings are read as Fractions.
     """
-    lp.validate()
-    n, m = lp.num_vars, len(lp.constraints)
-    split = not lp.nonneg  # a free variable is the difference of two nonnegative ones
-    width = 2 * n if split else n
+    costs = list(map(to_rational, costs))
+    n, m = len(costs), len(rows)
     zero = Fraction(0)
-    costs = [-to_rational(v) for v in lp.objective]
-    if split:
-        costs += [-v for v in costs]
-    costs += [zero] * m
+    tab = [[zero] * (m + n) + [c] for c in costs]
+    for i, row in enumerate(rows):
+        for j, a in row.items():
+            a = to_rational(a)
+            if a:
+                tab[j][i] = a
+    for j in range(n):
+        tab[j][m + j] = Fraction(1)
+    basis = list(range(m, m + n))
 
-    # one row per constraint, built once: shared zeros, nonzeros filled in
-    rows: List[List] = []
-    for i, (coeffs, b) in enumerate(lp.constraints):
-        row = [zero] * (width + m + 1)
-        row[-1] = to_rational(b)
-        for j, v in coeffs.items() if isinstance(coeffs, Mapping) else enumerate(coeffs):
-            v = to_rational(v)
-            if v:
-                row[j] = v
-                if split:
-                    row[n + j] = -v
-        row[width + i] = Fraction(1)
-        rows.append(row)
-    basis = list(range(width, width + m))
-
-    status, objrow = _min_simplex(rows, basis, costs)
+    status, objrow = _min_simplex(tab, basis, [-to_rational(b) for b in rhs] + [zero] * n)
     if status == "unbounded":
-        return LPSolution(status="unbounded")
-    xs = [zero] * (width + m)
+        return "infeasible", None, [], []
+    y = [zero] * (m + n)
     for r, b in enumerate(basis):
-        xs[b] = rows[r][-1]
-    del rows  # free the tableau before the answer is allocated
-    assignment = [xs[j] - xs[n + j] for j in range(n)] if split else xs[:n]
-    # the dual y_i is the reduced cost of slack i
-    return LPSolution("optimal", objrow[-1], assignment, objrow[width:-1])
+        y[b] = tab[r][-1]
+    del tab  # free the tableau before the answer is checked
+    value, x = objrow[-1], objrow[m:-1]
+    if sum(map(mul, costs, x)) != value:
+        raise ExactnessError("strong duality does not close on the exact pivot")
+    return "optimal", value, x, y[:m]
 
 
 # -- structured route ----------------------------------------------------
@@ -424,30 +369,6 @@ def _fraction_list(scaled: Scaled) -> List[Fraction]:
     distinct = set(nums)
     exact = dict(zip(distinct, _fractions(den, distinct)))
     return [exact[v] for v in nums]
-
-
-def _solve_exact(
-    rows: Sequence[SparseRow],
-    rhs: Sequence[Rational],
-    costs: Sequence[Rational],
-) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
-    """Exact pivoting on the dual, max b.y subject to A^T y <= c, y >= 0.
-
-    :func:`solve_lp` starts it from the slack basis, feasible because
-    c >= 0.  The dual's optimum y comes with its certificate, which is
-    an optimal x; an unbounded dual means an infeasible primal.
-    """
-    cols: List[dict] = [{} for _ in costs]
-    for i, row in enumerate(rows):
-        for j, a in row.items():
-            cols[j][i] = a
-    sol = solve_lp(LinearProgram(len(rows), rhs, list(zip(cols, costs)), nonneg=True))
-    if sol.status == "unbounded":
-        return "infeasible", None, [], []
-    x = sol.certificate
-    if sum(ci * xi for ci, xi in zip(costs, x)) != sol.value:
-        raise ExactnessError("strong duality does not close on the exact pivot")
-    return "optimal", sol.value, x, sol.assignment
 
 
 def solve_min_nonneg(

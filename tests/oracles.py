@@ -13,7 +13,6 @@ from setdecomp import (
     CoverageCoefficients,
     EnumerationLimitError,
     GroundSet,
-    LinearProgram,
     NotNormalizedError,
     SetFunction,
     WeightedGraph,
@@ -21,8 +20,8 @@ from setdecomp import (
     enumerate_cliques,
     norm_inf,
     popcount,
-    solve_lp,
 )
+from setdecomp import simplex
 
 
 # -- alternating sums ----------------------------------------------------
@@ -179,17 +178,35 @@ def decomposition_rows_fractions(
 def clique_bound_equality_lp(g: WeightedGraph) -> Fraction:
     """The clique bound as first stated: min sum ceil(k/2)*floor(k/2) z(K)
     over every clique K, singletons and edges included, subject to
-    sum_{K contains e} z(K) = w(e) for each edge e and z >= 0, solved
-    exactly through its LP dual: max w.y over free y, one row
-    sum_{e in K} y(e) <= ceil(k/2)*floor(k/2) per clique K.  z on the
-    edges alone is feasible and the costs are >= 0, so both optima exist
-    and are equal."""
+    sum_{K contains e} z(K) = w(e) for each edge e and z >= 0, each
+    equality written as two >= rows and solved by exact pivoting.  z on
+    the edges alone is feasible and the costs are >= 0, so the optimum
+    exists."""
     cliques = enumerate_cliques(g)
     costs = [(popcount(k) + 1) // 2 * (popcount(k) // 2) for k in cliques]
-    columns = [
-        {e: 1 for e, (u, v, _) in enumerate(g.edges) if (1 << u | 1 << v) & ~k == 0} for k in cliques
-    ]
-    sol = solve_lp(LinearProgram(len(g.edges), [w for _, _, w in g.edges], list(zip(columns, costs))))
-    if sol.status != "optimal":
-        raise ValueError(f"clique equality LP dual ended {sol.status}")
-    return sol.value
+    rows, rhs = [], []
+    for u, v, w in g.edges:
+        row = {c: 1 for c, k in enumerate(cliques) if (1 << u | 1 << v) & ~k == 0}
+        rows += [row, {c: -1 for c in row}]
+        rhs += [w, -w]
+    status, value, _, _ = simplex._solve_exact(rows, rhs, costs)
+    if status != "optimal":
+        raise ValueError(f"clique equality LP ended {status}")
+    return value
+
+
+def free_charge_lp(f: SetFunction) -> Tuple[Fraction, Tuple[Fraction, ...]]:
+    """The lower charge's LP over free atoms, as first stated: max a(J)
+    subject to a(J \\ X) <= f(J) - f(X) for every X, with a = a+ - a-
+    split into nonnegative columns.  It is the dual that exact pivoting
+    solves for the LP min sum_X (f(J) - f(X)) z_X subject to
+    sum_{X not containing x} z_X >= 1 and -sum_{X not containing x} z_X >= -1
+    for each x, z >= 0.  Returns the optimum and the atoms a+ - a-."""
+    n, full = f.ground.n, f.ground.full_mask
+    rows = [{x: 1 for x in f.ground.subsets() if not x >> i & 1} for i in range(n)]
+    rows += [{x: -1 for x in row} for row in rows]
+    costs = [f.values[full] - v for v in f.values]
+    status, value, _, split = simplex._solve_exact(rows, [1] * n + [-1] * n, costs)
+    if status != "optimal":
+        raise ValueError(f"free charge LP ended {status}")
+    return value, tuple(p - q for p, q in zip(split, split[n:]))

@@ -19,8 +19,9 @@ from setdecomp import (
     upper_charge,
     verify_lower_charge_maximality,
 )
-from setdecomp import charges
+from setdecomp import charges, simplex
 from conftest import random_coverage, random_nonneg_charge, random_set_function
+from oracles import free_charge_lp
 
 
 def majorizes(charge, f):
@@ -105,6 +106,40 @@ def test_lower_charge_maximality(rng):
         assert verify_lower_charge_maximality(f)
 
 
+def random_increasing_submodular(rng, n):
+    """A coverage function plus a budget-additive one, min(w(X), cap)."""
+    w = [Fraction(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(n)]
+    cap = Fraction(rng.randint(1, 6))
+    budget = [min(sum(w[i] for i in range(n) if m >> i & 1), cap) for m in range(1 << n)]
+    return random_coverage(rng, n) + SetFunction(GroundSet(n), budget)
+
+
+def test_lower_charge_oracle_matches_the_free_charge_lp(rng, monkeypatch):
+    tables = [random_increasing_submodular(rng, n) for n in range(1, 7) for _ in range(4)]
+    expected = [free_charge_lp(f) for f in tables]
+    solved = []
+    real = simplex._solve_exact
+    monkeypatch.setattr(simplex, "_solve_exact", lambda *args: solved.append(real(*args)) or solved[-1])
+    for f, (value, atoms) in zip(tables, expected):
+        del solved[:]
+        assert verify_lower_charge_maximality(f)
+        [(status, got_value, _, got_atoms)] = solved
+        assert (status, got_value, tuple(got_atoms)) == ("optimal", value, atoms)
+        assert atoms == lower_charge(f).atoms
+
+
+def test_lower_charge_oracle_refuses_a_spoiled_charge(rng, monkeypatch):
+    f = random_increasing_submodular(rng, 4)
+    real = charges._lower_charge
+
+    def spoiled(g):
+        c = real(g)
+        return Charge(c.ground, (c.atoms[0] + Fraction(1, 7),) + c.atoms[1:])
+
+    monkeypatch.setattr(charges, "_lower_charge", spoiled)
+    assert not verify_lower_charge_maximality(f)
+
+
 def test_preconditions():
     g = GroundSet(2)
     not_norm = SetFunction(g, (1, 1, 1, 1))
@@ -125,17 +160,17 @@ def test_preconditions():
             op(dropping)
     f = SetFunction(g, (0, 1, 1, 2))
     with pytest.raises(PreconditionError, match=r"requires f <= eta; violated at mask 2$"):
-        dual_wrt(f, Charge.of(g, [1, Fraction(1, 2)]))
+        dual_wrt(f, Charge(g, [1, Fraction(1, 2)]))
     with pytest.raises(PreconditionError, match="different ground set"):
-        dual_wrt(f, Charge.of(GroundSet(3), [1, 1, 1]))
+        dual_wrt(f, Charge(GroundSet(3), [1, 1, 1]))
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: Charge.of(GroundSet(3), "123"),
-        lambda: Charge.of(GroundSet(3), b"123"),
-        lambda: Charge.of(GroundSet(3), {0: 5, 1: 5, 2: 5}),
+        lambda: Charge(GroundSet(3), "123"),
+        lambda: Charge(GroundSet(3), b"123"),
+        lambda: Charge(GroundSet(3), {0: 5, 1: 5, 2: 5}),
         lambda: Charge.from_json_dict({"n": 3, "atoms": "123"}),
     ],
     ids=["str", "bytes", "mapping", "json-str"],

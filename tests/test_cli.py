@@ -221,6 +221,31 @@ def test_size_refusal_and_ack(capsys, tmp_path):
     assert report["n"] == 9
 
 
+@pytest.mark.parametrize(
+    "argv, n, message",
+    [
+        (["check"], 16, "property battery refused at n=16 (cap 8); raise --max-n if you accept the exponential cost"),
+        (["decompose"], 11, "decomposition refused at n=11 (cap 10)"),
+    ],
+    ids=["check", "decompose"],
+)
+def test_refused_graph_builds_no_cut_table(capsys, tmp_path, monkeypatch, argv, n, message):
+    from setdecomp import graphs
+
+    path = write_json(tmp_path / "g.json", complete(n).to_json_dict())
+    calls = []
+    real = graphs.cut_function
+    monkeypatch.setattr(graphs, "cut_function", lambda g: calls.append(g) or real(g))
+    assert main([*argv, path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("max_n", ["0", "-1", "17"])
+def test_check_max_n_outside_the_input_cap_is_a_usage_error(capsys, triangle_path, max_n):
+    expect_usage_error(capsys, ["check", triangle_path, "--max-n", max_n, "--i-know-this-is-exponential"])
+
+
 def test_check_reports_every_level_at_n9(capsys, tmp_path):
     # 6-alternating but not 7-alternating: every level up to n = 9 is
     # decided and the first violation sits at k = 7

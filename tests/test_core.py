@@ -129,7 +129,7 @@ def test_bool_masks_are_refused():
     f = SetFunction(g, (0, 1, 1, 2))
     for call in (
         lambda mask: f(mask),
-        lambda mask: Charge.of(g, [1, 1])(mask),
+        lambda mask: Charge(g, [1, 1])(mask),
         lambda mask: is_modular_on_pair(f, mask, 0),
         lambda mask: is_modular_on_pair(f, 0, mask),
     ):

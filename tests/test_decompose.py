@@ -29,7 +29,7 @@ from setdecomp.graphs import (
     cut_function,
 )
 from setdecomp import WeightedGraph, decompose, graphs, simplex
-from setdecomp.simplex import ExactnessError, LinearProgram, solve_lp
+from setdecomp.simplex import ExactnessError
 from conftest import (
     random_coverage,
     random_set_function,
@@ -179,8 +179,8 @@ def test_diff_warns_on_non_submodular():
 
 def global_formulation_value(psi):
     """Independent sum-decomposition LP using four-set submodularity rows:
-    min phi1(V) subject to rows.phi1 >= rhs, phi1 >= 0, solved exactly
-    through its LP dual max rhs.y, rows^T y <= objective, y >= 0."""
+    min phi1(V) subject to rows.phi1 >= rhs, phi1 >= 0, solved by exact
+    pivoting."""
     g = psi.ground
     n_vars = g.size - 1  # phi1(X) for X != 0
 
@@ -217,11 +217,10 @@ def global_formulation_value(psi):
             rows += [row, row]
             rhs += [F(0), psi(xu) - psi(x)]
     objective = phi1_coeffs([(g.full_mask, F(1))])
-    columns = [[row[j] for row in rows] for j in range(n_vars)]
-    lp = LinearProgram(len(rows), rhs, list(zip(columns, objective)), nonneg=True)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    return sol.value
+    sparse = [{j: a for j, a in enumerate(row) if a} for row in rows]
+    status, value, _, _ = simplex._solve_exact(sparse, rhs, objective)
+    assert status == "optimal"
+    return value
 
 
 def test_sum_matches_global_formulation(rng):

@@ -186,7 +186,7 @@ def test_charges_match_closed_forms(f, extra):
     eta = [s + abs(e) for s, e in zip(singles, extra)]
     eta_table = charge_table(eta, n)
     dual = [vals[full ^ x] + eta_table[x] - vals[full] for x in range(1 << n)]
-    assert list(dual_wrt(f, Charge.of(f.ground, eta)).values) == dual
+    assert list(dual_wrt(f, Charge(f.ground, eta)).values) == dual
     assert list(upper_charge(f).as_set_function().values) == charge_table(singles, n)
 
 

@@ -7,155 +7,64 @@ import scipy.optimize
 
 from conftest import spy_certificate_dtypes, spy_exact
 from setdecomp import simplex
-from setdecomp.simplex import (
-    LinearProgram,
-    LPSolution,
-    solve_lp,
-    solve_min_nonneg,
-)
+from setdecomp.simplex import solve_min_nonneg
 
 F = Fraction
 
 
 def test_bounded_max():
-    lp = LinearProgram(1, [F(1)], constraints=[([F(1)], F(3))], nonneg=True)
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == 3
-    assert sol.assignment == [F(3)]
-    # dual certificate: y = 1, y * 3 = 3 matches the primal optimum
-    assert sol.certificate == [F(1)]
+    # min 3 x subject to x >= 1; its dual max y subject to y <= 3
+    status, value, x, y = simplex._solve_exact([{0: F(1)}], [F(1)], [F(3)])
+    assert (status, value, x) == ("optimal", 3, [F(1)])
+    # the dual optimum y = 3 certifies the primal optimum 3 * 1
+    assert y == [F(3)]
 
 
 def test_unbounded_with_ray():
-    # x0 - x1 <= 0 leaves x0 = x1 free to grow
-    lp = LinearProgram(2, [F(1), F(0)], constraints=[([F(1), F(-1)], F(0))], nonneg=True)
-    assert solve_lp(lp) == LPSolution(status="unbounded")
+    # x >= 1 and -x >= 0 leave no x; the dual max y0 subject to y0 - y1 <= 0
+    # grows without bound along y0 = y1
+    assert simplex._solve_exact([{0: 1}, {0: -1}], [1, 0], [0]) == ("infeasible", None, [], [])
 
 
 @pytest.mark.parametrize(
     "lp, status",
     [
-        (LinearProgram(2, [1, "1/2"], [([1, 1], "3/2"), ({0: 2}, 1)], True), "optimal"),
-        (LinearProgram(2, ["-1/3", 0], [([1, -1], 2), ({0: -1}, "1/2")]), "optimal"),
-        (LinearProgram(2, ["1/3", 0], [([-1, 1], "2/3")]), "unbounded"),
+        (([{0: 1, 1: 2}, {0: 1}], [1, F(1, 2)], [F(3, 2), 1]), "optimal"),
+        (([{0: 1, 1: -1}, {1: 1}], ["1/3", 1], [2, "1/2"]), "optimal"),
+        (([{0: -1}], ["1/3"], ["2/3"]), "infeasible"),
     ],
 )
 def test_results_are_fractions_for_int_and_string_inputs(lp, status):
-    # the tableau holds Fractions only, so no result needs a converting copy
-    sol = solve_lp(lp)
-    assert sol.status == status
-    numbers = sol.assignment + sol.certificate + ([] if sol.value is None else [sol.value])
+    # ints, Fractions and strings are read as Fractions, so every result is one
+    got_status, value, x, y = simplex._solve_exact(*lp)
+    assert got_status == status
+    numbers = x + y + ([] if value is None else [value])
     assert all(type(v) is F for v in numbers)
     assert bool(numbers) == (status == "optimal")
 
 
-def test_equality_and_free_variables():
-    # x = y as two rows with rhs 0, free variables: max x + y is unbounded
-    equal = [([F(1), F(-1)], F(0)), ([F(-1), F(1)], F(0))]
-    assert solve_lp(LinearProgram(2, [F(1), F(1)], equal)).status == "unbounded"
-    lp = LinearProgram(2, [F(1), F(1)], equal + [({0: F(1)}, F(3))])
-    sol = solve_lp(lp)
-    assert (sol.status, sol.value, sol.assignment) == ("optimal", 6, [F(3), F(3)])
-    verify_optimal(lp, sol)
-    # a free variable takes a negative value: max -x subject to x >= -3
-    lp = LinearProgram(1, [F(-1)], [([F(-1)], F(3))])
-    sol = solve_lp(lp)
-    assert (sol.status, sol.value, sol.assignment) == ("optimal", 3, [F(-3)])
-    verify_optimal(lp, sol)
-
-
 def test_degenerate_and_redundant_rows():
-    lp = LinearProgram(
-        2,
-        [F(1), F(2)],
-        constraints=[
-            ([F(1), F(1)], F(1)),
-            ([F(1), F(1)], F(1)),  # duplicated row
-            ([F(-1), F(1)], F(0)),  # degenerate at the start: rhs 0
-        ],
-        nonneg=True,
-    )
-    sol = solve_lp(lp)
-    assert sol.status == "optimal"
-    assert sol.value == F(3, 2)
-    assert sol.assignment == [F(1, 2), F(1, 2)]
-    verify_optimal(lp, sol)
-
-
-def verify_optimal(lp, sol):
-    """x is feasible and y >= 0 is dual feasible with b.y equal to the value."""
-    assert sol.status == "optimal"
-    x, y = sol.assignment, sol.certificate
-    assert not lp.nonneg or all(v >= 0 for v in x)
-    assert all(v >= 0 for v in y) and len(y) == len(lp.constraints)
-    dense = [
-        [row.get(j, 0) for j in range(lp.num_vars)] if isinstance(row, dict) else row
-        for row, _ in lp.constraints
-    ]
-    for row, (_, rhs) in zip(dense, lp.constraints):
-        assert sum(a * v for a, v in zip(row, x)) <= rhs
-    for j, c in enumerate(lp.objective):
-        col = sum(row[j] * v for row, v in zip(dense, y))
-        assert col >= c if lp.nonneg else col == c
-    # strong duality: certificate value equals primal value
-    assert sum(rhs * v for (_, rhs), v in zip(lp.constraints, y)) == sol.value
-    assert sum(c * v for c, v in zip(lp.objective, x)) == sol.value
+    # the dual max y0 + 2 y1 subject to y0 + y1 <= 1 twice (x0 and x1 have
+    # equal columns) and y1 - y0 <= 0, whose tableau row has rhs 0
+    rows = [{0: F(1), 1: F(1), 2: F(-1)}, {0: F(1), 1: F(1), 2: F(1)}]
+    rhs, costs = [F(1), F(2)], [F(1), F(1), F(0)]
+    status, value, x, y = simplex._solve_exact(rows, rhs, costs)
+    assert (status, value, y) == ("optimal", F(3, 2), [F(1, 2), F(1, 2)])
+    check_structured_optimum(rows, rhs, costs, value, x, y)
 
 
 def test_random_lps_certificates(rng):
     statuses = set()
     for _ in range(60):
         n = rng.randint(1, 4)
-        constraints = [
-            ([F(rng.randint(-3, 3)) for _ in range(n)], F(rng.randint(0, 4)))
-            for _ in range(rng.randint(1, 5))
-        ]
-        objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-        lp = LinearProgram(n, objective, constraints, nonneg=rng.random() < 0.5)
-        sol = solve_lp(lp)
-        statuses.add(sol.status)
-        if sol.status == "optimal":
-            verify_optimal(lp, sol)
-    assert statuses == {"optimal", "unbounded"}
-
-
-def test_validation_errors():
-    bad = [
-        LinearProgram(2, [F(1)], constraints=[]),
-        LinearProgram(1, [F(1)], constraints=[([F(1), F(2)], F(0))]),
-        LinearProgram(2, [F(1), F(1)], constraints=[({0: F(1), 2: F(1)}, F(1))]),
-        LinearProgram(2, [F(1), F(1)], constraints=[({True: F(1)}, F(1))]),  # a bool is not a column
-        LinearProgram(1, [F(1)], constraints=[([F(1)], "<=", F(1))]),  # a constraint is a (row, rhs) pair
-    ]
-    # x = 0 is feasible only when every rhs is nonnegative
-    bad += [LinearProgram(1, [F(1)], constraints=[([F(1)], rhs)]) for rhs in (-1, F(-1, 2), "-1/2")]
-    for lp in bad:
-        with pytest.raises(ValueError):
-            solve_lp(lp)
-
-
-def random_dense_lp(rng):
-    n = rng.randint(1, 4)
-    constraints = []
-    for _ in range(rng.randint(0, 5)):
-        row = [F(rng.randint(-3, 3)) if rng.random() < 0.6 else F(0) for _ in range(n)]
-        constraints.append((row, F(rng.randint(0, 4))))
-    objective = [F(rng.randint(-3, 3)) for _ in range(n)]
-    return n, objective, constraints
-
-
-def test_sparse_rows_solve_like_dense_rows(rng):
-    statuses = set()
-    for _ in range(200):
-        n, objective, constraints = random_dense_lp(rng)
-        sparse = [({j: a for j, a in enumerate(row) if a}, b) for row, b in constraints]
-        nonneg = rng.random() < 0.5
-        dense_sol = solve_lp(LinearProgram(n, objective, constraints, nonneg))
-        sparse_sol = solve_lp(LinearProgram(n, objective, sparse, nonneg))
-        assert sparse_sol == dense_sol
-        statuses.add(dense_sol.status)
-    assert statuses == {"optimal", "unbounded"}
+        rows = [{j: F(rng.randint(-3, 3)) for j in range(n)} for _ in range(rng.randint(1, 5))]
+        rhs = [F(rng.randint(-3, 3)) for _ in rows]
+        costs = [F(rng.randint(0, 4)) for _ in range(n)]
+        status, value, x, y = simplex._solve_exact(rows, rhs, costs)
+        statuses.add(status)
+        if status == "optimal":
+            check_structured_optimum(rows, rhs, costs, value, x, y)
+    assert statuses == {"optimal", "infeasible"}
 
 
 def check_structured_optimum(rows, rhs, costs, value, x, y):
