@@ -13,6 +13,37 @@ built from index arithmetic on subset masks, straight into CSR arrays,
 with its right-hand sides gathered as ints over psi's common
 denominator; no row becomes a dict or a Fraction unless exact pivoting
 runs.  Decomposition LPs are capped at n <= 10 ground elements.
+
+The full LP has one variable phi1(X) per nonempty X.  A sum LP is
+posed in clique coordinates instead whenever the graph H is not
+complete, where uv is an edge of H iff the local gap
+s_psi(X, u, v) = psi(X+u) + psi(X+v) - psi(X+u+v) - psi(X) is nonzero
+for some X.  The two LPs have the same optimum:
+
+* Forced zeros.  The rows 0 <= s_phi1 <= s_psi pin s_phi1(., u, v) to 0
+  for every non-edge uv, so phi1's Moebius coefficients vanish on every
+  set holding a non-edge: they live on the cliques of H, and phi1 is
+  fixed by its values p_K = phi1(K) on the nonempty cliques K.  These
+  are the columns, p_K >= 0 because phi1 increases from phi1(empty) = 0.
+* Representative points.  For such phi1 (and for psi, whose third
+  differences vanish along non-edges), the step of u at X depends only
+  on X & N_H(u), and s(X, u, v) for an edge uv only on
+  X & N_H(u) & N_H(v).  So every step row equals the one at
+  X & N_H(u), every pair row of an edge the one at
+  X & N_H(u) & N_H(v), and the pair rows of non-edges read 0 <= 0.
+  The clique LP keeps each row at its representative point, the first
+  place it occurs in the full LP's row order, and the box rows of
+  ``--c`` at every mask.
+
+Every full row is thus a row of the clique LP, which is equivalent to
+the full LP, not a relaxation.  Its objective is a column t >= phi1(J),
+since phi1(J) expands over the cliques with negative coefficients and
+the LP needs costs >= 0.  The optimum is lifted back to all 2^n masks as
+the subset sums of its clique Moebius coefficients, the transform of
+``coverage``, and checked there: phi1(J) equals the certified value and
+both parts have their shapes, or ``ExactnessError`` is raised.  A diff
+LP forces no such zeros, so it and every sum LP with complete H keep the
+full LP, array for array.
 """
 
 from __future__ import annotations
@@ -20,19 +51,21 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alternating import is_weakly_infinite_alternating
 from .charges import Charge, PreconditionError
 from .core import (
     SetFunction,
     format_rational,
+    is_decreasing,
+    is_increasing,
     is_submodular,
     norm_inf,
     scale_to_ints,
     to_rational,
 )
-from .coverage import CoverageCoefficients, from_coefficients, to_coefficients
+from .coverage import CoverageCoefficients, _moebius, _zeta, from_coefficients, to_coefficients
 from .simplex import _INT64_LIMIT, ExactnessError, _CSRRows, _ScaledInts, solve_min_nonneg
 
 LP_MAX_N = 10
@@ -94,16 +127,24 @@ def _check_input(psi: SetFunction, kind: str) -> None:
         )
 
 
-def _build_rows(psi: SetFunction, kind: str, c_bound: Optional[Fraction]) -> Tuple[_CSRRows, _ScaledInts]:
-    """Constraint system A x >= b over variables phi1(X), X != empty.
+def _build_rows(
+    psi: SetFunction, kind: str, c_bound: Optional[Fraction]
+) -> Tuple[_CSRRows, _ScaledInts, Optional[List[int]]]:
+    """Constraint system A x >= b of the decomposition LP, and its clique columns.
 
-    Variable j represents phi1 of mask j+1, and phi1(empty) = 0 drops
-    out.  Each row has at most 4 entries, all +-1.  The monotone steps
-    of phi1 are merged with the steps forced by the shape of phi2, and
-    likewise for the local submodularity rows.  Every row is read off
-    mask arithmetic on index arrays, one block of rows at a time, and
-    each right-hand side is gathered from psi.nums as an int over
-    psi.den (times the denominator of c_bound).
+    In full coordinates, variable j is phi1 of mask j+1, phi1(empty) = 0
+    drops out, and the last variable phi1(J) is the objective.  Each row
+    has at most 4 entries, all +-1.  The monotone steps of phi1 are
+    merged with the steps forced by the shape of phi2, and likewise for
+    the local submodularity rows.  Every row is read off mask arithmetic
+    on index arrays, one block of rows at a time, and each right-hand
+    side is gathered from psi.nums as an int over psi.den (times the
+    denominator of c_bound).
+
+    A sum LP whose graph H (see the module docstring) is not complete
+    keeps only the rows at representative points and goes to clique
+    coordinates (:func:`_in_cliques`); the third item is then the list
+    of clique masks, one per column before the last, else None.
     """
     import numpy as np
 
@@ -123,8 +164,8 @@ def _build_rows(psi: SetFunction, kind: str, c_bound: Optional[Fraction]) -> Tup
     blocks = []
 
     # steps: phi1(X+u) - phi1(X) >= max(0, psi(X+u) - psi(X)), for X, then u
-    x, u = np.nonzero(free)
-    xu = x | bits[u]
+    x, step_u = np.nonzero(free)
+    xu = x | bits[step_u]
     blocks.append((np.stack([xu, x], axis=1), np.array([1, -1]), np.maximum(nums[xu] - nums[x], 0)))
 
     # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X),
@@ -136,9 +177,24 @@ def _build_rows(psi: SetFunction, kind: str, c_bound: Optional[Fraction]) -> Tup
     s_psi = nums[xu] + nums[xv] - nums[xuv] - nums[x]
     quads = np.stack([xu, xv, xuv, x], axis=1)
     signs = np.array([1, 1, -1, -1])
+    adj = None
     if kind == "sum":
+        # uv is an edge of H iff s_psi(., u, v) is not identically 0
+        edge = np.zeros(len(us), dtype=bool)
+        edge[pair[s_psi != 0]] = True
+        if not edge.all():
+            adj = np.zeros(n, dtype=np.int64)
+            np.bitwise_or.at(adj, us[edge], bits[vs[edge]])
+            np.bitwise_or.at(adj, vs[edge], bits[us[edge]])
+            # representative points: a step of u at X inside N_H(u), a pair
+            # uv of H at X inside N_H(u) & N_H(v)
+            m, sign, b = blocks[0]
+            keep = m[:, 1] & ~adj[step_u] == 0
+            blocks[0] = (m[keep], sign, b[keep])
+            keep = edge[pair] & (x & ~(adj[us[pair]] & adj[vs[pair]]) == 0)
+            quads, s_psi = quads[keep], s_psi[keep]
         # 0 <= s_phi1 <= s_psi: each row, then its negation
-        pairs = np.tile([signs, -signs], (len(x), 1))
+        pairs = np.tile([signs, -signs], (len(quads), 1))
         bounds = np.stack([np.zeros_like(s_psi), -s_psi], axis=1).ravel()
         blocks.append((np.repeat(quads, 2, axis=0), pairs, bounds))
     else:
@@ -153,30 +209,116 @@ def _build_rows(psi: SetFunction, kind: str, c_bound: Optional[Fraction]) -> Tup
         box = np.stack([np.full_like(v, -bound), v - bound, -bound - v], axis=1).ravel()
         blocks.append((np.repeat(masks[1:], 3)[:, None], np.tile([-1, 1, -1], g.size - 1)[:, None], box))
 
+    if adj is not None:
+        # the objective t >= phi1(J), on a column t read as "mask" g.size
+        blocks.append((np.array([[g.size, g.full_mask]]), np.array([1, -1]), np.zeros(1, dtype=nums.dtype)))
+    rhs = _ScaledInts(psi.den * scale, np.concatenate([b for _, _, b in blocks]))
+    if adj is not None:
+        rows, cliques = _in_cliques(blocks, n, adj)
+        return rows, rhs, cliques
     entries = [m > 0 for m, _, _ in blocks]
     indptr = np.zeros(sum(len(e) for e in entries) + 1, dtype=np.int64)
     np.cumsum(np.concatenate([e.sum(axis=1) for e in entries]), out=indptr[1:])
     indices = np.concatenate([m[e] - 1 for (m, _, _), e in zip(blocks, entries)])
     coefs = np.concatenate([np.broadcast_to(s, m.shape)[e] for (m, s, _), e in zip(blocks, entries)])
-    rhs = np.concatenate([b for _, _, b in blocks])
-    return _CSRRows(indptr, indices, coefs, 1, g.size - 1), _ScaledInts(psi.den * scale, rhs)
+    return _CSRRows(indptr, indices, coefs, 1, g.size - 1), rhs, None
+
+
+def _in_cliques(blocks, n: int, adj) -> Tuple[_CSRRows, List[int]]:
+    """The blocks' rows over one column p_K = phi1(K) per nonempty clique K
+    of H, in mask order, then the objective column t.
+
+    phi1(Y) sums phi1's Moebius coefficients m_S over the cliques S
+    inside Y, and m_S is the alternating sum of p_R over the R inside S,
+    so p_R enters phi1(Y) with the coefficient: the sum of (-1)^|S - R|
+    over the cliques S with R inside S inside Y.  That is g(Y & N(R)),
+    with N(R) the common H-neighbours of R and g(W) the sum of (-1)^|T|
+    over the cliques T inside W, empty included: one subset-sum table.
+    Each row is its signed phi1 terms times that expansion.
+    """
+    import numpy as np
+
+    size = 1 << n
+    masks = np.arange(size)
+    # a clique holds no vertex u together with a non-neighbour above u
+    clique = np.ones(size, dtype=bool)
+    for u in range(n):
+        above = (size - 1) & ~adj[u] & ~((2 << u) - 1)
+        clique &= (masks >> u & 1 == 0) | (masks & above == 0)
+    cols = np.flatnonzero(clique)[1:]
+    signed = np.where(clique, np.where(np.bitwise_count(masks) & 1, -1, 1), 0)
+    g = np.array(_zeta(signed.tolist(), n), dtype=np.int64)
+    common = np.full(len(cols), size - 1)
+    for u in range(n):
+        common[cols >> u & 1 == 1] &= adj[u]
+    # |g| counts cliques, so the expansion and sums of four rows of it fit int32
+    expand = np.zeros((size + 1, len(cols) + 1), dtype=np.int32)
+    expand[:size, :-1] = np.where(cols & ~masks[:, None] == 0, g[masks[:, None] & common], 0)
+    expand[size, -1] = 1  # "mask" size is the column t
+
+    # each row's terms, padded to four with mask 0, whose expansion is 0
+    terms = np.zeros((sum(len(m) for m, _, _ in blocks), 4), dtype=np.int64)
+    signs = np.zeros(terms.shape, dtype=np.int32)
+    start = 0
+    for m, s, _ in blocks:
+        r, k = m.shape
+        terms[start : start + r, :k] = m
+        signs[start : start + r, :k] = s
+        start += r
+    # the product runs on chunks of rows, about 2^18 entries of expansion each
+    step = max(1, (1 << 16) // expand.shape[1])
+    counts, indices, coefs = [], [], []
+    for i in range(0, len(terms), step):
+        dense = np.einsum("rk,rkc->rc", signs[i : i + step], expand[terms[i : i + step]])
+        r, c = np.nonzero(dense)
+        counts.append(np.bincount(r, minlength=len(dense)))
+        indices.append(c)
+        coefs.append(dense[r, c].astype(np.int64))
+    indptr = np.zeros(len(terms) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(counts), out=indptr[1:])
+    rows = _CSRRows(indptr, np.concatenate(indices), np.concatenate(coefs), 1, len(cols) + 1)
+    return rows, cols.tolist()
 
 
 def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
     g = psi.ground
-    nvars = g.size - 1
-    rows, rhs = _build_rows(psi, kind, c_bound)
-    costs = [0] * nvars
-    costs[g.full_mask - 1] = 1
+    rows, rhs, cliques = _build_rows(psi, kind, c_bound)
+    costs = [0] * rows.ncols
+    costs[-1] = 1  # phi1(J) in full coordinates, t in clique coordinates
     status, value, x, _ = solve_min_nonneg(rows, rhs, costs)
     if status != "optimal":
         return None
-    if value != x[g.full_mask - 1]:
-        raise ExactnessError("LP optimum is not phi1(J)")
     den, nums = scale_to_ints(x)
-    phi1 = SetFunction.from_ints(g, den, [0, *nums])
+    phi1 = SetFunction.from_ints(g, den, [0, *nums] if cliques is None else _lift(g.n, cliques, nums[:-1]))
+    if phi1(g.full_mask) != value:
+        raise ExactnessError("LP optimum is not phi1(J)")
     phi2 = psi - phi1 if kind == "sum" else phi1 - psi
+    if cliques is not None:
+        _check_lifted(psi, phi1, phi2, c_bound)
     return Decomposition(phi1=phi1, phi2=phi2, kind=kind, objective=value)
+
+
+def _lift(n: int, cliques: List[int], p: Sequence[int]) -> List[int]:
+    """phi1 on every mask from its values p on the cliques: the subset sums
+    of its Moebius coefficients, which vanish off the cliques."""
+    table = [0] * (1 << n)
+    for k, v in zip(cliques, p):
+        table[k] = v
+    moebius = _moebius(table, n)
+    table = [0] * (1 << n)
+    for k in cliques:
+        table[k] = moebius[k]
+    return _zeta(table, n)
+
+
+def _check_lifted(psi: SetFunction, phi1: SetFunction, phi2: SetFunction, c_bound: Optional[Fraction]) -> None:
+    """The shapes of a sum-decomposition lifted from clique coordinates,
+    and its box when there is one, checked in full coordinates."""
+    shapes = (is_increasing, phi1), (is_submodular, phi1), (is_decreasing, phi2), (is_submodular, phi2)
+    if not all(holds(f)[0] for holds, f in shapes):
+        raise ExactnessError("the clique-coordinate optimum does not lift to a sum-decomposition")
+    if c_bound is not None and max(norm_inf(phi1), norm_inf(phi2)) > c_bound * norm_inf(psi):
+        raise ExactnessError("the lifted sum-decomposition leaves the box")
 
 
 def optimal_sum_decomposition(psi: SetFunction) -> Decomposition:

@@ -5,8 +5,9 @@ subject to A x >= b, x >= 0, with c >= 0 and A given as sparse rows
 (decompositions, triangle cover, clique bound).  It holds A in CSR form
 as int arrays over one common denominator, scales b and c to ints once,
 and climbs one ladder: HiGHS (reached through ``_highs``) solves the LP
-in floating point, its guess is rounded to scaled ints, and the
-primal/dual pair is trusted only after an exact certificate passes
+in floating point, its guess is rounded to scaled ints (a continued
+fraction walk in ints, :func:`_limit_denominator`), and the primal/dual
+pair is trusted only after an exact certificate passes
 (primal and dual feasibility, equal objectives), one pass over the
 arrays, in int64 when a bound on every sum and product fits and on
 Python ints otherwise; an LP that HiGHS reports infeasible is certified
@@ -272,20 +273,39 @@ def _scaled(values) -> Scaled:
     return den, _int_array(nums)
 
 
+def _limit_denominator(p: int, q: int, limit: int) -> Tuple[int, int]:
+    """The terms of ``Fraction(p, q).limit_denominator(limit)``, for coprime p and q > 0.
+
+    CPython's continued-fraction walk, in ints: the last convergent
+    p1/q1 with q1 <= limit against the semiconvergent p2/q2 with the
+    largest denominator <= limit.  The convergent wins a tie,
+    |p1/q1 - p/q| <= |p2/q2 - p/q|, compared by cross-multiplication.
+    """
+    if q <= limit:
+        return p, q
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = p, q
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > limit:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (limit - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    if abs(p1 * q - p * q1) * q2 <= abs(p2 * q - p * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 def _round(values: List[float], limit: int) -> Scaled:
     """Each float as the nearest rational with denominator <= limit, all over their lcm.
 
-    LP vertices repeat few distinct values, so each is rounded once.  A
-    float whose own ratio p/q has q <= limit is that ratio, as
-    ``Fraction(v).limit_denominator(limit)`` would return it.
+    LP vertices repeat few distinct values, so each is rounded once, to
+    the pair ``Fraction(v).limit_denominator(limit)`` would give.
     """
-    pairs = {}
-    for v in set(values):
-        p, q = v.as_integer_ratio()
-        if q > limit:
-            r = Fraction(v).limit_denominator(limit)
-            p, q = r.numerator, r.denominator
-        pairs[v] = p, q
+    pairs = {v: _limit_denominator(*v.as_integer_ratio(), limit) for v in set(values)}
     d = lcm(*(q for _, q in pairs.values()))
     scaled = {v: p * (d // q) for v, (p, q) in pairs.items()}
     return d, _int_array([scaled[v] for v in values])

@@ -485,3 +485,13 @@ def test_readme_command_lines_parse():
     for line in lines:
         argv = shlex.split(line)[1:]
         assert PARSER.parse_args(argv).command == argv[0], line
+
+
+def test_graph_report_plus_norm_on_the_n9_graph(capsys, tmp_path):
+    # its full sum LP pivoted for minutes; in clique coordinates it certifies
+    edges = [[0, 1, "3"], [0, 5, "3/4"], [0, 6, "1/2"], [1, 2, "1"], [1, 7, "3/2"], [1, 8, "1/3"],
+             [2, 5, "1"], [2, 7, "6"], [3, 4, "4/3"], [3, 6, "7/4"], [4, 6, "1"], [6, 8, "4"]]
+    path = write_json(tmp_path / "g9.json", {"n": 9, "edges": edges})
+    code, report = run(capsys, ["graph", path, "--report", "all"])
+    assert code == 0
+    assert report["bounds"]["plus_norm"] == "121/6"

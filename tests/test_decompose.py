@@ -27,11 +27,13 @@ from setdecomp.graphs import (
     counterexample_diff,
     counterexample_sum,
     cut_function,
+    enumerate_cliques,
 )
 from setdecomp import WeightedGraph, decompose, graphs, simplex
 from setdecomp.simplex import ExactnessError
 from conftest import (
     random_coverage,
+    random_graph,
     random_set_function,
     random_weakly_alternating,
     spy_certificate_dtypes,
@@ -131,7 +133,7 @@ def test_int_right_hand_sides_match_the_fraction_rows(kind, c, rng):
         dens = rng.sample(range(1, 7), rng.randint(1, 3))
         values = [F(0)] + [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(2**n - 1)]
         psi = SetFunction(GroundSet(n), values)
-        rows, rhs = decompose._build_rows(psi, kind, c)
+        rows, rhs, _ = decompose._build_rows(psi, kind, c)
         ref_rows, ref_rhs = decomposition_rows_fractions(psi, kind, c)
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
         assert list(rhs) == ref_rhs
@@ -348,7 +350,7 @@ def test_products_past_int64_are_certified_on_python_ints(kind, monkeypatch):
 
 def test_right_hand_sides_past_int64_stay_python_ints():
     psi = cut_function(complete(4)).scale(2**70)
-    rows, rhs = decompose._build_rows(psi, "sum", F(3, 2))
+    rows, rhs, _ = decompose._build_rows(psi, "sum", F(3, 2))
     assert rhs.nums.dtype == object and max(rhs.nums) > 2**63
     ref_rows, ref_rhs = decomposition_rows_fractions(psi, "sum", F(3, 2))
     assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
@@ -393,3 +395,147 @@ def test_benchmark_sized_sum_lp_certifies_in_int64(monkeypatch):
     dec = optimal_sum_decomposition(cut_function(WeightedGraph.build(6, edges)))
     assert dec.objective > 0 and fallbacks == []
     assert dtypes == [np.int64]
+
+
+def full_lp_optimum(psi, c):
+    """The exact optimum of the full LP's Fraction rows, or None when infeasible."""
+    rows, rhs = decomposition_rows_fractions(psi, "sum", c)
+    costs = [0] * (psi.ground.size - 1)
+    costs[-1] = 1
+    status, value, _, _ = simplex.solve_min_nonneg(rows, rhs, costs)
+    return value if status == "optimal" else None
+
+
+def check_against_full_lp(psi, c):
+    rows, _, cliques = decompose._build_rows(psi, "sum", c)
+    if c is None:
+        dec = optimal_sum_decomposition(psi)
+    else:
+        feasible, dec = c_bounded_feasible(psi, "sum", c)
+        assert feasible == (dec is not None)
+    expected = full_lp_optimum(psi, c)
+    assert (dec.objective if dec else None) == expected
+    if dec is not None:
+        check_shape(psi, dec)
+        if c is not None:
+            bound = c * max(map(abs, psi.values))
+            assert all(abs(v) <= bound for v in dec.phi1.values + dec.phi2.values)
+    return cliques, len(rows)
+
+
+def test_clique_route_matches_the_full_lp(rng):
+    # cut functions: H is the graph, so every non-complete graph takes the
+    # clique route; the objective equals the full LP's exact optimum
+    routes = []
+    for trial in range(100):
+        n = rng.randint(2, 7)
+        g = random_graph(rng, n, rng.choice([0.3, 0.5, 0.7]))
+        psi = cut_function(g)
+        c = None if trial % 4 else F(rng.randint(2, 6), 2)
+        cliques, _ = check_against_full_lp(psi, c)
+        routes.append(cliques is not None)
+        if cliques is not None:
+            assert set(cliques) == set(enumerate_cliques(g))
+    assert sum(routes) > 80
+    # a cut function plus a modular term keeps H; a modular psi has H empty
+    g = WeightedGraph.build(5, [(0, 1, 2), (1, 2, F(1, 2)), (2, 3, 3), (0, 3, 1), (3, 4, F(5, 3))])
+    modular = SetFunction.from_callable(GroundSet(5), lambda m: sum(F(i - 2, 3) for i in range(5) if m >> i & 1))
+    for psi in (cut_function(g) + modular, modular, modular.scale(-1)):
+        for c in (None, F(3), F(1, 2)):
+            cliques, _ = check_against_full_lp(psi, c)
+            assert cliques is not None
+    assert check_against_full_lp(modular, None)[1] == 6  # one step per element, and t >= phi1(J)
+    # random submodular tables whose H is not complete: a sum of
+    # submodular tables on two overlapping blocks of elements
+    seen = 0
+    for trial in range(20):
+        n = rng.randint(3, 6)
+        cut = rng.randint(1, n - 1)
+        left, right = random_submodular(rng, cut + 1), random_submodular(rng, n - cut)
+        psi = SetFunction.from_callable(
+            GroundSet(n), lambda m: left(m & (2 << cut) - 1) + right(m >> cut)
+        )
+        cliques, _ = check_against_full_lp(psi, None if trial % 2 else F(5, 2))
+        seen += cliques is not None
+    assert seen >= 10
+    # n = 1 has no pairs: H is complete and the full LP runs
+    psi = SetFunction(GroundSet(1), [0, F(-3, 2)])
+    assert check_against_full_lp(psi, None)[0] is None
+    assert check_against_full_lp(psi, F(1))[0] is None
+
+
+def test_clique_route_past_int64(monkeypatch):
+    # right-hand sides past int64 stay Python ints in clique coordinates
+    # too, and the certificate runs on them
+    psi = cut_function(WeightedGraph.build(4, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (0, 3, 1)]))
+    small = optimal_sum_decomposition(psi)
+    dtypes = spy_certificate_dtypes(monkeypatch)
+    fallbacks = spy_exact(monkeypatch)
+    rows, rhs, cliques = decompose._build_rows(psi.scale(2**64), "sum", None)
+    assert cliques is not None and rhs.nums.dtype == object
+    big = optimal_sum_decomposition(psi.scale(2**64))
+    assert dtypes == [object] and fallbacks == []
+    assert big.objective == small.objective * 2**64 and big.phi1 == small.phi1.scale(2**64)
+
+
+def test_infeasible_box_in_clique_coordinates():
+    # the n = 6 graph of test_infeasible_box_is_certified_without_pivoting
+    edges = [(0, 2, 1), (0, 3, F(3, 2)), (0, 5, 1), (1, 2, F(2, 3)), (1, 3, 1),
+             (1, 4, 2), (2, 3, F(4, 3)), (4, 5, F(1, 2))]
+    psi = cut_function(WeightedGraph.build(6, edges))
+    assert check_against_full_lp(psi, F(1))[0] is not None
+    assert c_bounded_feasible(psi, "sum", F(1)) == (False, None)
+
+
+def test_complete_h_and_diff_keep_the_full_lp(rng):
+    # the arrays equal the full LP's, in the full LP's order
+    weighted = WeightedGraph.build(4, [(u, v, F(rng.randint(1, 9), 4)) for u, v in combinations(range(4), 2)])
+    modular = SetFunction.from_callable(GroundSet(4), lambda m: sum(F(i - 1, 3) for i in range(4) if m >> i & 1))
+    for psi, kind in [
+        (cut_function(complete(4)), "sum"),
+        (cut_function(weighted) + modular, "sum"),
+        (cut_function(WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])), "diff"),
+    ]:
+        for c in (None, F(3, 2)):
+            rows, rhs, cliques = decompose._build_rows(psi, kind, c)
+            assert cliques is None and rows.ncols == psi.ground.size - 1
+            ref_rows, ref_rhs = decomposition_rows_fractions(psi, kind, c)
+            ref = simplex._CSRRows.from_maps(ref_rows, rows.ncols)
+            for got, want in ((rows.indptr, ref.indptr), (rows.indices, ref.indices), (rows.nums, ref.nums)):
+                assert got.dtype == np.int64 and got.tolist() == want.tolist()
+            assert list(rhs) == ref_rhs
+
+
+FOUND_N9_EDGES = [
+    (0, 1, 3), (0, 5, F(3, 4)), (0, 6, F(1, 2)), (1, 2, 1), (1, 7, F(3, 2)), (1, 8, F(1, 3)),
+    (2, 5, 1), (2, 7, 6), (3, 4, F(4, 3)), (3, 6, F(7, 4)), (4, 6, 1), (6, 8, 4),
+]
+
+
+def test_n9_graph_needs_no_exact_pivoting(monkeypatch):
+    # the full LP (11520 rows) gets no certificate and pivots for minutes;
+    # in clique coordinates it certifies
+    def refuse(*args):
+        raise AssertionError("exact pivoting ran")
+
+    monkeypatch.setattr(simplex, "_solve_exact", refuse)
+    psi = cut_function(WeightedGraph.build(9, FOUND_N9_EDGES))
+    dec = optimal_sum_decomposition(psi)
+    assert dec.objective == F(121, 6)
+    check_shape(psi, dec)
+
+
+@pytest.mark.parametrize("at", ["full", "inner"])
+def test_spoiled_lift_raises(at, monkeypatch):
+    real = decompose._lift
+
+    def spoiled(n, cliques, p):
+        table = real(n, cliques, p)
+        # phi1(J) off the certified value, or an inner value above phi1(J)
+        table[-1 if at == "full" else 3] += 10**6
+        return table
+
+    monkeypatch.setattr(decompose, "_lift", spoiled)
+    psi = cut_function(WeightedGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1)]))
+    with pytest.raises(ExactnessError):
+        optimal_sum_decomposition(psi)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -327,3 +328,54 @@ def test_highs_seam_returns_floats_or_no_guess():
     # x0 >= 1 and x0 <= 0
     status, x, y = simplex._highs(np.array([[-1.0], [1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))
     assert (status, x, y) == (2, None, None)
+
+
+def rounding_floats(rng):
+    """At least 10^4 floats: random ratios of each sign, thirds and other
+    small-denominator ratios, signed zeros, huge and tiny magnitudes."""
+    out = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300, 2.0**1000, 1.7976931348623157e308]
+    for _ in range(4000):
+        q = rng.choice([rng.randint(1, 10**7), rng.randint(1, 10**13), rng.randint(1, 10**17)])
+        out.append(rng.randint(-(10**15), 10**15) / q)
+    for q in (3, 7, 9, 11, 13, 21, 49, 999983):
+        out += [p / q for p in range(-300, 301)]
+    for _ in range(1500):
+        mantissa = rng.random() * rng.choice([1, -1])
+        out.append(mantissa * 2.0 ** rng.randint(-1070, 1020))
+    return out
+
+
+def farey_ties(rng, limit):
+    """Rationals midway between neighbours a/b < c/d of the Farey sequence of
+    order limit, each of sign +1 and -1.  No float is such a midpoint at
+    limit 10^6 or 10^12 (its denominator 2bd is not a power of 2), so
+    the tie rule is checked on exact pairs."""
+    out = []
+    while len(out) < 200:
+        b = rng.randint(limit // 2 + 1, limit)
+        a = rng.randint(1, 3 * b)
+        if gcd(a, b) != 1:
+            continue
+        d0 = -pow(a, -1, b) % b
+        d = d0 + b * ((limit - d0) // b)  # the largest d <= limit with a d = -1 (mod b)
+        c = (a * d + 1) // b
+        mid = (F(a, b) + F(c, d)) / 2
+        assert mid.denominator > limit and abs(mid - F(a, b)) == abs(F(c, d) - mid)
+        out += [mid, -mid]
+    return out
+
+
+@pytest.mark.parametrize("limit", [10**6, 10**12])
+def test_int_rounding_matches_limit_denominator(rng, limit):
+    floats = rounding_floats(rng)
+    assert len(floats) >= 10**4
+    for v in floats:
+        r = F(v).limit_denominator(limit)
+        assert simplex._limit_denominator(*v.as_integer_ratio(), limit) == (r.numerator, r.denominator)
+    ties = farey_ties(rng, limit)
+    for v in ties:
+        r = v.limit_denominator(limit)
+        assert simplex._limit_denominator(v.numerator, v.denominator, limit) == (r.numerator, r.denominator)
+    # _round puts each float's pair over their common denominator
+    d, nums = simplex._round(floats[:500], limit)
+    assert [F(p, d) for p in nums.tolist()] == [F(v).limit_denominator(limit) for v in floats[:500]]
