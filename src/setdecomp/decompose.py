@@ -14,9 +14,9 @@ with its right-hand sides gathered as ints over psi's common
 denominator; no row becomes a dict or a Fraction unless exact pivoting
 runs.  Decomposition LPs are capped at n <= 10 ground elements.
 
-The full LP has one variable phi1(X) per nonempty X.  A sum LP is
-posed in clique coordinates instead whenever the graph H is not
-complete, where uv is an edge of H iff the local gap
+The full LP has one variable phi1(X) per nonempty X.  A sum LP may be
+posed in clique coordinates instead, over the graph H where uv is an
+edge iff the local gap
 s_psi(X, u, v) = psi(X+u) + psi(X+v) - psi(X+u+v) - psi(X) is nonzero
 for some X.  The two LPs have the same optimum:
 
@@ -41,9 +41,14 @@ since phi1(J) expands over the cliques with negative coefficients and
 the LP needs costs >= 0.  The optimum is lifted back to all 2^n masks as
 the subset sums of its clique Moebius coefficients, the transform of
 ``coverage``, and checked there: phi1(J) equals the certified value and
-both parts have their shapes, or ``ExactnessError`` is raised.  A diff
-LP forces no such zeros, so it and every sum LP with complete H keep the
-full LP, array for array.
+both parts have their shapes, or ``ExactnessError`` is raised.
+
+The clique LP is used when it keeps fewer than 3/4 of the full LP's
+rows.  That leaves out every complete H, where it keeps them all, and
+H = K_n minus one edge for n >= 7: there it keeps 75-82% of the rows
+and about as many entries, and HiGHS took as long as on the full LP at
+n <= 8 and up to about 4 times as long at n = 9, 10.  A diff LP forces no
+such zeros.  Both keep the full LP, array for array.
 """
 
 from __future__ import annotations
@@ -141,10 +146,10 @@ def _build_rows(
     side is gathered from psi.nums as an int over psi.den (times the
     denominator of c_bound).
 
-    A sum LP whose graph H (see the module docstring) is not complete
-    keeps only the rows at representative points and goes to clique
-    coordinates (:func:`_in_cliques`); the third item is then the list
-    of clique masks, one per column before the last, else None.
+    A sum LP whose rows at representative points are fewer than 3/4 of
+    all rows (see the module docstring) keeps only those and goes to
+    clique coordinates (:func:`_in_cliques`); the third item is then the
+    list of clique masks, one per column before the last, else None.
     """
     import numpy as np
 
@@ -182,17 +187,22 @@ def _build_rows(
         # uv is an edge of H iff s_psi(., u, v) is not identically 0
         edge = np.zeros(len(us), dtype=bool)
         edge[pair[s_psi != 0]] = True
-        if not edge.all():
-            adj = np.zeros(n, dtype=np.int64)
-            np.bitwise_or.at(adj, us[edge], bits[vs[edge]])
-            np.bitwise_or.at(adj, vs[edge], bits[us[edge]])
-            # representative points: a step of u at X inside N_H(u), a pair
-            # uv of H at X inside N_H(u) & N_H(v)
-            m, sign, b = blocks[0]
-            keep = m[:, 1] & ~adj[step_u] == 0
-            blocks[0] = (m[keep], sign, b[keep])
-            keep = edge[pair] & (x & ~(adj[us[pair]] & adj[vs[pair]]) == 0)
+        adj = np.zeros(n, dtype=np.int64)
+        np.bitwise_or.at(adj, us[edge], bits[vs[edge]])
+        np.bitwise_or.at(adj, vs[edge], bits[us[edge]])
+        # representative points: a step of u at X inside N_H(u), a pair
+        # uv of H at X inside N_H(u) & N_H(v)
+        m, sign, b = blocks[0]
+        steps = m[:, 1] & ~adj[step_u] == 0
+        keep = edge[pair] & (x & ~(adj[us[pair]] & adj[vs[pair]]) == 0)
+        box = 0 if c_bound is None else 3 * (g.size - 1)
+        # clique coordinates only when they drop a quarter of the rows,
+        # the t row counted (see the module docstring)
+        if 4 * (steps.sum() + 2 * keep.sum() + box + 1) < 3 * (len(m) + 2 * len(quads) + box):
+            blocks[0] = (m[steps], sign, b[steps])
             quads, s_psi = quads[keep], s_psi[keep]
+        else:
+            adj = None
         # 0 <= s_phi1 <= s_psi: each row, then its negation
         pairs = np.tile([signs, -signs], (len(quads), 1))
         bounds = np.stack([np.zeros_like(s_psi), -s_psi], axis=1).ravel()
@@ -242,11 +252,13 @@ def _in_cliques(blocks, n: int, adj) -> Tuple[_CSRRows, List[int]]:
     masks = np.arange(size)
     # a clique holds no vertex u together with a non-neighbour above u
     clique = np.ones(size, dtype=bool)
+    odd = np.zeros(size, dtype=np.int64)  # parity of |mask|
     for u in range(n):
         above = (size - 1) & ~adj[u] & ~((2 << u) - 1)
         clique &= (masks >> u & 1 == 0) | (masks & above == 0)
+        odd ^= masks >> u & 1
     cols = np.flatnonzero(clique)[1:]
-    signed = np.where(clique, np.where(np.bitwise_count(masks) & 1, -1, 1), 0)
+    signed = np.where(clique, 1 - 2 * odd, 0)
     g = np.array(_zeta(signed.tolist(), n), dtype=np.int64)
     common = np.full(len(cols), size - 1)
     for u in range(n):

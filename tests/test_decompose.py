@@ -478,6 +478,15 @@ def test_clique_route_past_int64(monkeypatch):
     assert big.objective == small.objective * 2**64 and big.phi1 == small.phi1.scale(2**64)
 
 
+def test_clique_route_needs_no_numpy2_bitwise_count(monkeypatch):
+    # pyproject allows numpy 1.x, which has no np.bitwise_count
+    psi = cut_function(WeightedGraph.build(5, [(0, 1, 2), (1, 2, 1), (2, 3, 3), (0, 3, 1), (3, 4, F(1, 2))]))
+    want = optimal_sum_decomposition(psi)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    assert decompose._build_rows(psi, "sum", None)[2] is not None
+    assert optimal_sum_decomposition(psi) == want
+
+
 def test_infeasible_box_in_clique_coordinates():
     # the n = 6 graph of test_infeasible_box_is_certified_without_pivoting
     edges = [(0, 2, 1), (0, 3, F(3, 2)), (0, 5, 1), (1, 2, F(2, 3)), (1, 3, 1),
@@ -488,12 +497,15 @@ def test_infeasible_box_in_clique_coordinates():
 
 
 def test_complete_h_and_diff_keep_the_full_lp(rng):
-    # the arrays equal the full LP's, in the full LP's order
+    # the arrays equal the full LP's, in the full LP's order; K_7 minus an
+    # edge keeps 1345 of 1792 rows in clique coordinates, not under 3/4
     weighted = WeightedGraph.build(4, [(u, v, F(rng.randint(1, 9), 4)) for u, v in combinations(range(4), 2)])
     modular = SetFunction.from_callable(GroundSet(4), lambda m: sum(F(i - 1, 3) for i in range(4) if m >> i & 1))
+    k7_minus_edge = WeightedGraph.build(7, [(u, v, rng.randint(1, 3)) for u, v in combinations(range(7), 2) if v > 1])
     for psi, kind in [
         (cut_function(complete(4)), "sum"),
         (cut_function(weighted) + modular, "sum"),
+        (cut_function(k7_minus_edge), "sum"),
         (cut_function(WeightedGraph.build(4, [(0, 1, 1), (2, 3, 1)])), "diff"),
     ]:
         for c in (None, F(3, 2)):
