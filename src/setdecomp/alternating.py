@@ -14,7 +14,11 @@ over L <= C <= R with |L| = k is nonnegative, since S(L, R) = -V_f(J \\ R;
 singletons of L): the Moebius characterization of k-monotone capacities
 (Chateauneuf & Jaffray, 1989) applied to the conjugate the coverage basis
 encodes.  :func:`weak_violations` computes all 3^n interval sums in one
-pass and so settles every level at once.  :func:`max_disjoint_alt_sum`
+pass and so settles every level at once; it decodes (R, L) only for the
+negative sums, through index tables kept per block size.  The diagonal
+S(R, R) is alpha_R itself, so the same pass also hands ``check`` the
+coefficients, which it verifies by the round trip of
+``coverage.to_coefficients``.  :func:`max_disjoint_alt_sum`
 needs the largest sum over disjoint tuples with general classes, not its
 sign.  It visits each such tuple once, its classes a set partition of
 the elements outside A0 and the unused ones, generated in restricted
@@ -25,6 +29,9 @@ is visited twice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import compress
+from operator import sub
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -111,13 +118,61 @@ def _interval_blocks(
         z0, z1 = z[:top], z[top:]
         yield from _interval_blocks(z0, bits - 1, r_high, l_high)
         yield from _interval_blocks(z1, bits - 1, r_high | top, l_high)
-        z1 = [b - a for a, b in zip(z0, z1)]
+        z1 = list(map(sub, z1, z0))
         yield from _interval_blocks(z1, bits - 1, r_high | top, l_high | top)
         return
     tables = [[v] for v in z]
     for _ in range(bits):
-        tables = [a + b + [y - x for x, y in zip(a, b)] for a, b in zip(tables[::2], tables[1::2])]
+        tables = [a + b + list(map(sub, b, a)) for a, b in zip(tables[::2], tables[1::2])]
     yield r_high, l_high, tables[0]
+
+
+@lru_cache(maxsize=None)
+def _block_index(bits: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """(diagonal, r_of, l_of) for blocks over ``bits`` <= 16 low elements,
+    built on first use and kept.
+
+    diagonal[m] = 2 t(m) is where S(m, m) sits in a block, and (r_of[i],
+    l_of[i]) is the pair (r, l) with t(r) + t(l) = i: element e is in r
+    when digit e of i is 1 or 2, and in l too when it is 2.
+    """
+    ternary, r_of, l_of = [0], [0], [0]
+    for e in range(bits):
+        b, p = 1 << e, 3**e
+        ternary += [t + p for t in ternary]
+        in_r = [m | b for m in r_of]
+        r_of, l_of = r_of + in_r + in_r, l_of + l_of + [m | b for m in l_of]
+    return tuple(2 * t for t in ternary), tuple(r_of), tuple(l_of)
+
+
+def _weak_pass(f: SetFunction) -> Tuple[List[Optional[AlternatingWitness]], List[int]]:
+    """:func:`weak_violations` and den * alpha for every mask, from one
+    table of interval sums; alpha_R is its diagonal S(R, R)."""
+    _require_normalized(f)
+    n, full = f.ground.n, f.ground.full_mask
+    bits = min(n, _BLOCK_BITS)
+    diagonal, r_of, l_of = _block_index(bits)
+    alpha = [0] * (1 << n)
+    first = {}  # |L| -> (R, L, S) of the first violation
+    # S(empty, R) = sum of alpha_C over C <= R = f(J) - f(J \ R)
+    for r_high, l_high, block in _interval_blocks([f.nums[full] - v for v in reversed(f.nums)], n):
+        if r_high == l_high:
+            alpha[r_high : r_high + len(diagonal)] = map(block.__getitem__, diagonal)
+        if min(block) >= 0:
+            continue
+        for hit in [
+            (r_high | r_of[i], l_high | l_of[i], block[i])
+            for i in compress(range(len(block)), map((0).__gt__, block))
+        ]:
+            k = popcount(hit[1])
+            if hit < first.get(k, (full + 1,)):
+                first[k] = hit
+    out: List[Optional[AlternatingWitness]] = [None] * (n + 1)
+    for k, (r, l, s) in first.items():
+        if k:
+            singletons = tuple(1 << e for e in range(n) if l >> e & 1)
+            out[k] = AlternatingWitness(full ^ r, singletons, Fraction(-s, f.den))
+    return out, alpha
 
 
 def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
@@ -127,34 +182,9 @@ def weak_violations(f: SetFunction) -> List[Optional[AlternatingWitness]]:
     weakly k-alternating, and otherwise the witness (J \\ R; singletons of
     L) with value -S(L, R) of the first L <= R, |L| = k, S(L, R) < 0, in
     order of R and then L.  Sums run over Python ints scaled by the common
-    denominator of f.
+    denominator of f, and only the negative ones are decoded to (R, L).
     """
-    _require_normalized(f)
-    n, full = f.ground.n, f.ground.full_mask
-    bits = min(n, _BLOCK_BITS)
-    ternary = [0] * (1 << bits)
-    for m in range(1, 1 << bits):
-        ternary[m] = 3 * ternary[m >> 1] + (m & 1)
-    first = {}  # |L| -> (R, L, S) of the first violation
-    # S(empty, R) = sum of alpha_C over C <= R = f(J) - f(J \ R)
-    for r_high, l_high, block in _interval_blocks([f.nums[full] - v for v in reversed(f.nums)], n):
-        if min(block) >= 0:
-            continue
-        for r in range(1 << bits):
-            l = 0
-            while True:  # the subsets of r in increasing order
-                hit = (r_high | r, l_high | l, block[ternary[r] + ternary[l]])
-                if hit[2] < 0 and hit < first.get(popcount(hit[1]), (full + 1,)):
-                    first[popcount(hit[1])] = hit
-                if l == r:
-                    break
-                l = (l - r) & r
-    out: List[Optional[AlternatingWitness]] = [None] * (n + 1)
-    for k, (r, l, s) in first.items():
-        if k:
-            singletons = tuple(1 << e for e in range(n) if l >> e & 1)
-            out[k] = AlternatingWitness(full ^ r, singletons, Fraction(-s, f.den))
-    return out
+    return _weak_pass(f)[0]
 
 
 def _tuple_count(n: int, k_max: int) -> int:
@@ -265,12 +295,14 @@ def is_weakly_infinite_alternating(f: SetFunction) -> Tuple[bool, Optional[Alter
 
 
 def is_infinite_alternating(f: SetFunction) -> bool:
-    """Finite-domain test: every coverage coefficient is nonnegative."""
-    from .coverage import to_coefficients
+    """Finite-domain test: every coverage coefficient is nonnegative.
+
+    Read off the least of the verified ints den * alpha, with no Fractions.
+    """
+    from .coverage import _coefficient_ints
 
     _require_normalized(f)
-    coeffs = to_coefficients(f)
-    return all(a >= 0 for a in coeffs.alpha)
+    return min(_coefficient_ints(f)) >= 0
 
 
 def make_ell_not_ell_plus_one(ground: GroundSet, ell: int, x_mask: int) -> SetFunction:

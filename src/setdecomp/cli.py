@@ -39,6 +39,7 @@ from .core import (
     Partition,
     PartitionError,
     SetFunction,
+    _decide_shapes,
     format_rational,
     norm_inf,
     is_decreasing,
@@ -166,8 +167,10 @@ def cmd_check(args) -> int:
     report["n"] = f.ground.n
     report["norm"] = format_rational(norm_inf(f))
 
-    # report key, predicate and the names of its witness fields; the table
-    # is read per call, so the predicates resolve like any other call here
+    # one step table decides the four shapes; the predicates then read the
+    # kept verdicts, and resolve like any other call here
+    _decide_shapes(f)
+    # report key, predicate and the names of its witness fields
     for name, predicate, fields in (
         ("submodular", is_submodular, ("X", "u", "v")),
         ("increasing", is_increasing, ("X", "u")),
@@ -180,16 +183,17 @@ def cmd_check(args) -> int:
             report[name]["witness"] = dict(zip(fields, witness))
 
     if f(0) == 0:
-        found = alt.weak_violations(f)
+        # the interval sums give the profile and, on their diagonal, den * alpha
+        found, alpha = alt._weak_pass(f)
+        alpha = cov._coefficient_ints(f, alpha)
         report["alternating_profile"] = _alternating_profile(found)
         report["weakly_infinite_alternating"] = all(w is None for w in found[2:])
-        coeffs = cov.to_coefficients(f)
-        lowest = coeffs.min_coefficient()
+        lowest = min(alpha[1:])
         report["infinite_alternating"] = lowest >= 0
         report["coverage"] = {
             "nonnegative": lowest >= 0,
-            "support_size": len(coeffs.support()),
-            "min_coefficient": format_rational(lowest),
+            "support_size": len(alpha) - alpha.count(0),
+            "min_coefficient": format_rational(Fraction(lowest, f.den)),
         }
     else:
         report["alternating_profile"] = None

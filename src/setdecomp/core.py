@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from operator import eq, ge, le, sub
+from operator import ge, le, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -376,7 +376,8 @@ def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
 # and otherwise the lexicographically first counterexample in mask order.
 # The verdict comes from the step table of f.nums: steps[u] lists
 # f(X + u) - f(X) over the sets X without u, in mask order, so monotonicity
-# is a min or max of each list, and a local submodularity gap
+# is a min or max of each list, modularity min == max for each, and a
+# local submodularity gap
 # f(X+u) + f(X+v) - f(X) - f(X+u+v) is the step of u at X minus its step at
 # X + v, compared for the two halves of steps[u] along v.  Lists are built
 # by slicing and compared by map over operator functions, so no Python
@@ -409,7 +410,12 @@ def _steps(nums: Sequence[int], n: int) -> Iterator[List[int]]:
     return (list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n)))
 
 
-_STEP_ORDER = {"submodular": ge, "supermodular": le, "modular": eq}
+def _pairs_hold(steps: Iterable[List[int]], n: int, order) -> bool:
+    """Whether ``order`` holds between the steps of u at X and at X + v,
+    for every pair u < v and every X without either."""
+    # bit j of the steps of u is element j + 1 for j >= u, so these are
+    # the pairs u < v; the pair v, u gives the same gaps
+    return all(all(map(order, *_halves(step, j))) for u, step in enumerate(steps) for j in range(u, n - 1))
 
 
 def _holds(nums: Sequence[int], n: int, shape: str) -> bool:
@@ -423,10 +429,11 @@ def _holds(nums: Sequence[int], n: int, shape: str) -> bool:
         return all(min(step) >= 0 for step in steps)
     if shape == "decreasing":
         return all(max(step) <= 0 for step in steps)
-    # bit j of the steps of u is element j + 1 for j >= u, so these are
-    # the pairs u < v; the pair v, u gives the same gaps
-    order = _STEP_ORDER[shape]
-    return all(all(map(order, *_halves(step, j))) for u, step in enumerate(steps) for j in range(u, n - 1))
+    if shape == "modular":
+        # the sets without u are connected by single-element steps, so
+        # equal steps at X and X + v everywhere means constant steps
+        return all(min(step) == max(step) for step in steps)
+    return _pairs_hold(steps, n, ge if shape == "submodular" else le)
 
 
 def _first_gap(nums: Sequence[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
@@ -461,36 +468,68 @@ def _first_drop(nums: Sequence[int], n: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-def _verdict(f: SetFunction, shape: str, first_witness) -> Tuple[bool, Optional[tuple]]:
+# the ordered scan that locates each shape's first witness
+_WITNESS = {
+    "submodular": lambda f: _first_gap(f.nums, f.ground.n, False),
+    "supermodular": lambda f: _first_gap([-v for v in f.nums], f.ground.n, False),
+    "increasing": lambda f: _first_drop(f.nums, f.ground.n),
+    "decreasing": lambda f: _first_drop([-v for v in f.nums], f.ground.n),
+    "modular": lambda f: _first_gap(f.nums, f.ground.n, True),
+}
+
+
+def _keep(f: SetFunction, shape: str, holds: bool) -> Tuple[bool, Optional[tuple]]:
+    """Keep the verdict on f, with the first witness when it fails."""
+    witness = None if holds else _WITNESS[shape](f)
+    f._verdicts[shape] = (witness is None, witness)
+    return f._verdicts[shape]
+
+
+def _verdict(f: SetFunction, shape: str) -> Tuple[bool, Optional[tuple]]:
     """(verdict, witness) of a shape predicate, decided once per function."""
     kept = f._verdicts.get(shape)
-    if kept is None:
-        witness = None if _holds(f.nums, f.ground.n, shape) else first_witness()
-        kept = f._verdicts[shape] = (witness is None, witness)
-    return kept
+    return kept if kept is not None else _keep(f, shape, _holds(f.nums, f.ground.n, shape))
+
+
+def _decide_shapes(f: SetFunction) -> None:
+    """Decide increasing, decreasing, modular and submodular from one step
+    table and keep the verdicts, as the predicates would one at a time."""
+    n = f.ground.n
+    steps = list(_steps(f.nums, n))
+    lows, highs = list(map(min, steps)), list(map(max, steps))
+    modular = lows == highs
+    holds = {
+        "increasing": min(lows) >= 0,
+        "decreasing": max(highs) <= 0,
+        "modular": modular,
+        "submodular": modular or _pairs_hold(steps, n, ge),
+    }
+    for shape, ok in holds.items():
+        if shape not in f._verdicts:
+            _keep(f, shape, ok)
 
 
 def is_submodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Local diminishing-returns test; witness is (X, u, v) on failure."""
-    return _verdict(f, "submodular", lambda: _first_gap(f.nums, f.ground.n, False))
+    return _verdict(f, "submodular")
 
 
 def is_supermodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    return _verdict(f, "supermodular", lambda: _first_gap([-v for v in f.nums], f.ground.n, False))
+    return _verdict(f, "supermodular")
 
 
 def is_increasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Monotone on all single-element extensions; witness is (X, u)."""
-    return _verdict(f, "increasing", lambda: _first_drop(f.nums, f.ground.n))
+    return _verdict(f, "increasing")
 
 
 def is_decreasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    return _verdict(f, "decreasing", lambda: _first_drop([-v for v in f.nums], f.ground.n))
+    return _verdict(f, "decreasing")
 
 
 def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Exact equality in the local submodularity form; witness is (X, u, v)."""
-    return _verdict(f, "modular", lambda: _first_gap(f.nums, f.ground.n, True))
+    return _verdict(f, "modular")
 
 
 def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, sub
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     GroundSet,
@@ -120,18 +120,29 @@ def from_coefficients(coeffs: CoverageCoefficients) -> SetFunction:
     return SetFunction.from_ints(coeffs.ground, d, _reflect(_zeta(alpha, coeffs.ground.n)))
 
 
+def _coefficient_ints(f: SetFunction, alpha: Optional[List[int]] = None) -> List[int]:
+    """den * alpha_A for every mask A, verified by reconstruction.
+
+    alpha is computed from ``f.nums`` unless given (``check`` reads it off
+    the interval sums); either way its subset sums, reflected, must give
+    ``f.nums`` back, or ExactnessError is raised.
+    """
+    if f.values[0] != 0:
+        raise NotNormalizedError("coefficient extraction requires f(empty) = 0")
+    n = f.ground.n
+    if alpha is None:
+        alpha = _moebius(_reflect(f.nums), n)
+    if tuple(_reflect(_zeta(alpha, n))) != f.nums:
+        raise ExactnessError("coefficient round-trip failed; this is a bug")
+    return alpha
+
+
 def to_coefficients(f: SetFunction) -> CoverageCoefficients:
     """Invert the basis expansion; exact, and verified by reconstruction.
 
     The transform and the check run over the ints ``f.nums``.
     """
-    if f.values[0] != 0:
-        raise NotNormalizedError("coefficient extraction requires f(empty) = 0")
-    n = f.ground.n
-    alpha = _moebius(_reflect(f.nums), n)
-    if tuple(_reflect(_zeta(alpha, n))) != f.nums:
-        raise ExactnessError("coefficient round-trip failed; this is a bug")
-    return CoverageCoefficients(f.ground, _fractions(f.den, alpha))
+    return CoverageCoefficients(f.ground, _fractions(f.den, _coefficient_ints(f)))
 
 
 def support_size_bound_check(coeffs: CoverageCoefficients, k0: int) -> bool:

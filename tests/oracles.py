@@ -21,7 +21,7 @@ from setdecomp import (
     norm_inf,
     popcount,
 )
-from setdecomp import simplex
+from setdecomp import alternating, simplex
 
 
 # -- alternating sums ----------------------------------------------------
@@ -82,6 +82,36 @@ def is_k_alternating_bruteforce(f: SetFunction, k: int) -> Tuple[bool, Optional[
         if hit is not None:
             return False, hit
     return True, None
+
+
+def weak_violations_by_pairs(f: SetFunction) -> List[Optional[AlternatingWitness]]:
+    """``weak_violations`` read by visiting every pair L <= R of every block
+    of interval sums, in order of R and then L, keeping the first negative
+    S(L, R) of each size |L|."""
+    if f.values[0] != 0:
+        raise NotNormalizedError(f"operation requires f(empty) = 0, got {f.values[0]}")
+    n, full = f.ground.n, f.ground.full_mask
+    bits = min(n, alternating._BLOCK_BITS)
+    ternary = [0] * (1 << bits)
+    for m in range(1, 1 << bits):
+        ternary[m] = 3 * ternary[m >> 1] + (m & 1)
+    first = {}  # |L| -> (R, L, S) of the first violation
+    for r_high, l_high, block in alternating._interval_blocks([f.nums[full] - v for v in reversed(f.nums)], n):
+        for r in range(1 << bits):
+            l = 0
+            while True:  # the subsets of r in increasing order
+                hit = (r_high | r, l_high | l, block[ternary[r] + ternary[l]])
+                if hit[2] < 0 and hit < first.get(popcount(hit[1]), (full + 1,)):
+                    first[popcount(hit[1])] = hit
+                if l == r:
+                    break
+                l = (l - r) & r
+    out: List[Optional[AlternatingWitness]] = [None] * (n + 1)
+    for k, (r, l, s) in first.items():
+        if k:
+            singletons = tuple(1 << e for e in range(n) if l >> e & 1)
+            out[k] = AlternatingWitness(full ^ r, singletons, Fraction(-s, f.den))
+    return out
 
 
 # -- explicit coverage basis matrices ------------------------------------

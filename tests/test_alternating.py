@@ -7,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 from setdecomp import (
     CoverageCoefficients,
     EnumerationLimitError,
+    ExactnessError,
     GroundSet,
     NotNormalizedError,
     Partition,
     SetFunction,
     alt_sum,
+    cut_function,
     extremal,
     from_coefficients,
     is_infinite_alternating,
@@ -25,11 +27,17 @@ from setdecomp import (
     make_partition_matroid_rank,
     max_disjoint_alt_sum,
     popcount,
+    to_coefficients,
     weak_violations,
 )
-from setdecomp import alternating
-from conftest import random_coverage, random_set_function
-from oracles import alt_sum_by_index_subsets, alt_sum_recursive_check, is_k_alternating_bruteforce
+from setdecomp import alternating, coverage
+from conftest import random_coverage, random_graph, random_set_function
+from oracles import (
+    alt_sum_by_index_subsets,
+    alt_sum_recursive_check,
+    is_k_alternating_bruteforce,
+    weak_violations_by_pairs,
+)
 
 
 def all_tuples(size: int, count: int):
@@ -257,6 +265,74 @@ def test_split_blocks_match_one_block(rng, monkeypatch):
     assert len({k for found in whole for k, w in enumerate(found) if w is not None}) >= 4
     monkeypatch.setattr(alternating, "_BLOCK_BITS", 1)
     assert [weak_violations(f) for f in fs] == whole
+
+
+# -- the interval sums' diagonal and their negative entries ---------------
+
+mixed_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def mixed_tables(draw, max_n=7):
+    """Normalized functions on 1..max_n elements, values with mixed denominators."""
+    ground = GroundSet(draw(st.integers(1, max_n)))
+    entries = st.lists(mixed_rationals, min_size=ground.size - 1, max_size=ground.size - 1)
+    return SetFunction(ground, (Fraction(0),) + tuple(draw(entries)))
+
+
+def coefficient_ints(f):
+    """den * alpha from to_coefficients, each checked to be an int."""
+    scaled = [a * f.den for a in to_coefficients(f).alpha]
+    assert all(a.denominator == 1 for a in scaled)
+    return [int(a) for a in scaled]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.one_of(mixed_tables(), normalized_tables(max_n=7)))
+def test_interval_diagonal_is_the_coefficient_table(f):
+    found, alpha = alternating._weak_pass(f)
+    assert all(type(a) is int for a in alpha)
+    assert alpha == coefficient_ints(f) == coverage._coefficient_ints(f)
+    assert found == weak_violations(f)
+    assert is_infinite_alternating(f) == (min(to_coefficients(f).alpha) >= 0)
+
+
+def violating_functions(rng):
+    """Cut, ell-not-(ell+1) and negative-coefficient functions on 3..8 elements."""
+    fs = [cut_function(random_graph(rng, n, 0.6)) for n in (3, 5, 6, 7, 8)]
+    for n, ell in ((4, 1), (6, 3), (7, 5), (8, 2), (8, 6)):
+        fs.append(make_ell_not_ell_plus_one(GroundSet(n), ell, ((1 << ell + 1) - 1) << (n - ell - 1)))
+    for n in (4, 6, 8):
+        alpha = [Fraction(rng.randint(0, 3), rng.randint(1, 4)) for _ in range(2**n)]
+        alpha[0] = Fraction(0)
+        for mask in rng.sample(range(1, 2**n), 2):
+            alpha[mask] = -Fraction(rng.randint(1, 5), rng.randint(1, 3))
+        fs.append(from_coefficients(CoverageCoefficients(GroundSet(n), tuple(alpha))))
+    return fs
+
+
+def test_negative_sums_give_the_pair_scans_violations(rng, monkeypatch):
+    fs = violating_functions(rng)
+    whole = [alternating._weak_pass(f) for f in fs]
+    for f, (found, alpha) in zip(fs, whole):
+        assert found == weak_violations_by_pairs(f)
+        assert alpha == coefficient_ints(f)
+    assert {k for found, _ in whole for k, w in enumerate(found) if w is not None} >= {1, 2, 3, 4, 6, 7}
+    # split into blocks by the top elements: same violations, same diagonal
+    monkeypatch.setattr(alternating, "_BLOCK_BITS", 2)
+    assert [alternating._weak_pass(f) for f in fs] == whole
+    assert all(weak_violations_by_pairs(f) == found for f, (found, _) in zip(fs, whole))
+
+
+def test_a_spoiled_diagonal_entry_fails_the_round_trip():
+    f = make_ell_not_ell_plus_one(GroundSet(5), 2, 0b10101)
+    alpha = alternating._weak_pass(f)[1]
+    assert coverage._coefficient_ints(f, alpha) == alpha
+    for mask in (1, 0b10101, 0b11111):
+        spoiled = list(alpha)
+        spoiled[mask] += 1
+        with pytest.raises(ExactnessError):
+            coverage._coefficient_ints(f, spoiled)
 
 
 def test_decision_functions_read_the_levels(rng):

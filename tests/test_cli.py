@@ -5,15 +5,25 @@ from fractions import Fraction
 import pytest
 
 from setdecomp import (
+    CoverageCoefficients,
+    ExactnessError,
     GroundSet,
     SetFunction,
     alt_sum,
     complete,
     cut_function,
     format_rational,
+    from_coefficients,
+    is_decreasing,
+    is_increasing,
+    is_modular,
+    is_submodular,
     make_ell_not_ell_plus_one,
+    to_coefficients,
 )
+from setdecomp import alternating
 from setdecomp.cli import main
+from oracles import weak_violations_by_pairs
 
 
 def write_json(path, payload):
@@ -269,6 +279,59 @@ def test_check_reports_every_level_at_n9(capsys, tmp_path):
     assert main(argv + ["--output", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
     assert json.loads(out1.read_text()) == report
+
+
+def test_check_at_n11_matches_the_oracles(capsys, tmp_path, rng):
+    # above 10 elements the interval sums come in blocks split by the top
+    # element; alpha mixes signs and denominators, so several levels fail
+    alpha = [Fraction(rng.choice((0, 0, 1, 2, 3, -1)), rng.randint(1, 3)) for _ in range(2**11)]
+    alpha[0] = Fraction(0)
+    f = from_coefficients(CoverageCoefficients(GroundSet(11), tuple(alpha)))
+    path = write_json(tmp_path / "f.json", f.to_json_dict())
+    code, report = run(capsys, ["check", path, "--max-n", "11", "--i-know-this-is-exponential"])
+    assert code == 0
+    found = weak_violations_by_pairs(f)
+    assert any(found[k] is not None for k in (1, 2)) and any(found[k] is not None for k in range(5, 12))
+    strong = None
+    for entry, k in zip(report["alternating_profile"], range(1, 12)):
+        strong = strong or found[k]
+        assert entry["weak"] == (found[k] is None) and entry["strong"] == (strong is None)
+        assert entry.get("witness") == (strong and strong.to_json_dict())
+    assert report["weakly_infinite_alternating"] == all(w is None for w in found[2:])
+    coeffs = to_coefficients(f)
+    lowest = coeffs.min_coefficient()
+    assert report["infinite_alternating"] == (lowest >= 0)
+    assert report["coverage"] == {
+        "nonnegative": lowest >= 0,
+        "support_size": len(coeffs.support()),
+        "min_coefficient": format_rational(lowest),
+    }
+    for name, predicate in (
+        ("submodular", is_submodular),
+        ("increasing", is_increasing),
+        ("decreasing", is_decreasing),
+        ("modular", is_modular),
+    ):
+        holds, witness = predicate(SetFunction.from_ints(f.ground, f.den, f.nums))
+        assert report[name]["holds"] == holds
+        if name != "modular" and witness:
+            assert tuple(report[name]["witness"].values()) == witness
+
+
+def test_check_refuses_a_spoiled_coefficient_table(tmp_path, monkeypatch):
+    # check reads the coefficients off the interval sums and still rebuilds f from them
+    f = make_ell_not_ell_plus_one(GroundSet(4), 2, 0b111)
+    path = write_json(tmp_path / "f.json", f.to_json_dict())
+    weak_pass = alternating._weak_pass
+
+    def spoiled(g):
+        found, alpha = weak_pass(g)
+        alpha[0b101] += 1
+        return found, alpha
+
+    monkeypatch.setattr(alternating, "_weak_pass", spoiled)
+    with pytest.raises(ExactnessError, match="round-trip"):
+        main(["check", path, "--output", str(tmp_path / "out.json")])
 
 
 def test_probe_exit_codes(capsys, tmp_path):

@@ -5,6 +5,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from setdecomp import (
     Charge,
@@ -27,8 +28,8 @@ from setdecomp import (
     symmetrize,
     to_rational,
 )
-from setdecomp.core import _fractions
-from conftest import random_set_function
+from setdecomp.core import _decide_shapes, _fractions
+from conftest import random_coverage, random_set_function
 
 
 def test_ground_set_limits():
@@ -202,6 +203,59 @@ def test_monotonicity_predicates():
     assert not ok
     x, u = witness
     assert (-card)(x | 1 << u) < (-card)(x)
+
+
+CHECK_SHAPES = {
+    "increasing": is_increasing,
+    "decreasing": is_decreasing,
+    "modular": is_modular,
+    "submodular": is_submodular,
+}
+
+
+def shapes_alone_and_together(f):
+    """The four verdicts of _decide_shapes on one copy of f, and of each
+    predicate run alone on a fresh copy."""
+    together = copy.copy(f)
+    _decide_shapes(together)
+    assert set(together._verdicts) == set(CHECK_SHAPES)
+    alone = {shape: predicate(copy.copy(f)) for shape, predicate in CHECK_SHAPES.items()}
+    # the predicates read what the helper kept
+    assert {shape: predicate(together) for shape, predicate in CHECK_SHAPES.items()} == together._verdicts
+    return together._verdicts, alone
+
+
+def test_one_step_table_decides_the_four_shapes(rng):
+    card = [bin(m).count("1") for m in range(64)]
+    tables = [
+        SetFunction(GroundSet(6), [3 * c - 2 for c in card]),  # modular, not normalized
+        SetFunction(GroundSet(4), [(m & 1) - 2 * (m >> 3 & 1) + Fraction(1, 3) for m in range(16)]),  # modular, mixed signs
+        SetFunction.zero(GroundSet(3)),
+        SetFunction(GroundSet(5), [5] * 32),
+        SetFunction(GroundSet(1), [0, 2]),
+        SetFunction(GroundSet(1), [1, "-1/2"]),
+        SetFunction(GroundSet(1), [7, 7]),
+        SetFunction(GroundSet(3), [min(c, 2) for c in card[:8]]),
+        SetFunction(GroundSet(3), [-c * c for c in card[:8]]),
+    ]
+    tables += [random_set_function(rng, n, normalized=False) for n in (1, 2, 3, 5, 6) for _ in range(3)]
+    tables += [random_coverage(rng, n) for n in (2, 4, 6)]
+    tables += [-random_coverage(rng, 5), random_coverage(rng, 4).shift(-1)]
+    seen = set()
+    for f in tables:
+        together, alone = shapes_alone_and_together(f)
+        assert together == alone
+        seen.update((shape, verdict) for shape, (verdict, _) in together.items())
+    assert seen == {(shape, verdict) for shape in CHECK_SHAPES for verdict in (True, False)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(st.integers(-2, 2), min_size=2**n, max_size=2**n)))
+def test_four_shapes_match_the_predicates_on_small_int_tables(values):
+    # few distinct values, so ties and modular tables are common
+    f = SetFunction(GroundSet(len(values).bit_length() - 1), values)
+    together, alone = shapes_alone_and_together(f)
+    assert together == alone
 
 
 def test_global_submodularity_agrees_with_local():

@@ -67,6 +67,21 @@ def test_charge_oracle_and_exact_pivoting_load_neither_numpy_nor_scipy():
     assert _loaded_heavy_modules(code) == "[]"
 
 
+def test_check_loads_neither_numpy_nor_scipy(tmp_path):
+    # check's peak resident memory is about 29 MB; numpy alone would add about 11 MB
+    inputs = {
+        "f.json": '{"n": 6, "values": [' + ", ".join(f'"{bin(m).count("1") * (12 - bin(m).count("1"))}/7"' for m in range(64)) + "]}",
+        "g.json": '{"n": 5, "edges": [[0, 1, "1"], [1, 2, "3/2"], [2, 3, "2"], [3, 4, "1/3"], [4, 0, "5"], [0, 2, "1"]]}',
+    }
+    calls = []
+    for name, text in inputs.items():
+        (tmp_path / name).write_text(text)
+        argv = ["check", str(tmp_path / name), "--output", str(tmp_path / f"out-{name}")]
+        calls.append(f"assert setdecomp.cli.main({argv!r}) == 0")
+    assert _loaded_heavy_modules("import sys, setdecomp.cli; " + "; ".join(calls)) == "[]"
+    assert all((tmp_path / f"out-{name}").exists() for name in inputs)
+
+
 def test_benchmark_tracer_counts_one_structured_lp_and_one_highs_call():
     # perfbench/spans.py counts a structured LP from the positional arguments
     # of solve_min_nonneg and a HiGHS call through scipy.optimize.linprog,
