@@ -39,7 +39,6 @@ from .core import (
     Partition,
     PartitionError,
     SetFunction,
-    _decide_shapes,
     format_rational,
     norm_inf,
     is_decreasing,
@@ -167,9 +166,6 @@ def cmd_check(args) -> int:
     report["n"] = f.ground.n
     report["norm"] = format_rational(norm_inf(f))
 
-    # one step table decides the four shapes; the predicates then read the
-    # kept verdicts, and resolve like any other call here
-    _decide_shapes(f)
     # report key, predicate and the names of its witness fields
     for name, predicate, fields in (
         ("submodular", is_submodular, ("X", "u", "v")),

@@ -9,10 +9,11 @@ Tables cross between ints and Fractions in two places only: canonical
 "p/q" strings, the format ``format_rational`` writes, are read with
 ``int()``, and every table of Fractions is made by ``_fractions`` from
 coprime (numerator, denominator) pairs.
-The shape predicates decide from one table of steps f(X + u) - f(X),
-compared list against list by built-ins, and each function keeps its
-verdicts, so the precondition checks of repeated calls on one function
-cost one decision each.
+A function's first shape predicate decides all four shapes (increasing,
+decreasing, modular, submodular) from one table of steps f(X + u) - f(X),
+compared list against list by built-ins, and the function keeps the four
+verdicts, so later predicate calls on it build no table.  A failed
+predicate finds its witness by scanning the ints in mask order.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from numbers import Rational
-from operator import ge, le, sub
+from operator import ge, sub
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -152,10 +153,11 @@ class SetFunction:
     denominator) pair, scales them to ints over their least common
     denominator and builds ``values`` from the reduced ints, the same path
     :meth:`from_ints` takes for code that already holds such ints.
-    ``_verdicts`` maps a shape predicate's name to the (verdict, witness)
-    it returned for this function.  It is filled on a predicate's first
-    call; since the table cannot change, the kept answer stays right, and
-    equality, hashing, copies and the values ignore it.
+    ``_verdicts`` maps each of the shapes increasing, decreasing, modular
+    and submodular to whether this function has it.  All four are filled
+    on the first predicate call; since the table cannot change, the kept
+    verdicts stay right, and equality, hashing, copies and the values
+    ignore them.
 
     The default constructor is "raw" and accepts arbitrary values; use
     :meth:`normalized` to reject tables with a nonzero value at the
@@ -374,17 +376,17 @@ def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
 #
 # Each predicate returns (verdict, witness); the witness is None on success
 # and otherwise the lexicographically first counterexample in mask order.
-# The verdict comes from the step table of f.nums: steps[u] lists
-# f(X + u) - f(X) over the sets X without u, in mask order, so monotonicity
-# is a min or max of each list, modularity min == max for each, and a
-# local submodularity gap
-# f(X+u) + f(X+v) - f(X) - f(X+u+v) is the step of u at X minus its step at
-# X + v, compared for the two halves of steps[u] along v.  Lists are built
-# by slicing and compared by map over operator functions, so no Python
-# bytecode runs per entry.  Only a failed decision runs the ordered scan
-# (_first_gap or _first_drop) that locates the first witness.  Each
-# verdict is kept on the function (SetFunction._verdicts), so a second
-# call on the same function only looks it up.
+# On the first predicate call for a function, _shapes decides the four
+# shapes from one step table of f.nums: steps[u] lists f(X + u) - f(X)
+# over the sets X without u, in mask order, so monotonicity is a min or
+# max of each list, modularity min == max for each, and a local
+# submodularity gap f(X+u) + f(X+v) - f(X) - f(X+u+v) is the step of u at
+# X minus its step at X + v, compared for the two halves of steps[u] along
+# v.  Lists are built by slicing and compared by map over operator
+# functions, so no Python bytecode runs per entry.  The four verdicts are
+# kept on the function (SetFunction._verdicts); a failed predicate then
+# finds its witness by an ordered scan of f.nums (_first_gap or
+# _first_drop).
 
 
 def _halves(seq: Sequence[int], bit: int) -> Tuple[List[int], List[int]]:
@@ -405,54 +407,49 @@ def _halves(seq: Sequence[int], bit: int) -> Tuple[List[int], List[int]]:
     return lo, hi
 
 
-def _steps(nums: Sequence[int], n: int) -> Iterator[List[int]]:
-    """steps[u] for u = 0..n-1, each built when it is reached."""
-    return (list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n)))
+def _steps(nums: Sequence[int], n: int) -> List[List[int]]:
+    """steps[u] for u = 0..n-1."""
+    return [list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n))]
 
 
-def _pairs_hold(steps: Iterable[List[int]], n: int, order) -> bool:
-    """Whether ``order`` holds between the steps of u at X and at X + v,
-    for every pair u < v and every X without either."""
+def _pairs_hold(steps: List[List[int]]) -> bool:
+    """Whether the step of u at X is at least its step at X + v, for every
+    pair u < v and every X without either."""
     # bit j of the steps of u is element j + 1 for j >= u, so these are
     # the pairs u < v; the pair v, u gives the same gaps
-    return all(all(map(order, *_halves(step, j))) for u, step in enumerate(steps) for j in range(u, n - 1))
+    return all(all(map(ge, *_halves(step, j))) for u, step in enumerate(steps) for j in range(u, len(steps) - 1))
 
 
-def _holds(nums: Sequence[int], n: int, shape: str) -> bool:
-    """Whether the table has the shape, decided from its step table.
-
-    The steps of u are built when u is reached, so a failure at a small u
-    costs little more than the ordered scan that then locates it.
-    """
-    steps = _steps(nums, n)
-    if shape == "increasing":
-        return all(min(step) >= 0 for step in steps)
-    if shape == "decreasing":
-        return all(max(step) <= 0 for step in steps)
-    if shape == "modular":
+def _shapes(f: SetFunction) -> dict:
+    """The four shape verdicts of f, decided from one step table on the first call."""
+    if not f._verdicts:
+        steps = _steps(f.nums, f.ground.n)
+        lows, highs = list(map(min, steps)), list(map(max, steps))
         # the sets without u are connected by single-element steps, so
         # equal steps at X and X + v everywhere means constant steps
-        return all(min(step) == max(step) for step in steps)
-    return _pairs_hold(steps, n, ge if shape == "submodular" else le)
+        modular = lows == highs
+        f._verdicts.update(
+            increasing=min(lows) >= 0,
+            decreasing=max(highs) <= 0,
+            modular=modular,
+            submodular=modular or _pairs_hold(steps),
+        )
+    return f._verdicts
 
 
 def _first_gap(nums: Sequence[int], n: int, modular: bool) -> Optional[Tuple[int, int, int]]:
     """First (X, u, v) whose local gap is negative, or nonzero if modular.
 
-    The gap is the step of u at X minus its step at X + v.  steps[u] holds
-    the sets without u, so X sits at X with bit u deleted, and X + v (v > u)
-    2^(v-1) places further on.
+    The gap is the step of u at X minus its step at X + v.
     """
-    steps = list(_steps(nums, n))
     for X in range(1 << n):
+        base = nums[X]
         outside = [u for u in range(n) if not X >> u & 1]
         for a, u in enumerate(outside):
-            low = (1 << u) - 1
-            at = X >> 1 & ~low | X & low
-            step = steps[u]
-            here = step[at]
+            Xu = X | 1 << u
+            here = nums[Xu] - base
             for v in outside[a + 1 :]:
-                there = step[at + (1 << v - 1)]
+                there = nums[Xu | 1 << v] - nums[X | 1 << v]
                 if here < there or (modular and here != there):
                     return X, u, v
     return None
@@ -468,68 +465,37 @@ def _first_drop(nums: Sequence[int], n: int) -> Optional[Tuple[int, int]]:
     return None
 
 
-# the ordered scan that locates each shape's first witness
-_WITNESS = {
-    "submodular": lambda f: _first_gap(f.nums, f.ground.n, False),
-    "supermodular": lambda f: _first_gap([-v for v in f.nums], f.ground.n, False),
-    "increasing": lambda f: _first_drop(f.nums, f.ground.n),
-    "decreasing": lambda f: _first_drop([-v for v in f.nums], f.ground.n),
-    "modular": lambda f: _first_gap(f.nums, f.ground.n, True),
-}
-
-
-def _keep(f: SetFunction, shape: str, holds: bool) -> Tuple[bool, Optional[tuple]]:
-    """Keep the verdict on f, with the first witness when it fails."""
-    witness = None if holds else _WITNESS[shape](f)
-    f._verdicts[shape] = (witness is None, witness)
-    return f._verdicts[shape]
-
-
-def _verdict(f: SetFunction, shape: str) -> Tuple[bool, Optional[tuple]]:
-    """(verdict, witness) of a shape predicate, decided once per function."""
-    kept = f._verdicts.get(shape)
-    return kept if kept is not None else _keep(f, shape, _holds(f.nums, f.ground.n, shape))
-
-
-def _decide_shapes(f: SetFunction) -> None:
-    """Decide increasing, decreasing, modular and submodular from one step
-    table and keep the verdicts, as the predicates would one at a time."""
-    n = f.ground.n
-    steps = list(_steps(f.nums, n))
-    lows, highs = list(map(min, steps)), list(map(max, steps))
-    modular = lows == highs
-    holds = {
-        "increasing": min(lows) >= 0,
-        "decreasing": max(highs) <= 0,
-        "modular": modular,
-        "submodular": modular or _pairs_hold(steps, n, ge),
-    }
-    for shape, ok in holds.items():
-        if shape not in f._verdicts:
-            _keep(f, shape, ok)
-
-
 def is_submodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Local diminishing-returns test; witness is (X, u, v) on failure."""
-    return _verdict(f, "submodular")
+    if _shapes(f)["submodular"]:
+        return True, None
+    return False, _first_gap(f.nums, f.ground.n, False)
 
 
 def is_supermodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    return _verdict(f, "supermodular")
+    """Whether -f is submodular; witness is (X, u, v) on failure."""
+    return is_submodular(-f)
 
 
 def is_increasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Monotone on all single-element extensions; witness is (X, u)."""
-    return _verdict(f, "increasing")
+    if _shapes(f)["increasing"]:
+        return True, None
+    return False, _first_drop(f.nums, f.ground.n)
 
 
 def is_decreasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    return _verdict(f, "decreasing")
+    """Antitone on all single-element extensions; witness is (X, u)."""
+    if _shapes(f)["decreasing"]:
+        return True, None
+    return False, _first_drop([-v for v in f.nums], f.ground.n)
 
 
 def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     """Exact equality in the local submodularity form; witness is (X, u, v)."""
-    return _verdict(f, "modular")
+    if _shapes(f)["modular"]:
+        return True, None
+    return False, _first_gap(f.nums, f.ground.n, True)
 
 
 def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:

@@ -6,15 +6,16 @@ transform and the charge arithmetic run on those ints.  These tests draw
 tables with mixed denominators, some multiplied by 2^70, and compare each
 result with a reference that does the same work in ``Fraction``
 arithmetic.  They also check that a table is scaled once, when it is
-built, and that each shape predicate is decided once per function.
+built, and that the shape predicates build one step table per function.
 """
 
+import copy
 import json
 from fractions import Fraction
 from math import lcm
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import setdecomp
 from setdecomp import (
@@ -139,8 +140,21 @@ def charge_table(atoms, n):
 # -- predicates ----------------------------------------------------------
 
 
+CARD = [X.bit_count() for X in range(64)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(shape_tables())
+@example(SetFunction(GroundSet(6), [3 * c - 2 for c in CARD]))  # modular, not normalized
+@example(SetFunction(GroundSet(4), [(X & 1) - 2 * (X >> 3 & 1) + Fraction(1, 3) for X in range(16)]))  # modular, mixed signs
+@example(SetFunction.zero(GroundSet(3)))
+@example(SetFunction(GroundSet(5), [5] * 32))
+@example(SetFunction(GroundSet(1), [0, 2]))
+@example(SetFunction(GroundSet(1), [1, "-1/2"]))
+@example(SetFunction(GroundSet(1), [7, 7]))
+@example(SetFunction(GroundSet(3), [min(c, 2) for c in CARD[:8]]))
+@example(SetFunction(GroundSet(3), [-c * c for c in CARD[:8]]))
+@example(SetFunction(GroundSet(3), [0, 1, 1, 2, 1, 3, 2, 3]))  # not submodular on the pair {0, 2} alone
 def test_predicates_match_fraction_loops(f):
     n, vals = f.ground.n, f.values
     neg = [-v for v in vals]
@@ -313,41 +327,42 @@ def test_charge_calls_scale_nothing(rng, scale_lengths):
     assert scale_lengths == []
 
 
-# -- each shape is decided once per function -------------------------------
+# -- one step table per function ------------------------------------------
 
 
-PREDICATES = (is_submodular, is_supermodular, is_modular, is_increasing, is_decreasing)
+KEPT = (is_submodular, is_modular, is_increasing, is_decreasing)
 
 
 @pytest.fixture
-def decisions(monkeypatch):
-    """The shapes core decides from a step table, one entry per decision."""
-    shapes = []
-    original = setdecomp.core._holds
+def step_tables(monkeypatch):
+    """The int tables core builds a step table from, one entry per step table."""
+    built = []
+    original = setdecomp.core._steps
 
-    def spy(nums, n, shape):
-        shapes.append(shape)
-        return original(nums, n, shape)
+    def spy(nums, n):
+        built.append(nums)
+        return original(nums, n)
 
-    monkeypatch.setattr(setdecomp.core, "_holds", spy)
-    return shapes
+    monkeypatch.setattr(setdecomp.core, "_steps", spy)
+    return built
 
 
-def test_charge_calls_decide_each_shape_once(rng, decisions):
+def test_charge_calls_decide_each_shape_once(rng, step_tables):
     f = random_coverage(rng, 5)
     for name in CHARGE_CALLS:
         getattr(setdecomp, name)(f)
-    assert sorted(decisions) == ["increasing", "submodular"]
+    assert step_tables == [f.nums]
 
 
-def test_verdicts_are_kept_per_function(decisions):
+def test_verdicts_are_kept_per_function(step_tables):
     # concave and increasing in |X|: submodular and increasing, and the
-    # other three fail with a witness
+    # other two fail with a witness
     values = [Fraction((0, 3, 5, 6, 6)[X.bit_count()], 3) * 2**70 for X in range(16)]
-    f, g = SetFunction(GroundSet(4), values), SetFunction(GroundSet(4), values)
-    first = [p(f) for p in PREDICATES]
-    assert [verdict for verdict, _ in first] == [True, False, False, True, False]
-    assert [p(f) for p in PREDICATES] == first
-    assert len(decisions) == len(PREDICATES)
-    assert g == f and [p(g) for p in PREDICATES] == first
-    assert len(decisions) == 2 * len(PREDICATES)
+    f = SetFunction(GroundSet(4), values)
+    first = [p(f) for p in KEPT]
+    assert [verdict for verdict, _ in first] == [True, False, True, False]
+    assert [p(f) for p in KEPT] == first
+    assert step_tables == [f.nums]
+    g = copy.copy(f)
+    assert g == f and [p(g) for p in KEPT] == first
+    assert len(step_tables) == 2
