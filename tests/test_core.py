@@ -29,8 +29,9 @@ from setdecomp import (
     symmetrize,
     to_rational,
 )
+from setdecomp import core
 from setdecomp.core import _fractions
-from conftest import random_set_function
+from conftest import random_coverage, random_set_function
 
 
 def test_ground_set_limits():
@@ -207,6 +208,51 @@ def test_monotonicity_predicates():
 
 
 PREDICATES = (is_submodular, is_supermodular, is_increasing, is_decreasing, is_modular)
+
+
+CHECK_SHAPES = {
+    "increasing": is_increasing,
+    "decreasing": is_decreasing,
+    "modular": is_modular,
+    "submodular": is_submodular,
+}
+
+
+def test_one_step_table_decides_the_four_shapes(rng, monkeypatch):
+    card = [bin(m).count("1") for m in range(64)]
+    tables = [
+        SetFunction(GroundSet(6), [3 * c - 2 for c in card]),  # modular, not normalized
+        SetFunction(GroundSet(4), [(m & 1) - 2 * (m >> 3 & 1) + Fraction(1, 3) for m in range(16)]),  # modular, mixed signs
+        SetFunction.zero(GroundSet(3)),
+        SetFunction(GroundSet(5), [5] * 32),
+        SetFunction(GroundSet(1), [0, 2]),
+        SetFunction(GroundSet(1), [1, "-1/2"]),
+        SetFunction(GroundSet(1), [7, 7]),
+        SetFunction(GroundSet(3), [min(c, 2) for c in card[:8]]),
+        SetFunction(GroundSet(3), [-c * c for c in card[:8]]),
+    ]
+    tables += [random_set_function(rng, n, normalized=False) for n in (1, 2, 3, 5, 6) for _ in range(3)]
+    tables += [random_coverage(rng, n) for n in (2, 4, 6)]
+    tables += [-random_coverage(rng, 5), random_coverage(rng, 4).shift(-1)]
+    built = []
+    original = core._steps
+
+    def spy(nums, n):
+        built.append(n)
+        return original(nums, n)
+
+    monkeypatch.setattr(core, "_steps", spy)
+    seen = set()
+    for f in tables:
+        alone = {shape: predicate(copy.copy(f)) for shape, predicate in CHECK_SHAPES.items()}
+        del built[:]
+        together = {shape: predicate(f) for shape, predicate in CHECK_SHAPES.items()}
+        # the four shapes come from one step table, kept on f
+        assert built == [f.ground.n]
+        assert {shape: verdict for shape, (verdict, _) in together.items()} == f._verdicts
+        assert together == alone
+        seen.update((shape, verdict) for shape, (verdict, _) in together.items())
+    assert seen == {(shape, verdict) for shape in CHECK_SHAPES for verdict in (True, False)}
 
 
 @settings(max_examples=100, deadline=None)
