@@ -16,9 +16,10 @@ singletons of L): the Moebius characterization of k-monotone capacities
 encodes.  :func:`weak_violations` computes all 3^n interval sums in one
 pass and so settles every level at once; it decodes (R, L) only for the
 negative sums, through index tables kept per block size.  The diagonal
-S(R, R) is alpha_R itself, so the same pass also hands ``check`` the
-coefficients, which it verifies by the round trip of
-``coverage.to_coefficients``.  :func:`max_disjoint_alt_sum`
+S(R, R) is alpha_R itself, so the same pass also hands ``check`` and
+``weakly_alt_canonical_decomposition`` the coefficients, which they
+verify by the round trip of ``coverage._coefficient_ints``.
+:func:`max_disjoint_alt_sum`
 needs the largest sum over disjoint tuples with general classes, not its
 sign.  It visits each such tuple once, its classes a set partition of
 the elements outside A0 and the unused ones, generated in restricted
@@ -301,7 +302,6 @@ def is_infinite_alternating(f: SetFunction) -> bool:
     """
     from .coverage import _coefficient_ints
 
-    _require_normalized(f)
     return min(_coefficient_ints(f)) >= 0
 
 
@@ -311,7 +311,7 @@ def make_ell_not_ell_plus_one(ground: GroundSet, ell: int, x_mask: int) -> SetFu
     Built as the coverage function with coefficient 1 on every set of
     size 1..ell and -1 on the given (ell+1)-element set.
     """
-    from .coverage import CoverageCoefficients, from_coefficients
+    from .coverage import _coverage_function
 
     ground.check_mask(x_mask)
     if ell < 1:
@@ -320,15 +320,13 @@ def make_ell_not_ell_plus_one(ground: GroundSet, ell: int, x_mask: int) -> SetFu
         raise ValueError(f"need |X| = ell + 1 = {ell + 1}, got {popcount(x_mask)}")
     if ground.n <= ell:
         raise ValueError("ground set must have more than ell elements")
-    alpha = [Fraction(1 if 1 <= popcount(a) <= ell else 0) for a in ground.subsets()]
-    alpha[x_mask] = Fraction(-1)
-    return from_coefficients(CoverageCoefficients(ground, tuple(alpha)))
+    alpha = [1 if 1 <= popcount(a) <= ell else 0 for a in ground.subsets()]
+    alpha[x_mask] = -1
+    return _coverage_function(ground, 1, alpha)
 
 
 def make_partition_matroid_rank(partition: Partition) -> SetFunction:
     """Rank function r(X) = number of partition classes met by X."""
     ground = partition.ground
-    values = []
-    for x in ground.subsets():
-        values.append(Fraction(sum(1 for c in partition.classes if c & x)))
-    return SetFunction(ground, values)
+    ranks = [sum(1 for c in partition.classes if c & x) for x in ground.subsets()]
+    return SetFunction.from_ints(ground, 1, ranks)

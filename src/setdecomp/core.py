@@ -8,7 +8,10 @@ predicates, transforms and charge arithmetic run; every result is exact.
 Tables cross between ints and Fractions in two places only: canonical
 "p/q" strings, the format ``format_rational`` writes, are read with
 ``int()``, and every table of Fractions is made by ``_fractions`` from
-coprime (numerator, denominator) pairs.
+coprime (numerator, denominator) pairs.  :meth:`SetFunction.from_ints` is
+the library's only table builder: the parsing constructor reads only
+values a caller supplies (``normalized``, ``from_callable``,
+``cardinality_based`` and ``from_json_dict``).
 A function's first shape predicate decides all four shapes (increasing,
 decreasing, modular, submodular) from one table of steps f(X + u) - f(X),
 compared list against list by built-ins, and the function keeps the four
@@ -210,7 +213,7 @@ class SetFunction:
 
     @classmethod
     def zero(cls, ground: GroundSet) -> "SetFunction":
-        return cls(ground, [0] * ground.size)
+        return cls.from_ints(ground, 1, [0] * ground.size)
 
     @classmethod
     def from_callable(cls, ground: GroundSet, fn) -> "SetFunction":
@@ -263,8 +266,8 @@ class SetFunction:
 
     def shift(self, c: RationalLike) -> "SetFunction":
         """Add the constant c to every value."""
-        c = to_rational(c)
-        return SetFunction(self.ground, [v + c for v in self.values])
+        p, q = _pair(c)
+        return SetFunction.from_ints(self.ground, self.den * q, [v * q + p * self.den for v in self.nums])
 
     def normalize_at_empty(self) -> "SetFunction":
         """Shift so that the empty set gets value 0 (explicit, never implicit)."""
@@ -348,9 +351,10 @@ def quotient(f: SetFunction, partition: Partition) -> SetFunction:
 
 def symmetrize(f: SetFunction, shift: RationalLike = 0) -> SetFunction:
     """g(X) = f(X) + f(J \\ X) + shift."""
-    shift = to_rational(shift)
-    full = f.ground.full_mask
-    return SetFunction(f.ground, [f.values[m] + f.values[full ^ m] + shift for m in f.ground.subsets()])
+    p, q = _pair(shift)
+    # J \ X is the mask J - X, so f(J \ X) runs over the table backwards
+    nums = [(a + b) * q + p * f.den for a, b in zip(f.nums, reversed(f.nums))]
+    return SetFunction.from_ints(f.ground, f.den * q, nums)
 
 
 # -- integer tables ------------------------------------------------------

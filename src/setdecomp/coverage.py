@@ -26,7 +26,7 @@ from .core import (
     scale_to_ints,
     to_rational,
 )
-from .alternating import NotNormalizedError, max_disjoint_alt_sum
+from .alternating import _require_normalized, max_disjoint_alt_sum
 from .simplex import ExactnessError
 
 
@@ -75,7 +75,7 @@ def extremal(ground: GroundSet, a_mask: int) -> SetFunction:
     ground.check_mask(a_mask)
     if a_mask == 0:
         raise ValueError("extremal generator requires a nonempty set")
-    return SetFunction(ground, [Fraction(1 if x & a_mask else 0) for x in ground.subsets()])
+    return SetFunction.from_ints(ground, 1, [1 if x & a_mask else 0 for x in ground.subsets()])
 
 
 def _sweep(values: Sequence[int], n: int, op) -> List[int]:
@@ -114,10 +114,15 @@ def _reflect(table: Sequence[int]) -> List[int]:
     return [total - v for v in reversed(table)]
 
 
+def _coverage_function(ground: GroundSet, den: int, alpha: Sequence[int]) -> SetFunction:
+    """The function with coefficients alpha_A = alpha[A] / den: f(X) = sum
+    of alpha_A over A meeting X, via total minus subset sums."""
+    return SetFunction.from_ints(ground, den, _reflect(_zeta(alpha, ground.n)))
+
+
 def from_coefficients(coeffs: CoverageCoefficients) -> SetFunction:
-    """f(X) = sum of alpha_A over A meeting X, via total minus subset sums."""
-    d, alpha = scale_to_ints(coeffs.alpha)
-    return SetFunction.from_ints(coeffs.ground, d, _reflect(_zeta(alpha, coeffs.ground.n)))
+    """f(X) = sum of alpha_A over A meeting X."""
+    return _coverage_function(coeffs.ground, *scale_to_ints(coeffs.alpha))
 
 
 def _coefficient_ints(f: SetFunction, alpha: Optional[List[int]] = None) -> List[int]:
@@ -125,10 +130,10 @@ def _coefficient_ints(f: SetFunction, alpha: Optional[List[int]] = None) -> List
 
     alpha is computed from ``f.nums`` unless given (``check`` reads it off
     the interval sums); either way its subset sums, reflected, must give
-    ``f.nums`` back, or ExactnessError is raised.
+    ``f.nums`` back, or ExactnessError is raised.  f(empty) = 0 is
+    required (NotNormalizedError).
     """
-    if f.values[0] != 0:
-        raise NotNormalizedError("coefficient extraction requires f(empty) = 0")
+    _require_normalized(f)
     n = f.ground.n
     if alpha is None:
         alpha = _moebius(_reflect(f.nums), n)
@@ -160,21 +165,13 @@ def support_size_bound_check(coeffs: CoverageCoefficients, k0: int) -> bool:
     )
 
 
-def _split_signs(coeffs: CoverageCoefficients) -> Tuple[CoverageCoefficients, CoverageCoefficients]:
-    pos = [a if a > 0 else Fraction(0) for a in coeffs.alpha]
-    neg = [-a if a < 0 else Fraction(0) for a in coeffs.alpha]
-    return (
-        CoverageCoefficients(coeffs.ground, tuple(pos)),
-        CoverageCoefficients(coeffs.ground, tuple(neg)),
-    )
-
-
 def diff_decompose_canonical(f: SetFunction) -> Tuple[SetFunction, SetFunction]:
     """Split the coefficient vector by sign: f = f1 - f2 with both parts
     coverage functions of disjoint support."""
-    coeffs = to_coefficients(f)
-    pos, neg = _split_signs(coeffs)
-    return from_coefficients(pos), from_coefficients(neg)
+    alpha = _coefficient_ints(f)
+    pos = [max(a, 0) for a in alpha]
+    neg = [max(-a, 0) for a in alpha]
+    return _coverage_function(f.ground, f.den, pos), _coverage_function(f.ground, f.den, neg)
 
 
 def diff_decompose_uniform(f: SetFunction) -> Tuple[SetFunction, SetFunction, Fraction]:
@@ -185,7 +182,8 @@ def diff_decompose_uniform(f: SetFunction) -> Tuple[SetFunction, SetFunction, Fr
     m, _ = max_disjoint_alt_sum(f)
     if m <= 0:
         return f, SetFunction.zero(ground), Fraction(0)
-    uniform = [Fraction(0)] + [m] * (ground.size - 1)
-    f2 = from_coefficients(CoverageCoefficients(ground, tuple(uniform)))
-    f1 = f + f2
-    return f1, f2, m
+    # the nonempty sets meeting X are all but the 2^(n - |X|) sets outside X
+    n = ground.n
+    counts = [(1 << n) - (1 << n - popcount(x)) for x in ground.subsets()]
+    f2 = SetFunction.from_ints(ground, m.denominator, [m.numerator * c for c in counts])
+    return f + f2, f2, m

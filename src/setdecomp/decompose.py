@@ -58,10 +58,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .alternating import is_weakly_infinite_alternating
+from .alternating import _weak_pass
 from .charges import Charge, PreconditionError
 from .core import (
     SetFunction,
+    _fractions,
     format_rational,
     is_decreasing,
     is_increasing,
@@ -70,7 +71,7 @@ from .core import (
     scale_to_ints,
     to_rational,
 )
-from .coverage import CoverageCoefficients, _moebius, _zeta, from_coefficients, to_coefficients
+from .coverage import _coefficient_ints, _coverage_function, _moebius, _zeta
 from .simplex import _INT64_LIMIT, ExactnessError, _CSRRows, _ScaledInts, solve_min_nonneg
 
 LP_MAX_N = 10
@@ -376,35 +377,33 @@ def weakly_alt_canonical_decomposition(
     psi: SetFunction,
 ) -> Tuple[SetFunction, Charge]:
     """Write psi = phi - mu with phi infinite-alternating and mu a
-    nonnegative charge, normalized by mu(a) * alpha_{a} = 0 per element.
+    nonnegative charge, normalized by mu(a) * alpha_{a} = 0 per element;
+    the normalized pair is unique.
 
-    The construction starts from the charge mu0(X) = 2|X|*||psi||, whose
-    addition makes psi infinite-alternating, then cancels overlap between
-    each atom of mu and the singleton coverage coefficient.  The
-    normalized pair is unique.
+    It is the sign split of psi's singleton coverage coefficients: mu(a) =
+    max(-alpha_{a}, 0), and phi has alpha_{a} + mu(a) on {a} and alpha_C,
+    >= 0 by weak |C|-alternation, on every larger C.  As |alpha_{a}| =
+    |psi(J) - psi(J - a)| <= 2||psi||, this is the pair got by adding the
+    charge mu0(X) = 2|X|*||psi|| and cancelling each atom of mu0 against
+    its singleton coefficient.  The coefficients come as ints from the
+    interval pass that decides weak alternation, as in ``check``.
     """
     g = psi.ground
     if psi(0) != 0:
         raise PreconditionError("psi(empty) must be 0; use normalize_at_empty")
-    ok, witness = is_weakly_infinite_alternating(psi)
-    if not ok:
+    found, alpha = _weak_pass(psi)
+    witness = next((w for w in found[2:] if w is not None), None)
+    if witness is not None:
         raise PreconditionError(
             f"psi is not weakly infinite-alternating (witness {witness})"
         )
-    bound = norm_inf(psi)
-    mu = [2 * bound] * g.n
-    phi0 = psi + Charge(g, tuple(mu)).as_set_function()
-    coeffs = to_coefficients(phi0)
-    bad = coeffs.min_coefficient()
-    if bad < 0:
-        raise ExactnessError(f"charge-shifted psi has coverage coefficient {bad} < 0")
-    alpha = list(coeffs.alpha)
-    for a in range(g.n):
-        cut = min(mu[a], alpha[1 << a])
-        mu[a] -= cut
-        alpha[1 << a] -= cut
-    phi = from_coefficients(CoverageCoefficients(g, tuple(alpha)))
-    return phi, Charge(g, tuple(mu))
+    alpha = _coefficient_ints(psi, alpha)
+    mu = [max(-alpha[1 << a], 0) for a in range(g.n)]
+    for a, m in enumerate(mu):
+        alpha[1 << a] += m
+    if min(alpha) < 0:
+        raise ExactnessError("phi has a negative coverage coefficient; this is a bug")
+    return _coverage_function(g, psi.den, alpha), Charge(g, _fractions(psi.den, mu))
 
 
 @dataclass
@@ -447,7 +446,7 @@ def _seven_bound_report(psi: SetFunction, phi: SetFunction, mu: Charge) -> Seven
     b = norm_inf(psi)
     phi_full = phi(g.full_mask)
     mu_full = mu(g.full_mask)
-    norm_mu = norm_inf(mu.as_set_function())
+    norm_mu = mu_full  # mu >= 0, so its largest value is mu(J)
     checks = {
         "norm_dominates_gap": b >= abs(phi_full - mu_full),
         "norm_dominates_combination": b >= Fraction(3, 4) * phi_full - Fraction(1, 2) * mu_full,

@@ -360,21 +360,23 @@ def recover_clique_weights(g: WeightedGraph, phi1: SetFunction) -> CliqueWeights
     part of a monotonic sum-decomposition of the cut function.
 
     w'(K) is the Moebius coefficient of phi1 at K, which is also the
-    closed form (-1)^k V(empty; singletons of K).  The result is verified
-    on every subset; failure means phi1 was not a valid decomposition
-    part, reported with a modularity witness.
+    closed form (-1)^k V(empty; singletons of K).  The subset sums of the
+    coefficients give phi1 back, so phi1 is induced by clique weights
+    exactly when its coefficient vanishes on every other mask, the empty
+    one included; failure means phi1 was not a valid decomposition part,
+    reported with a modularity witness.
     """
     if phi1.ground.n != max(g.n, 1):
         raise GraphError("phi1 ground set does not match the graph")
     alpha = _moebius(phi1.nums, phi1.ground.n)
-    weights = {k: Fraction(alpha[k], phi1.den) for k in sorted(enumerate_cliques(g), key=popcount)}
-    result = CliqueWeights(graph=g, weights=weights)
-    if result.induced() != phi1:
+    cliques = sorted(enumerate_cliques(g), key=popcount)
+    on = set(cliques)
+    if any(a for m, a in enumerate(alpha) if m not in on):
         raise GraphError(
             "phi1 is not induced by any clique weighting: "
             + _modularity_witness_message(g, phi1)
         )
-    return result
+    return CliqueWeights(graph=g, weights={k: Fraction(alpha[k], phi1.den) for k in cliques})
 
 
 def _modularity_witness_message(g: WeightedGraph, phi1: SetFunction) -> str:
@@ -505,17 +507,13 @@ def complete_graph_decomposition(n: int) -> Decomposition:
         raise GraphError("n must be at least 1")
     ground = GroundSet(n)
 
-    def h(k: int) -> Fraction:
-        return Fraction(k * (n - k))
+    def h(k: int) -> int:
+        return k * (n - k)
 
     k0 = n // 2
-    vals1, vals2 = [], []
-    for x in range(ground.size):
-        k = popcount(x)
-        vals1.append(h(min(k, k0)))
-        vals2.append(_ZERO if k <= k0 else h(k) - h(k0))
-    phi1 = SetFunction(ground, tuple(vals1))
-    phi2 = SetFunction(ground, tuple(vals2))
+    sizes = [popcount(x) for x in ground.subsets()]
+    phi1 = SetFunction.from_ints(ground, 1, [h(min(k, k0)) for k in sizes])
+    phi2 = SetFunction.from_ints(ground, 1, [h(k) - h(k0) if k > k0 else 0 for k in sizes])
     d = phi1 + phi2
     if max(norm_inf(phi1), norm_inf(phi2)) != norm_inf(d):
         raise ExactnessError("the split of the complete graph's cut function is not 1-bounded")
@@ -581,10 +579,8 @@ def counterexample_sum(n: int) -> SetFunction:
         raise GraphError("n must be at least 1")
     ground = GroundSet(2 * n)
     a = (1 << n) - 1
-    vals = tuple(
-        _ZERO if x & ~a == 0 or a & ~x == 0 else _ONE for x in range(ground.size)
-    )
-    return SetFunction(ground, vals)
+    vals = [0 if x & ~a == 0 or a & ~x == 0 else 1 for x in ground.subsets()]
+    return SetFunction.from_ints(ground, 1, vals)
 
 
 def counterexample_diff(n: int) -> SetFunction:
@@ -593,10 +589,7 @@ def counterexample_diff(n: int) -> SetFunction:
     if n < 1:
         raise GraphError("n must be at least 1")
     ground = GroundSet(n)
-    vals = tuple(
-        Fraction(-1) if x == ground.full_mask else _ZERO for x in range(ground.size)
-    )
-    return SetFunction(ground, vals)
+    return SetFunction.from_ints(ground, 1, [0] * (ground.size - 1) + [-1])
 
 
 # -- conjecture probe ----------------------------------------------------

@@ -48,6 +48,19 @@ def random_weakly_alternating(rng: random.Random, n: int) -> SetFunction:
     return random_coverage(rng, n) - random_nonneg_charge(rng, n).as_set_function()
 
 
+def random_signed_singletons(rng: random.Random, n: int) -> SetFunction:
+    """Weakly infinite-alternating: coefficients >= 0 on the sets of two or
+    more elements, signed and fractional ones on the singletons."""
+    ground = GroundSet(n)
+    alpha = [Fraction(0)] * ground.size
+    for mask in range(1, ground.size):
+        if mask & (mask - 1) == 0:
+            alpha[mask] = Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 7]))
+        elif rng.random() < 0.4:
+            alpha[mask] = Fraction(rng.randint(0, 5), rng.choice([1, 2, 5]))
+    return from_coefficients(CoverageCoefficients(ground, tuple(alpha)))
+
+
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> WeightedGraph:
     edges = []
     for u in range(n):

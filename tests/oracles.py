@@ -1,8 +1,9 @@
 """Reference implementations the tests compare the library against.
 
 Each is a direct, slow reading of a definition: exponential enumerations,
-O(4^n) basis matrices, LP rows over Fraction values and LPs in the form
-their definitions give.  None runs in the library.
+O(4^n) basis matrices, LP rows over Fraction values, LPs in the form
+their definitions give and coverage constructions over Fraction
+coefficients.  None runs in the library.
 """
 
 from fractions import Fraction
@@ -10,16 +11,21 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from setdecomp import (
     AlternatingWitness,
+    Charge,
     CoverageCoefficients,
     EnumerationLimitError,
     GroundSet,
     NotNormalizedError,
+    PreconditionError,
     SetFunction,
     WeightedGraph,
     alt_sum,
     enumerate_cliques,
+    from_coefficients,
+    is_weakly_infinite_alternating,
     norm_inf,
     popcount,
+    to_coefficients,
 )
 from setdecomp import alternating, simplex
 
@@ -144,6 +150,44 @@ def inverse_matrix_apply(f: SetFunction) -> CoverageCoefficients:
                     acc -= f.values[y]
         alpha[x] = acc
     return CoverageCoefficients(ground, tuple(alpha))
+
+
+# -- coverage constructions over Fraction coefficients -------------------
+
+
+def diff_decompose_by_fraction_signs(f: SetFunction) -> Tuple[SetFunction, SetFunction]:
+    """f = f1 - f2, the coverage functions of the positive and of the
+    negated negative Fraction coefficients of f."""
+    coeffs = to_coefficients(f)
+    pos = [a if a > 0 else Fraction(0) for a in coeffs.alpha]
+    neg = [-a if a < 0 else Fraction(0) for a in coeffs.alpha]
+    return (
+        from_coefficients(CoverageCoefficients(f.ground, tuple(pos))),
+        from_coefficients(CoverageCoefficients(f.ground, tuple(neg))),
+    )
+
+
+def weakly_alt_canonical_by_charge(psi: SetFunction) -> Tuple[SetFunction, Charge]:
+    """The canonical pair (phi, mu) of a weakly infinite-alternating psi as
+    the proof builds it: add the charge mu0(X) = 2|X| * ||psi||, which makes
+    psi infinite-alternating, expand the sum over the coverage basis, and
+    cancel each atom of mu0 against its singleton coefficient.  Refusals
+    raise PreconditionError with the library's messages."""
+    g = psi.ground
+    if psi(0) != 0:
+        raise PreconditionError("psi(empty) must be 0; use normalize_at_empty")
+    ok, witness = is_weakly_infinite_alternating(psi)
+    if not ok:
+        raise PreconditionError(f"psi is not weakly infinite-alternating (witness {witness})")
+    mu = [2 * norm_inf(psi)] * g.n
+    alpha = list(to_coefficients(psi + Charge(g, tuple(mu)).as_set_function()).alpha)
+    if min(alpha) < 0:
+        raise ValueError("the charge-shifted psi is not a coverage function")
+    for a in range(g.n):
+        cut = min(mu[a], alpha[1 << a])
+        mu[a] -= cut
+        alpha[1 << a] -= cut
+    return from_coefficients(CoverageCoefficients(g, tuple(alpha))), Charge(g, tuple(mu))
 
 
 # -- decomposition LPs ---------------------------------------------------

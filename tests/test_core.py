@@ -327,6 +327,22 @@ def test_quotient_round_trip():
     assert quotient(f, Partition.singletons(g)).values == f.values
 
 
+def test_shift_and_symmetrize_match_fraction_sums(rng):
+    for n in range(1, 6):
+        f = random_set_function(rng, n, normalized=False)
+        full = f.ground.full_mask
+        for c in (0, 3, Fraction(-5, 6), "7/4", Fraction(1, 10**6 + 3)):
+            r = to_rational(c)
+            assert f.shift(c) == SetFunction(f.ground, [v + r for v in f.values])
+            sym = [f.values[m] + f.values[full ^ m] + r for m in f.ground.subsets()]
+            assert symmetrize(f, c) == SetFunction(f.ground, sym)
+    for bad in (True, 1.5):
+        with pytest.raises(TypeError):
+            f.shift(bad)
+        with pytest.raises(TypeError):
+            symmetrize(f, bad)
+
+
 def test_symmetrize():
     g = GroundSet(3)
     f = SetFunction(g, (0, 1, 2, 3, 0, 1, 2, 3))

@@ -18,8 +18,9 @@ from setdecomp import (
 from setdecomp import coverage
 from setdecomp.coverage import diff_decompose_canonical, diff_decompose_uniform, extremal
 from setdecomp.alternating import NotNormalizedError
-from conftest import random_coverage, random_set_function
-from oracles import basis_matrix_apply, inverse_matrix_apply
+from setdecomp.graphs import cut_function
+from conftest import random_coverage, random_graph, random_set_function, random_signed_singletons
+from oracles import basis_matrix_apply, diff_decompose_by_fraction_signs, inverse_matrix_apply
 
 
 def test_extremal_is_intersection_indicator():
@@ -113,6 +114,19 @@ def test_diff_decompose_canonical(rng):
         s1 = set(to_coefficients(f1).support())
         s2 = set(to_coefficients(f2).support())
         assert not s1 & s2
+
+
+def test_diff_decomposes_match_fraction_coefficients(rng):
+    fs = [random_set_function(rng, n) for n in range(1, 8) for _ in range(3)]
+    fs += [random_signed_singletons(rng, n) for n in range(1, 8)]
+    fs += [cut_function(random_graph(rng, n, 0.6)) for n in range(2, 8)]
+    for f in fs:
+        assert diff_decompose_canonical(f) == diff_decompose_by_fraction_signs(f)
+        f1, f2, m = diff_decompose_uniform(f)
+        if m > 0:
+            uniform = (Fraction(0),) + (m,) * (f.ground.size - 1)
+            assert f2 == from_coefficients(CoverageCoefficients(f.ground, uniform))
+            assert f1 == f + f2
 
 
 def test_diff_decompose_uniform(rng):

@@ -15,6 +15,7 @@ from setdecomp import (
     is_decreasing,
     is_increasing,
     is_submodular,
+    norm_inf,
     optimal_diff_decomposition,
     optimal_sum_decomposition,
     verify_seven_bound,
@@ -35,11 +36,12 @@ from conftest import (
     random_coverage,
     random_graph,
     random_set_function,
+    random_signed_singletons,
     random_weakly_alternating,
     spy_certificate_dtypes,
     spy_exact,
 )
-from oracles import decomposition_rows_fractions
+from oracles import decomposition_rows_fractions, weakly_alt_canonical_by_charge
 
 F = Fraction
 
@@ -304,6 +306,49 @@ def test_canonical_weakly_alt_edge_cases(rng):
     phi2, mu2 = weakly_alt_canonical_decomposition(neg)
     assert phi2 == SetFunction.zero(g)
     assert mu2.atoms == (F(1), F(1), F(1))
+
+
+def test_canonical_pair_matches_the_charge_construction(rng):
+    inputs = [random_signed_singletons(rng, n) for n in range(1, 8) for _ in range(6)]
+    inputs += [random_weakly_alternating(rng, n) for n in range(1, 6)]
+    inputs += [cut_function(random_graph(rng, n, p)) for n in range(2, 8) for p in (0.4, 0.8)]
+    # mostly refused, by weak alternation or by psi(empty) != 0
+    inputs += [random_set_function(rng, n, normalized=n > 1) for n in range(1, 6)]
+    refused = 0
+    for psi in inputs:
+        try:
+            expected = weakly_alt_canonical_by_charge(psi)
+        except PreconditionError as exc:
+            refused += 1
+            with pytest.raises(PreconditionError) as got:
+                weakly_alt_canonical_decomposition(psi)
+            assert str(got.value) == str(exc)
+            continue
+        phi, mu = weakly_alt_canonical_decomposition(psi)
+        assert (phi, mu) == expected
+        report = decompose._seven_bound_report(psi, phi, mu)
+        assert report.norm_mu == norm_inf(mu.as_set_function())
+    assert 0 < refused < len(inputs) // 4
+
+
+def test_canonical_pair_reads_one_interval_pass(monkeypatch):
+    from setdecomp import alternating, core, coverage
+
+    psi = cut_function(complete(4))
+    expected = weakly_alt_canonical_decomposition(psi)
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: calls.append(name) or real(*args))
+
+    for module, name in (
+        (alternating, "_weak_pass"), (decompose, "_weak_pass"),
+        (coverage, "to_coefficients"), (core, "linear_combine"),
+    ):
+        spy(module, name)
+    assert weakly_alt_canonical_decomposition(psi) == expected
+    assert calls == ["_weak_pass"]
 
 
 def test_seven_bound_triangle():

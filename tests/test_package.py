@@ -19,6 +19,44 @@ def test_no_assert_statements():
     assert SOURCES and found == []
 
 
+def _calls():
+    """(called name, enclosing class, enclosing function) for every call by
+    name or attribute in the package; ``cls(...)`` inside a class counts as
+    a call of that class."""
+    out = []
+
+    def visit(node, cls, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name, None)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, cls, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                out.append((cls if name == "cls" else name, cls, fn))
+            visit(child, cls, fn)
+
+    for path in SOURCES:
+        visit(ast.parse(path.read_text(), str(path)), None, None)
+    return out
+
+
+def test_tables_are_built_from_ints():
+    # library code builds every table with SetFunction.from_ints; the
+    # parsing constructor reads only values a caller supplies, and no
+    # module goes through a table of Fraction coverage coefficients
+    watched = {"SetFunction", "CoverageCoefficients", "to_coefficients", "from_coefficients"}
+    found = {call for call in _calls() if call[0] in watched}
+    readers = {"normalized", "from_callable", "cardinality_based", "from_json_dict"}
+    assert found == {("SetFunction", "SetFunction", fn) for fn in readers} | {
+        ("CoverageCoefficients", None, "to_coefficients"),
+        ("CoverageCoefficients", "CoverageCoefficients", "from_json_dict"),
+    }
+
+
 def _loaded_heavy_modules(code: str) -> str:
     src = str(Path(setdecomp.__file__).parent.parent)
     out = subprocess.run(
