@@ -99,8 +99,8 @@ def _alt_ints(nums: Sequence[int], a0: int, classes: Sequence[int]) -> int:
 
 
 def _require_normalized(f: SetFunction) -> None:
-    if f.values[0] != 0:
-        raise NotNormalizedError(f"operation requires f(empty) = 0, got {f.values[0]}")
+    if f.nums[0]:
+        raise NotNormalizedError(f"operation requires f(empty) = 0, got {Fraction(f.nums[0], f.den)}")
 
 
 def _interval_blocks(

@@ -21,6 +21,7 @@ from .core import (
     GroundSet,
     SetFunction,
     _check_table,
+    _fractions,
     format_rational,
     is_increasing,
     is_submodular,
@@ -70,11 +71,11 @@ class Charge:
 
 def _require(f: SetFunction, *, nonneg=False, submodular=False, increasing=False) -> None:
     """Check the preconditions of a public operation, each predicate once."""
-    if f.values[0] != 0:
-        raise PreconditionError(f"requires f(empty) = 0, got {f.values[0]}")
+    if f.nums[0]:
+        raise PreconditionError(f"requires f(empty) = 0, got {Fraction(f.nums[0], f.den)}")
     if nonneg and min(f.nums) < 0:
         m = next(m for m, v in enumerate(f.nums) if v < 0)
-        raise PreconditionError(f"requires f >= 0; f({m}) = {f.values[m]}")
+        raise PreconditionError(f"requires f >= 0; f({m}) = {Fraction(f.nums[m], f.den)}")
     if submodular:
         ok, witness = is_submodular(f)
         if not ok:
@@ -109,14 +110,13 @@ def _canonical_dual(nums: Sequence[int], n: int) -> List[int]:
 
 def _lower_charge(f: SetFunction) -> Charge:
     full = f.ground.full_mask
-    f_j = f.values[full]
-    return Charge(f.ground, tuple(f_j - f.values[full ^ 1 << i] for i in range(f.ground.n)))
+    return Charge(f.ground, _fractions(f.den, [f.nums[full] - f.nums[full ^ 1 << i] for i in range(f.ground.n)]))
 
 
 def upper_charge(f: SetFunction) -> Charge:
     """Smallest nonnegative charge majorizing f: atoms are the singleton values."""
     _require(f, nonneg=True, submodular=True)
-    return Charge(f.ground, tuple(f.values[1 << i] for i in range(f.ground.n)))
+    return Charge(f.ground, _fractions(f.den, [f.nums[1 << i] for i in range(f.ground.n)]))
 
 
 def dual_wrt(f: SetFunction, eta: Charge) -> SetFunction:
@@ -178,9 +178,8 @@ def verify_lower_charge_maximality(f: SetFunction) -> bool:
     _require(f, nonneg=True, submodular=True, increasing=True)
     n = f.ground.n
     full = f.ground.full_mask
-    f_j = f.values[full]
     rows = [{x: 1 for x in f.ground.subsets() if not x >> i & 1} for i in range(n)]
-    costs = [f_j - v for v in f.values]
+    costs = _fractions(f.den, [f.nums[full] - v for v in f.nums])
     # z_X = 1 for X empty is feasible, so the LP has an optimum
     _, value, _, atoms = _solve_exact(rows, [1] * n, costs)
     expected = _lower_charge(f)

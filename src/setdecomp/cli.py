@@ -178,7 +178,7 @@ def cmd_check(args) -> int:
         if witness and fields:
             report[name]["witness"] = dict(zip(fields, witness))
 
-    if f(0) == 0:
+    if f.nums[0] == 0:
         # the interval sums give the profile and, on their diagonal, den * alpha
         found, alpha = alt._weak_pass(f)
         alpha = cov._coefficient_ints(f, alpha)

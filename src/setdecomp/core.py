@@ -1,13 +1,14 @@
 """Ground sets, subset masks, and exact-rational set functions.
 
 Subsets of a ground set of size n (n <= 16) are encoded as n-bit integers,
-and a set function is a dense table of 2**n Fractions indexed by mask.  It
-also carries, from construction on, the least common denominator ``den`` of
-its values and the Python ints ``nums = den * values``, on which the
-predicates, transforms and charge arithmetic run; every result is exact.
-Tables cross between ints and Fractions in two places only: canonical
-"p/q" strings, the format ``format_rational`` writes, are read with
-``int()``, and every table of Fractions is made by ``_fractions`` from
+and a set function is a dense table of 2**n exact rationals indexed by
+mask.  Its state is the least common denominator ``den`` of its values and
+the Python ints ``nums = den * values``, on which the predicates,
+transforms and charge arithmetic run; every result is exact.  The table of
+Fractions, ``values``, is a view built from the ints on its first read and
+kept.  Tables cross between ints and Fractions in two places only:
+canonical "p/q" strings, the format ``format_rational`` writes, are read
+with ``int()``, and every table of Fractions is made by ``_fractions`` from
 coprime (numerator, denominator) pairs.  :meth:`SetFunction.from_ints` is
 the library's only table builder: the parsing constructor reads only
 values a caller supplies (``normalized``, ``from_callable``,
@@ -150,24 +151,24 @@ def popcount(mask: int) -> int:
 class SetFunction:
     """Immutable dense table of exact rational values over all subsets.
 
-    ``den`` is the least common denominator of ``values`` and ``nums`` the
-    tuple of ints with ``nums[X] == den * values[X]``, both fixed at
-    construction.  The constructor reads each value as a (numerator,
-    denominator) pair, scales them to ints over their least common
-    denominator and builds ``values`` from the reduced ints, the same path
-    :meth:`from_ints` takes for code that already holds such ints.
-    ``_verdicts`` maps each of the shapes increasing, decreasing, modular
-    and submodular to whether this function has it.  All four are filled
-    on the first predicate call; since the table cannot change, the kept
-    verdicts stay right, and equality, hashing, copies and the values
-    ignore them.
+    ``den`` is the least common denominator of the values and ``nums`` the
+    tuple of ints with ``nums[X] == den * values[X]``: the function's only
+    stored table, fixed at construction.  The constructor reads each value
+    as a (numerator, denominator) pair and scales them to ints over their
+    least common denominator, the same path :meth:`from_ints` takes for
+    code that already holds such ints.  ``values``, the Fractions, is built
+    from the ints on its first read and kept in ``_values``.  ``_verdicts``
+    maps each of the shapes increasing, decreasing, modular and submodular
+    to whether this function has it; all four are filled on the first
+    predicate call.  Since the table cannot change, the kept view and
+    verdicts stay right; equality, hashing, copies and pickles ignore both.
 
     The default constructor is "raw" and accepts arbitrary values; use
     :meth:`normalized` to reject tables with a nonzero value at the
     empty set.
     """
 
-    __slots__ = ("ground", "values", "den", "nums", "_verdicts")
+    __slots__ = ("ground", "den", "nums", "_verdicts", "_values")
 
     def __init__(self, ground: GroundSet, values: Sequence[RationalLike]):
         _check_table(values)
@@ -177,18 +178,25 @@ class SetFunction:
 
     def _fill(self, ground: GroundSet, den: int, nums: Sequence[int]) -> None:
         """Set the fields from any positive common denominator of the values
-        and the numerators over it; no verdicts yet."""
+        and the numerators over it; no verdicts or view yet."""
         # dividing out the common gcd leaves the least common denominator
         g = gcd(den, *nums)
         den, nums = den // g, tuple(nums) if g == 1 else tuple(v // g for v in nums)
-        for name, value in zip(self.__slots__, (ground, _fractions(den, nums), den, nums, {})):
+        for name, value in zip(self.__slots__, (ground, den, nums, {}, None)):
             object.__setattr__(self, name, value)
+
+    @property
+    def values(self) -> Tuple[Fraction, ...]:
+        """The Fractions nums[X] / den, built on the first read and kept."""
+        if self._values is None:
+            object.__setattr__(self, "_values", _fractions(self.den, self.nums))
+        return self._values
 
     def __setattr__(self, name, value):
         raise AttributeError("SetFunction is immutable")
 
     def __reduce__(self):
-        # copies and pickles are rebuilt from the ints, without the verdicts
+        # copies and pickles are rebuilt from the ints, without the verdicts or view
         return type(self).from_ints, (self.ground, self.den, self.nums)
 
     @classmethod
@@ -196,7 +204,7 @@ class SetFunction:
         """The function with values nums[X] / den, for a positive int den.
 
         den need not be the least common denominator: the common factor is
-        divided out, and the Fractions are built by ``_fractions``.
+        divided out.
         """
         if len(nums) != ground.size or den <= 0:
             raise ValueError(f"need {ground.size} numerators and a positive denominator")
@@ -207,8 +215,8 @@ class SetFunction:
     @classmethod
     def normalized(cls, ground: GroundSet, values: Sequence[RationalLike]) -> "SetFunction":
         f = cls(ground, values)
-        if f.values[0] != 0:
-            raise ValueError(f"normalized constructor requires value 0 on the empty set, got {f.values[0]}")
+        if f.nums[0]:
+            raise ValueError(f"normalized constructor requires value 0 on the empty set, got {Fraction(f.nums[0], f.den)}")
         return f
 
     @classmethod
@@ -271,7 +279,7 @@ class SetFunction:
 
     def normalize_at_empty(self) -> "SetFunction":
         """Shift so that the empty set gets value 0 (explicit, never implicit)."""
-        return self.shift(-self.values[0])
+        return SetFunction.from_ints(self.ground, self.den, [v - self.nums[0] for v in self.nums])
 
     # -- serialization ---------------------------------------------------
 
@@ -505,12 +513,12 @@ def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
 def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:
     f.ground.check_mask(a)
     f.ground.check_mask(b)
-    return f.values[a] + f.values[b] == f.values[a & b] + f.values[a | b]
+    return f.nums[a] + f.nums[b] == f.nums[a & b] + f.nums[a | b]
 
 
 def global_submodularity_check(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Four-set definition over all pairs; O(4^n) oracle for the local test."""
-    vals = f.values
+    vals = f.nums
     for X in f.ground.subsets():
         for Y in f.ground.subsets():
             if vals[X] + vals[Y] < vals[X & Y] + vals[X | Y]:

@@ -116,7 +116,7 @@ def _check_input(psi: SetFunction, kind: str) -> None:
         raise ValueError(f"unknown decomposition kind {kind!r}")
     if psi.ground.n > LP_MAX_N:
         raise ValueError(f"decomposition LPs are capped at n <= {LP_MAX_N}")
-    if psi(0) != 0:
+    if psi.nums[0]:
         raise PreconditionError("psi(empty) must be 0; use normalize_at_empty")
     ok, witness = is_submodular(psi)
     if not ok:
@@ -303,7 +303,7 @@ def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
         return None
     den, nums = scale_to_ints(x)
     phi1 = SetFunction.from_ints(g, den, [0, *nums] if cliques is None else _lift(g.n, cliques, nums[:-1]))
-    if phi1(g.full_mask) != value:
+    if phi1.nums[-1] != value * phi1.den:
         raise ExactnessError("LP optimum is not phi1(J)")
     phi2 = psi - phi1 if kind == "sum" else phi1 - psi
     if cliques is not None:
@@ -341,7 +341,7 @@ def optimal_sum_decomposition(psi: SetFunction) -> Decomposition:
     if dec is None:  # phi1 = max-cumulative envelope is always feasible
         raise ExactnessError("sum-decomposition LP reported infeasible")
     # phi1 >= psi holds in every feasible point: phi2 decreases from 0
-    if any(a < b for a, b in zip(dec.phi1.values, psi.values)):
+    if any(a * psi.den < b * dec.phi1.den for a, b in zip(dec.phi1.nums, psi.nums)):
         raise ExactnessError("optimal phi1 does not dominate psi")
     return dec
 
@@ -389,7 +389,7 @@ def weakly_alt_canonical_decomposition(
     interval pass that decides weak alternation, as in ``check``.
     """
     g = psi.ground
-    if psi(0) != 0:
+    if psi.nums[0]:
         raise PreconditionError("psi(empty) must be 0; use normalize_at_empty")
     found, alpha = _weak_pass(psi)
     witness = next((w for w in found[2:] if w is not None), None)
@@ -444,7 +444,7 @@ def _seven_bound_report(psi: SetFunction, phi: SetFunction, mu: Charge) -> Seven
     """The seven-bound checks on psi's canonical pair (phi, mu)."""
     g = psi.ground
     b = norm_inf(psi)
-    phi_full = phi(g.full_mask)
+    phi_full = Fraction(phi.nums[-1], phi.den)
     mu_full = mu(g.full_mask)
     norm_mu = mu_full  # mu >= 0, so its largest value is mu(J)
     checks = {

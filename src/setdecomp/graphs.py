@@ -380,18 +380,20 @@ def recover_clique_weights(g: WeightedGraph, phi1: SetFunction) -> CliqueWeights
 
 
 def _modularity_witness_message(g: WeightedGraph, phi1: SetFunction) -> str:
-    # a valid phi1 must be modular across every non-adjacent pair
+    # a valid phi1 is 0 on the empty set and modular across non-adjacent pairs
+    nums = phi1.nums
+    if nums[0]:
+        return f"phi1(empty) = {Fraction(nums[0], phi1.den)}, not 0"
     adj = g.adjacency()
-    ground = phi1.ground
     for a in range(g.n):
         for b in range(a + 1, g.n):
             if adj[a] >> b & 1:
                 continue
-            for x in range(ground.size):
+            for x in range(phi1.ground.size):
                 if x & (1 << a | 1 << b):
                     continue
-                lhs = phi1(x | 1 << a | 1 << b) + phi1(x)
-                rhs = phi1(x | 1 << a) + phi1(x | 1 << b)
+                lhs = nums[x | 1 << a | 1 << b] + nums[x]
+                rhs = nums[x | 1 << a] + nums[x | 1 << b]
                 if lhs != rhs:
                     return (
                         f"non-adjacent pair ({a}, {b}) is not modular "
@@ -517,7 +519,7 @@ def complete_graph_decomposition(n: int) -> Decomposition:
     d = phi1 + phi2
     if max(norm_inf(phi1), norm_inf(phi2)) != norm_inf(d):
         raise ExactnessError("the split of the complete graph's cut function is not 1-bounded")
-    return Decomposition(phi1=phi1, phi2=phi2, kind="sum", objective=phi1(ground.full_mask))
+    return Decomposition(phi1=phi1, phi2=phi2, kind="sum", objective=Fraction(phi1.nums[-1], phi1.den))
 
 
 # -- generators ----------------------------------------------------------

@@ -118,6 +118,29 @@ def test_copies_and_pickles_round_trip():
         assert is_submodular(g) == verdict
 
 
+def test_values_is_a_view_built_once_from_the_ints():
+    ground = GroundSet(3)
+    parsed = SetFunction(ground, [0, "1/2", 1, "3/2", 2, "-5/3", 3, 7])
+    made = SetFunction.from_ints(ground, 12, [0, 6, 12, 18, 24, -20, 36, 84])
+    assert parsed._values is None and made._values is None
+    view = parsed.values
+    # copies and pickles are rebuilt from the ints, without the view
+    copies = [copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))]
+    for f in [parsed, made] + copies:
+        bare = copy.copy(f)
+        assert bare._values is None
+        got = f.values
+        assert got == _fractions(f.den, f.nums) == view
+        assert all(type(x) is Fraction for x in got)
+        assert f.values is got and f._values is got
+        # equality and hashing read the ints, view or no view
+        assert f == bare and hash(f) == hash(bare) and bare._values is None
+        for name in ("values", "_values"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, got)
+        assert f.values is got
+
+
 def test_ground_set_masks():
     g = GroundSet(3)
     assert g.full_mask == 0b111

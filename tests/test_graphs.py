@@ -168,8 +168,12 @@ def test_recovery_rejects_bad_phi1():
     bad = SetFunction.from_callable(
         cut_function(g).ground, lambda m: F(bin(m).count("1")) ** 2
     )
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match=r"non-adjacent pair \(0, 2\) is not modular"):
         recover_clique_weights(g, bad)
+    # a constant shift keeps every pair modular; the fault is phi1(empty)
+    shifted = optimal_sum_decomposition(cut_function(complete(3))).phi1.shift(1)
+    with pytest.raises(GraphError, match=r"induced by any clique weighting: phi1\(empty\) = 1, not 0$"):
+        recover_clique_weights(complete(3), shifted)
 
 
 def test_triangle_lps_known():

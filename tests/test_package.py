@@ -1,4 +1,5 @@
 import ast
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -55,6 +56,70 @@ def test_tables_are_built_from_ints():
         ("CoverageCoefficients", None, "to_coefficients"),
         ("CoverageCoefficients", "CoverageCoefficients", "from_json_dict"),
     }
+
+
+def test_values_is_read_only_in_core():
+    # outside core a set function's table is read as den and nums, so
+    # .values appears only as a method call, such as checks.values()
+    found = []
+    for path in SOURCES:
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "values" and id(node) not in called
+        ]
+    assert found == []
+
+
+def test_library_calls_build_no_fraction_view(tmp_path, monkeypatch):
+    # every set function made during these calls, inputs included, keeps
+    # only its ints: no call reads the table of Fractions
+    from setdecomp import core
+    from setdecomp.cli import main
+
+    built = []
+    fill = core.SetFunction._fill
+
+    def spy(self, *args):
+        fill(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(core.SetFunction, "_fill", spy)
+    card = [bin(m).count("1") for m in range(32)]
+    inputs = {
+        "f.json": {"n": 5, "values": [f"{c * (10 - c)}/3" for c in card]},
+        "raw.json": {"n": 3, "values": ["1/2"] * 8},
+        "g.json": {"n": 4, "edges": [[0, 1, "1"], [1, 2, "3/2"], [2, 3, "2"], [3, 0, "1/3"], [0, 2, "1"]]},
+    }
+    for name, payload in inputs.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+        assert main(["check", str(tmp_path / name), "--output", str(tmp_path / f"out-{name}")]) == 0
+    f = setdecomp.SetFunction.normalized(setdecomp.GroundSet(5), inputs["f.json"]["values"])
+    for name in (
+        "is_submodular", "is_increasing", "to_coefficients",
+        "upper_charge", "lower_charge", "canonical_dual", "double_dual",
+    ):
+        getattr(setdecomp, name)(f)
+    g = setdecomp.WeightedGraph.build(4, [(0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 1), (0, 2, 1)])
+    psi = setdecomp.cut_function(g)
+    setdecomp.optimal_sum_decomposition(psi)
+    setdecomp.optimal_diff_decomposition(psi)
+    setdecomp.c_bounded_feasible(psi, "sum", 1)
+    setdecomp.weakly_alt_canonical_decomposition(psi)
+    setdecomp.verify_seven_bound(psi)
+    setdecomp.clique_bound(g)
+    setdecomp.triangle_lps(g)
+    setdecomp.complete_graph_decomposition(4)
+    psi.shift(1).normalize_at_empty()
+    setdecomp.is_modular_on_pair(psi, 1, 2)
+    setdecomp.global_submodularity_check(psi)
+    # indices, not functions: a repr would build the view
+    assert len(built) >= 20
+    assert [i for i, h in enumerate(built) if h._values is not None] == []
 
 
 def _loaded_heavy_modules(code: str) -> str:
