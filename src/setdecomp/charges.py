@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import List, Sequence, Tuple
 
 from .core import (
@@ -104,13 +105,14 @@ def _dual(nums: Sequence[int], eta: List[int]) -> List[int]:
     return [v + e - f_j for v, e in zip(reversed(nums), eta)]
 
 
-def _canonical_dual(nums: Sequence[int], n: int) -> List[int]:
-    return _dual(nums, _modular_table([nums[1 << i] for i in range(n)]))
+def _lower_atoms(f: SetFunction) -> List[int]:
+    """den * (f(J) - f(J \\ x)) for every element x."""
+    full = f.ground.full_mask
+    return [f.nums[full] - f.nums[full ^ 1 << i] for i in range(f.ground.n)]
 
 
 def _lower_charge(f: SetFunction) -> Charge:
-    full = f.ground.full_mask
-    return Charge(f.ground, _fractions(f.den, [f.nums[full] - f.nums[full ^ 1 << i] for i in range(f.ground.n)]))
+    return Charge(f.ground, _fractions(f.den, _lower_atoms(f)))
 
 
 def upper_charge(f: SetFunction) -> Charge:
@@ -137,7 +139,8 @@ def dual_wrt(f: SetFunction, eta: Charge) -> SetFunction:
 def canonical_dual(f: SetFunction) -> SetFunction:
     """The dual with respect to the upper charge, which majorizes f."""
     _require(f, nonneg=True, submodular=True, increasing=True)
-    return SetFunction.from_ints(f.ground, f.den, _canonical_dual(f.nums, f.ground.n))
+    upper = _modular_table([f.nums[1 << i] for i in range(f.ground.n)])
+    return SetFunction.from_ints(f.ground, f.den, _dual(f.nums, upper))
 
 
 def lower_charge(f: SetFunction) -> Charge:
@@ -153,12 +156,12 @@ def lower_charge(f: SetFunction) -> Charge:
 def double_dual(f: SetFunction) -> SetFunction:
     """f** = (f*)*, which is f minus the lower charge.
 
-    f* is again normalized, nonnegative, increasing and submodular, so the
-    second dual needs no check of its own.
+    It is built from that closed form, f - a with a(x) = f(J) - f(J \\ x),
+    in one pass over one modular table.
     """
     _require(f, nonneg=True, submodular=True, increasing=True)
-    n = f.ground.n
-    return SetFunction.from_ints(f.ground, f.den, _canonical_dual(_canonical_dual(f.nums, n), n))
+    lower = _modular_table(_lower_atoms(f))
+    return SetFunction.from_ints(f.ground, f.den, list(map(sub, f.nums, lower)))
 
 
 def verify_lower_charge_maximality(f: SetFunction) -> bool:

@@ -6,13 +6,15 @@ mask.  Its state is the least common denominator ``den`` of its values and
 the Python ints ``nums = den * values``, on which the predicates,
 transforms and charge arithmetic run; every result is exact.  The table of
 Fractions, ``values``, is a view built from the ints on its first read and
-kept.  Tables cross between ints and Fractions in two places only:
-canonical "p/q" strings, the format ``format_rational`` writes, are read
-with ``int()``, and every table of Fractions is made by ``_fractions`` from
-coprime (numerator, denominator) pairs.  :meth:`SetFunction.from_ints` is
-the library's only table builder: the parsing constructor reads only
-values a caller supplies (``normalized``, ``from_callable``,
-``cardinality_based`` and ``from_json_dict``).
+kept.  A table crosses between strings, ints and Fractions once per
+distinct value, in three places only: a table of ``str`` values is parsed
+one distinct string at a time (canonical "p/q" strings, the format
+``format_rational`` writes, with ``int()``), every table of Fractions is
+made by ``_fractions`` from one coprime (numerator, denominator) pair per
+distinct int, and ``_formatted`` writes each distinct int as text once.
+:meth:`SetFunction.from_ints` is the library's only table builder: the
+parsing constructor reads only values a caller supplies (``normalized``,
+``from_callable``, ``cardinality_based`` and ``from_json_dict``).
 A function's first shape predicate decides all four shapes (increasing,
 decreasing, modular, submodular) from one table of steps f(X + u) - f(X),
 compared list against list by built-ins, and the function keeps the four
@@ -39,23 +41,31 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _fractions(den: int, nums: Iterable[int]) -> Tuple[Fraction, ...]:
+def _fractions(den: int, nums: Sequence[int]) -> Tuple[Fraction, ...]:
     """The Fractions v / den for the ints v in nums, for an int den > 0.
 
-    Each is built from its coprime pair by setting the two slots that are
-    the whole state of a ``Fraction`` (CPython 3.10-3.13), which skips the
+    One object is built per distinct int, and equal ints share it.  Each
+    is built from its coprime pair by setting the two slots that are the
+    whole state of a ``Fraction`` (CPython 3.10-3.13), which skips the
     type checks and the gcd of its constructor.  Were the slots renamed,
     setting them would raise AttributeError, never give a wrong value.
     """
     new = object.__new__
-    out = []
-    for v in nums:
+    exact = {}
+    for v in set(nums):
         g = gcd(v, den)
-        x = new(Fraction)
+        x = exact[v] = new(Fraction)
         x._numerator = v // g
         x._denominator = den // g
-        out.append(x)
-    return tuple(out)
+    return tuple(map(exact.__getitem__, nums))
+
+
+def _formatted(den: int, nums: Sequence[int]) -> List[str]:
+    """``format_rational`` of each v / den for the ints v in nums, an int
+    den > 0, with each distinct int formatted once."""
+    distinct = list(set(nums))
+    text = dict(zip(distinct, map(format_rational, _fractions(den, distinct))))
+    return list(map(text.__getitem__, nums))
 
 
 def to_rational(x: RationalLike) -> Fraction:
@@ -154,9 +164,10 @@ class SetFunction:
     ``den`` is the least common denominator of the values and ``nums`` the
     tuple of ints with ``nums[X] == den * values[X]``: the function's only
     stored table, fixed at construction.  The constructor reads each value
-    as a (numerator, denominator) pair and scales them to ints over their
-    least common denominator, the same path :meth:`from_ints` takes for
-    code that already holds such ints.  ``values``, the Fractions, is built
+    (each distinct one, in a table of strings) as a (numerator,
+    denominator) pair and scales them to ints over their least common
+    denominator, the same path :meth:`from_ints` takes for code that
+    already holds such ints.  ``values``, the Fractions, is built
     from the ints on its first read and kept in ``_values``.  ``_verdicts``
     maps each of the shapes increasing, decreasing, modular and submodular
     to whether this function has it; all four are filled on the first
@@ -174,7 +185,18 @@ class SetFunction:
         _check_table(values)
         if len(values) != ground.size:
             raise ValueError(f"expected {ground.size} values, got {len(values)}")
-        self._fill(ground, *_scale([_pair(v) for v in values]))
+        if set(map(type, values)) == {str}:
+            # equal strings give equal pairs, so each distinct string is
+            # read once, in order of first appearance, and a bad table
+            # raises for the value a read one by one would; other types are
+            # read one by one, since True, 1, 1.0 and Fraction(1) are equal
+            # and hash alike, and a str subclass may compare as it likes
+            distinct = list(dict.fromkeys(values))
+            den, nums = _scale(list(map(_pair, distinct)))
+            nums = list(map(dict(zip(distinct, nums)).__getitem__, values))
+        else:
+            den, nums = _scale([_pair(v) for v in values])
+        self._fill(ground, den, nums)
 
     def _fill(self, ground: GroundSet, den: int, nums: Sequence[int]) -> None:
         """Set the fields from any positive common denominator of the values
@@ -257,7 +279,7 @@ class SetFunction:
         return hash((self.ground, self.den, self.nums))
 
     def __repr__(self) -> str:
-        vals = ", ".join(format_rational(v) for v in self.values)
+        vals = ", ".join(_formatted(self.den, self.nums))
         return f"SetFunction(n={self.ground.n}, [{vals}])"
 
     def __add__(self, other: "SetFunction") -> "SetFunction":
@@ -284,7 +306,7 @@ class SetFunction:
     # -- serialization ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        return {"n": self.ground.n, "values": [format_rational(v) for v in self.values]}
+        return {"n": self.ground.n, "values": _formatted(self.den, self.nums)}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SetFunction":

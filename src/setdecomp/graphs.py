@@ -274,17 +274,18 @@ def verify_cut_identities(
         pairs = product(range(full + 1), repeat=2)
     else:
         pairs = [(x, y)]
-    d = cut_function(h)
-    i = induced_function(h)
-    e = incident_function(h)
+    d, i, e = cut_function(h), induced_function(h), incident_function(h)
+
+    def defect(f: SetFunction, x: int, y: int) -> int:
+        # den * (f(X) + f(Y) - f(X & Y) - f(X | Y))
+        return f.nums[x] + f.nums[y] - f.nums[x & y] - f.nums[x | y]
 
     def holds(x: int, y: int) -> bool:
-        inter, union = x & y, x | y
-        t_union = _connecting_weight(h, x, y, union)
-        t_costar = _connecting_weight(h, x, y, full & ~inter)
-        ok_d = d(x) + d(y) == d(inter) + d(union) + t_union + t_costar
-        ok_i = i(x) + i(y) == i(inter) + i(union) - t_union
-        ok_e = e(x) + e(y) == e(inter) + e(union) + t_costar
+        t_union = _connecting_weight(h, x, y, x | y)
+        t_costar = _connecting_weight(h, x, y, full & ~(x & y))
+        ok_d = defect(d, x, y) == (t_union + t_costar) * d.den
+        ok_i = defect(i, x, y) == -t_union * i.den
+        ok_e = defect(e, x, y) == t_costar * e.den
         return ok_d and ok_i and ok_e
 
     return all(holds(a, b) for a, b in pairs)

@@ -382,15 +382,6 @@ def _certified_guess(a: _CSRRows, b: Scaled, c: Scaled) -> Tuple[int, Optional[t
     return status, None
 
 
-def _fraction_list(scaled: Scaled) -> List[Fraction]:
-    """The Fractions of a scaled vector, one object per distinct value."""
-    den, nums = scaled
-    nums = nums.tolist()
-    distinct = set(nums)
-    exact = dict(zip(distinct, _fractions(den, distinct)))
-    return [exact[v] for v in nums]
-
-
 def solve_min_nonneg(
     rows: Sequence[SparseRow],
     rhs: Sequence[Rational],
@@ -425,6 +416,6 @@ def solve_min_nonneg(
             if got is not None and got[0] > 0:
                 return "infeasible", None, [], []
         elif got is not None:
-            value, x, y = got
-            return "optimal", value, _fraction_list(x), _fraction_list(y)
+            value, (dx, x), (dy, y) = got
+            return "optimal", value, list(_fractions(dx, x.tolist())), list(_fractions(dy, y.tolist()))
     return _solve_exact(rows, rhs, costs)

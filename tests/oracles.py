@@ -1,12 +1,13 @@
 """Reference implementations the tests compare the library against.
 
-Each is a direct, slow reading of a definition: exponential enumerations,
-O(4^n) basis matrices, LP rows over Fraction values, LPs in the form
-their definitions give and coverage constructions over Fraction
-coefficients.  None runs in the library.
+Each is a direct, slow reading of a definition: tables parsed one value
+at a time, exponential enumerations, O(4^n) basis matrices, LP rows over
+Fraction values, LPs in the form their definitions give and coverage
+constructions over Fraction coefficients.  None runs in the library.
 """
 
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from setdecomp import (
@@ -27,7 +28,19 @@ from setdecomp import (
     popcount,
     to_coefficients,
 )
-from setdecomp import alternating, simplex
+from setdecomp import alternating, core, simplex
+
+
+# -- parsing -------------------------------------------------------------
+
+
+def parse_per_value(values: Sequence) -> Tuple[int, Tuple[int, ...]]:
+    """(den, nums) of a table read one value at a time: every value through
+    ``core._pair``, in table order, scaled over the least common
+    denominator.  Raises what the first unreadable value raises."""
+    den, nums = core._scale([core._pair(v) for v in values])
+    g = gcd(den, *nums)
+    return den // g, tuple(v // g for v in nums)
 
 
 # -- alternating sums ----------------------------------------------------

@@ -6,7 +6,9 @@ transform and the charge arithmetic run on those ints.  These tests draw
 tables with mixed denominators, some multiplied by 2^70, and compare each
 result with a reference that does the same work in ``Fraction``
 arithmetic.  They also check that a table is scaled once, when it is
-built, and that the shape predicates build one step table per function.
+built, that a table read once per distinct string gives what a read value
+by value gives, and that the shape predicates build one step table per
+function.
 """
 
 import copy
@@ -38,7 +40,7 @@ from setdecomp import (
 )
 from setdecomp.cli import main
 from conftest import random_coverage
-from oracles import basis_matrix_apply, inverse_matrix_apply
+from oracles import basis_matrix_apply, inverse_matrix_apply, parse_per_value
 
 DENOMINATORS = (1, 2, 3, 7, 10**6 + 3, 2**61 - 1)
 entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
@@ -207,14 +209,82 @@ def test_charges_match_closed_forms(f, extra):
 @settings(max_examples=100, deadline=None)
 @given(coverage_tables())
 def test_canonical_dual_stays_in_the_domain(f):
-    # why each charge operation checks its input once: f* is again
-    # normalized, nonnegative, increasing and submodular, so the second
-    # dual inside double_dual needs no check
+    # f* is again normalized, nonnegative, increasing and submodular, so
+    # canonical_dual accepts it and f** = (f*)* is defined
     star = canonical_dual(f)
     assert star.values[0] == 0
     assert min(star.values) >= 0
     assert is_submodular(star) == (True, None)
     assert is_increasing(star) == (True, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coverage_tables())
+def test_double_dual_is_the_dual_taken_twice(f):
+    assert double_dual(f) == canonical_dual(canonical_dual(f))
+
+
+# -- parsing a table -----------------------------------------------------
+
+
+class _Str(str):
+    pass
+
+
+class _Liar(str):
+    """Equal to every value and hashed alike, so a table of these read once
+    per distinct value would read its first entry only."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+canonical_strings = st.one_of(
+    st.integers(-(10**20), 10**20).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(1, 12)),
+)
+other_strings = st.sampled_from(
+    [" 3/4 ", "1.5", "+3", "\u0663", "2/4", "-0", "007", "1e3", "1/0", "0/0", "-3/0", "3/", "3/-4", "abc", ""]
+)
+other_values = st.one_of(
+    st.sampled_from([1, True, 1.0, Fraction(1), 0, False, Fraction(1, 2), None]),
+    st.builds(_Str, canonical_strings),
+    st.builds(_Liar, canonical_strings),
+)
+
+
+@st.composite
+def parse_tables(draw):
+    """A ground set and a table drawn from a palette of up to six values:
+    strings only, or strings mixed with ints, bools, floats, Fractions and
+    str subclasses."""
+    ground = GroundSet(draw(st.integers(1, 4)))
+    strings = st.one_of(canonical_strings, other_strings)
+    entry = st.one_of(strings, other_values) if draw(st.booleans()) else strings
+    palette = draw(st.lists(entry, min_size=1, max_size=6))
+    return ground, draw(st.lists(st.sampled_from(palette), min_size=ground.size, max_size=ground.size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parse_tables())
+@example((GroundSet(2), [1, Fraction(1), 1.0, True]))
+@example((GroundSet(2), ["1", 1, Fraction(1), True]))
+@example((GroundSet(2), ["1", "1", _Liar("1/2"), _Liar("3")]))
+@example((GroundSet(3), ["1/2", "1/2", "x", "1/2", "1/0", "1/0", "x", "1"]))
+def test_each_distinct_string_is_read_as_every_value_is(table):
+    ground, values = table
+    try:
+        expected = parse_per_value(values)
+    except Exception as error:
+        with pytest.raises(type(error)) as caught:
+            SetFunction(ground, values)
+        assert type(caught.value) is type(error) and str(caught.value) == str(error)
+    else:
+        f = SetFunction(ground, values)
+        assert (f.den, f.nums) == expected
 
 
 # -- the integer form of a table ------------------------------------------
@@ -296,16 +366,26 @@ CHARGE_CALLS = (
 
 @pytest.fixture
 def scale_lengths(monkeypatch):
-    """Lengths of the tables core._scale scales: every SetFunction built
-    from values, and every scale_to_ints call."""
-    lengths = []
-    original = setdecomp.core._scale
+    """One entry per core._scale call: the length of the table it scales.
+
+    That is the table of a SetFunction built from values, whose distinct
+    strings alone reach _scale, or the values of a scale_to_ints call."""
+    lengths, parsing = [], []
+    original, init = setdecomp.core._scale, SetFunction.__init__
 
     def spy(pairs):
-        lengths.append(len(pairs))
+        lengths.append(parsing[-1] if parsing else len(pairs))
         return original(pairs)
 
+    def parse(self, ground, values):
+        parsing.append(len(values))
+        try:
+            init(self, ground, values)
+        finally:
+            parsing.pop()
+
     monkeypatch.setattr(setdecomp.core, "_scale", spy)
+    monkeypatch.setattr(SetFunction, "__init__", parse)
     return lengths
 
 
@@ -317,6 +397,12 @@ def test_check_scales_its_table_once(tmp_path, capsys, rng, scale_lengths):
     assert main(["check", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["n"] == 6
     assert scale_lengths.count(64) == 1
+
+
+def test_coefficients_share_one_fraction_per_value(rng):
+    alpha = to_coefficients(random_coverage(rng, 7)).alpha
+    assert 1 < len(set(alpha)) < len(alpha) / 4
+    assert len(set(map(id, alpha))) == len(set(alpha))
 
 
 def test_charge_calls_scale_nothing(rng, scale_lengths):

@@ -98,6 +98,9 @@ def test_library_calls_build_no_fraction_view(tmp_path, monkeypatch):
     for name, payload in inputs.items():
         (tmp_path / name).write_text(json.dumps(payload))
         assert main(["check", str(tmp_path / name), "--output", str(tmp_path / f"out-{name}")]) == 0
+    for kind in ("sum", "diff", "coverage-diff", "weakly-canonical"):
+        out = tmp_path / f"decompose-{kind}.json"
+        assert main(["decompose", str(tmp_path / "g.json"), "--kind", kind, "--output", str(out)]) == 0
     f = setdecomp.SetFunction.normalized(setdecomp.GroundSet(5), inputs["f.json"]["values"])
     for name in (
         "is_submodular", "is_increasing", "to_coefficients",
@@ -117,7 +120,7 @@ def test_library_calls_build_no_fraction_view(tmp_path, monkeypatch):
     psi.shift(1).normalize_at_empty()
     setdecomp.is_modular_on_pair(psi, 1, 2)
     setdecomp.global_submodularity_check(psi)
-    # indices, not functions: a repr would build the view
+    setdecomp.verify_cut_identities(g)
     assert len(built) >= 20
     assert [i for i, h in enumerate(built) if h._values is not None] == []
 
