@@ -4,16 +4,21 @@
 subject to A x >= b, x >= 0, with c >= 0 and A given as sparse rows
 (decompositions, triangle cover, clique bound).  It holds A in CSR form
 as int arrays over one common denominator, scales b and c to ints once,
-and climbs one ladder: HiGHS (reached through ``_highs``) solves the LP
-in floating point, its guess is rounded to scaled ints (a continued
-fraction walk in ints, :func:`_limit_denominator`), and the primal/dual
-pair is trusted only after an exact certificate passes
-(primal and dual feasibility, equal objectives), one pass over the
-arrays, in int64 when a bound on every sum and product fits and on
-Python ints otherwise; an LP that HiGHS reports infeasible is certified
-infeasible through its elastic relaxation.
+and climbs one ladder: HiGHS solves the LP in floating point, its guess
+is rounded to scaled ints (a continued fraction walk in ints,
+:func:`_limit_denominator`), and the primal/dual pair is trusted only
+after an exact certificate passes (primal and dual feasibility, equal
+objectives), one pass over the arrays, in int64 when a bound on every
+sum and product fits and on Python ints otherwise; an LP that HiGHS
+reports infeasible is certified infeasible through its elastic
+relaxation.  ``_highs`` reaches HiGHS through scipy's own binding of
+it, ``scipy.optimize._highspy``, with the model and options ``linprog``
+would pass; a scipy without that binding goes through ``linprog``.
+When neither certifies, both run once more on the LP with b and c
+divided by the powers of two that bring max|b| and max|c| into [1, 2),
+and what certifies there scales back exactly.
 
-When neither certifies, :func:`_solve_exact` is the one exact simplex.
+When that fails too, :func:`_solve_exact` is the one exact simplex.
 It pivots the dual LP max b.y, A^T y <= c, y >= 0 on a tableau of
 ``Fraction`` entries, starting from its slack basis, which is feasible
 because c >= 0: the dual simplex method on the primal (Lemke 1954).
@@ -358,13 +363,63 @@ def _certify(a: _CSRRows, b: Scaled, c: Scaled, x: Scaled, y: Scaled) -> Optiona
 def _highs(a_ub, c, b):
     """HiGHS on min c.x, a_ub x <= b, x >= 0: (status, x, y) with y >= 0
     the multipliers of -a_ub x >= -b, as float lists, or (status, None,
-    None) when HiGHS reports no optimum."""
-    from scipy.optimize import linprog
+    None) when HiGHS reports no optimum.  Status 0 is an optimum and 2 an
+    infeasible LP or one HiGHS rejects, as ``linprog`` numbers them.
 
-    res = linprog(c, A_ub=a_ub, b_ub=b, bounds=(0, None), method="highs")
-    if not res.success:
-        return res.status, None, None
-    return res.status, res.x.tolist(), (-res.ineqlin.marginals).tolist()
+    HiGHS is reached through scipy's own binding of it, on a fresh
+    instance, with the model and options ``linprog(method="highs")``
+    passes: the CSC arrays of a_ub, rows in (-inf, b], columns in
+    [0, inf), presolve on, dual simplex, no output.  So x is its
+    ``col_value`` and y the negated ``row_dual``, the floats ``linprog``
+    would return.  A scipy without that binding goes through ``linprog``.
+    """
+    try:
+        from scipy.optimize._highspy._core import (
+            HighsDebugLevel,
+            HighsLp,
+            HighsModelStatus,
+            HighsOptions,
+            HighsStatus,
+            MatrixFormat,
+            _Highs,
+            simplex_constants,
+        )
+    except ImportError:
+        from scipy.optimize import linprog
+
+        res = linprog(c, A_ub=a_ub, b_ub=b, bounds=(0, None), method="highs")
+        if not res.success:
+            return res.status, None, None
+        return res.status, res.x.tolist(), (-res.ineqlin.marginals).tolist()
+    import numpy as np
+    from scipy.sparse import csc_array
+
+    a = csc_array(a_ub)
+    m, n = a.shape
+    lp = HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.col_cost_ = c
+    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, np.inf)
+    lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), b
+    options = HighsOptions()
+    options.presolve = "on"
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = _Highs()
+    if highs.passOptions(options) == HighsStatus.kError:
+        return 4, None, None
+    if highs.passModel(lp) == HighsStatus.kError:
+        return 2, None, None  # rejected unsolved, e.g. a bound at or past HiGHS's infinity 1e20
+    ran = highs.run() != HighsStatus.kError
+    status = highs.getModelStatus()
+    if ran and status == HighsModelStatus.kOptimal:
+        solution = highs.getSolution()
+        return 0, solution.col_value, [-v for v in solution.row_dual]
+    return (2 if status == HighsModelStatus.kInfeasible else 4), None, None
 
 
 def _certified_guess(a: _CSRRows, b: Scaled, c: Scaled) -> Tuple[int, Optional[tuple]]:
@@ -380,6 +435,57 @@ def _certified_guess(a: _CSRRows, b: Scaled, c: Scaled) -> Tuple[int, Optional[t
             if value is not None:
                 return status, (value, x, y)
     return status, None
+
+
+def _float_rungs(a: _CSRRows, b: Scaled, c: Scaled):
+    """What HiGHS's guess on min c.x, A x >= b, x >= 0 certifies, or, when
+    HiGHS finds it infeasible, its elastic LP's: (value, x, y) with x and
+    y scaled ints, "infeasible", or None."""
+    status, got = _certified_guess(a, b, c)
+    if status != 2:  # HiGHS status 2: infeasible
+        return got
+    n, m = a.ncols, len(a)
+    _, got = _certified_guess(a.with_slacks(), b, (1, _int_array([0] * n + [1] * m)))
+    return "infeasible" if got is not None and got[0] > 0 else None
+
+
+def _exponent(s: Scaled) -> int:
+    """The e with 2^e <= max|v| < 2^(e+1) over the scaled rationals v, or 0 when all are 0."""
+    den, nums = s
+    top = _max_abs(nums)
+    if not top:
+        return 0
+    e = top.bit_length() - den.bit_length()
+    return e if top << max(-e, 0) >= den << max(e, 0) else e - 1
+
+
+def _times_power_of_two(s: Scaled, e: int) -> Scaled:
+    """The scaled rationals times 2^e, exactly."""
+    den, nums = s
+    if e < 0:
+        return den << -e, nums
+    return den, _int_array([v << e for v in nums.tolist()])
+
+
+def _rescaled_rungs(a: _CSRRows, b: Scaled, c: Scaled):
+    """:func:`_float_rungs` once more, with b and c divided by the powers of
+    two 2^eb and 2^ec that bring max|b| and max|c| into [1, 2), or None
+    when both already lie there.
+
+    The float LP then differs from the first only in its exponents, so a
+    guess HiGHS could not make or round near 2^64 can certify here.  x,
+    y and the value of the scaled LP are those of the LP times 2^-eb,
+    2^-ec and 2^-(eb+ec), so what certifies scales back exactly, and so
+    does a proof of infeasibility.
+    """
+    eb, ec = _exponent(b), _exponent(c)
+    if not (eb or ec):
+        return None
+    got = _float_rungs(a, _times_power_of_two(b, -eb), _times_power_of_two(c, -ec))
+    if got is None or got == "infeasible":
+        return got
+    value, x, y = got
+    return value * Fraction(2) ** (eb + ec), _times_power_of_two(x, eb), _times_power_of_two(y, ec)
 
 
 def solve_min_nonneg(
@@ -400,22 +506,22 @@ def solve_min_nonneg(
     order: HiGHS's guess, rounded and certified; if HiGHS finds the LP
     infeasible, the always-feasible elastic LP min sum(s), A x + s >= b,
     x, s >= 0, whose certified positive optimum proves infeasibility (its
-    dual is a Farkas vector); otherwise exact pivoting.
+    dual is a Farkas vector); both once more with b and c rescaled by
+    powers of two; otherwise exact pivoting.
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
-    n, m = len(costs), len(rows)
-    a = rows if isinstance(rows, _CSRRows) else _CSRRows.from_maps(rows, n)
+    a = rows if isinstance(rows, _CSRRows) else _CSRRows.from_maps(rows, len(costs))
     if costs:  # HiGHS rejects an LP without variables
         b, c = _scaled(rhs), _scaled(costs)
-        status, got = _certified_guess(a, b, c)
-        if status == 2:  # HiGHS status 2: infeasible
-            _, got = _certified_guess(a.with_slacks(), b, (1, _int_array([0] * n + [1] * m)))
-            if got is not None and got[0] > 0:
-                return "infeasible", None, [], []
-        elif got is not None:
+        got = _float_rungs(a, b, c)
+        if got is None:
+            got = _rescaled_rungs(a, b, c)
+        if got == "infeasible":
+            return "infeasible", None, [], []
+        if got is not None:
             value, (dx, x), (dy, y) = got
             return "optimal", value, list(_fractions(dx, x.tolist())), list(_fractions(dy, y.tolist()))
     return _solve_exact(rows, rhs, costs)

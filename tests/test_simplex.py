@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -6,8 +7,16 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from conftest import spy_certificate_dtypes, spy_exact
-from setdecomp import simplex
+from conftest import random_graph, spy_certificate_dtypes, spy_exact
+from setdecomp import (
+    SetFunction,
+    WeightedGraph,
+    complete,
+    cut_function,
+    optimal_diff_decomposition,
+    optimal_sum_decomposition,
+    simplex,
+)
 from setdecomp.simplex import solve_min_nonneg
 
 F = Fraction
@@ -148,22 +157,37 @@ def test_certified_route_matches_exact_pivoting(rng, monkeypatch):
     assert len(calls) == len(statuses)
 
 
-def perturb_x(res):
-    res.x = res.x + 0.25
+def perturb_x(status, x, y):
+    return status, [v + 0.25 for v in x], y
 
 
-def primal_infeasible_x(res):
+def primal_infeasible_x(status, x, y):
     # objective still 5/2, but x1 + x2 >= 3/2 fails
-    res.x = np.array([2.5, 0.0, 0.0])
+    return status, [2.5, 0.0, 0.0], y
 
 
-def dual_infeasible_y(res):
+def dual_infeasible_y(status, x, y):
     # dual objective still 5/2, but column 0 of A^T y exceeds its cost 1
-    res.ineqlin.marginals = np.array([-2.5, 0.0, 0.0])
+    return status, x, [2.5, 0.0, 0.0]
 
 
-def report_failure(res):
-    res.success = False
+def report_failure(status, x, y):
+    return 4, None, None
+
+
+def patch_highs(monkeypatch, change):
+    """Patch the HiGHS seam so that each call returns change(call number,
+    status, x, y) of its real result; returns every call's (arguments,
+    changed result)."""
+    real = simplex._highs
+    calls = []
+
+    def patched(*args):
+        calls.append((args, change(len(calls), *real(*args))))
+        return calls[-1][1]
+
+    monkeypatch.setattr(simplex, "_highs", patched)
+    return calls
 
 
 @pytest.mark.parametrize(
@@ -175,38 +199,23 @@ def test_spoiled_guess_falls_back_to_exact(spoil, monkeypatch):
     rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
     expected = solve_min_nonneg(rows, rhs, costs)
     assert expected[:2] == ("optimal", F(5, 2))
-    real = scipy.optimize.linprog
-
-    def spoiled(*args, **kwargs):
-        res = real(*args, **kwargs)
-        spoil(res)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", spoiled)
+    patch_highs(monkeypatch, lambda k, *result: spoil(*result))
     calls = spy_exact(monkeypatch)
     assert solve_min_nonneg(rows, rhs, costs) == expected
     assert len(calls) == 1
 
 
 def highs_infeasible_on(call_numbers, monkeypatch):
-    """Patch linprog to report status 2 (infeasible) on the given calls,
-    numbered from 0; returns the list of every call's result."""
-    real = scipy.optimize.linprog
-    results = []
-
-    def patched(*args, **kwargs):
-        res = real(*args, **kwargs)
-        if len(results) in call_numbers:
-            res.status, res.success = 2, False
-        results.append(res)
-        return res
-
-    monkeypatch.setattr(scipy.optimize, "linprog", patched)
-    return results
+    """Patch the HiGHS seam to report status 2 (infeasible) with no guess
+    on the given calls, numbered from 0; returns every call's (arguments,
+    result)."""
+    return patch_highs(monkeypatch, lambda k, *result: (2, None, None) if k in call_numbers else result)
 
 
 def test_infeasible_verdicts_on_every_call_end_in_one_exact_pivot(monkeypatch):
-    # the elastic LP gets no elastic LP of its own when HiGHS calls it infeasible
+    # the elastic LP gets no elastic LP of its own when HiGHS calls it
+    # infeasible; the LP and its elastic LP are tried once more with the
+    # costs halved into [1, 2), then exact pivoting answers
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
     rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
     expected = simplex._solve_exact(rows, rhs, costs)
@@ -214,20 +223,33 @@ def test_infeasible_verdicts_on_every_call_end_in_one_exact_pivot(monkeypatch):
     results = highs_infeasible_on(range(10), monkeypatch)
     calls = spy_exact(monkeypatch)
     assert solve_min_nonneg(rows, rhs, costs) == expected
-    assert len(results) == 2 and len(calls) == 1
+    assert len(results) == 4 and len(calls) == 1
+    assert [list(args[1]) for args, _ in results[::2]] == [[1.0, 2.0, 1.0], [0.5, 1.0, 0.5]]
 
 
 def test_false_infeasible_verdict_falls_back_after_a_zero_elastic_optimum(monkeypatch):
-    # a feasible LP: its elastic LP certifies optimum 0, which proves nothing
+    # a feasible LP: its elastic LP certifies optimum 0, which proves
+    # nothing, on the LP and on its rescaled retry alike
     rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
     rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
     expected = simplex._solve_exact(rows, rhs, costs)
+    results = highs_infeasible_on({0, 2}, monkeypatch)
+    calls = spy_exact(monkeypatch)
+    assert solve_min_nonneg(rows, rhs, costs) == expected
+    assert len(results) == 4 and len(calls) == 1
+    for (_, c, _), (status, x, _) in results[1::2]:
+        assert status == 0 and len(x) == len(costs) + len(rows)
+        assert sum(cj * xj for cj, xj in zip(c, x)) == 0
+
+
+def test_false_infeasible_verdict_is_answered_by_the_rescaled_retry(monkeypatch):
+    rows = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: -1}]
+    rhs, costs = [F(1), F(3, 2), F(-1)], [F(1), F(2), F(1)]
+    expected = solve_min_nonneg(rows, rhs, costs)
     results = highs_infeasible_on({0}, monkeypatch)
     calls = spy_exact(monkeypatch)
     assert solve_min_nonneg(rows, rhs, costs) == expected
-    assert len(results) == 2 and len(calls) == 1
-    elastic = results[1]
-    assert elastic.success and elastic.fun == 0 and len(elastic.x) == len(costs) + len(rows)
+    assert len(results) == 3 and not calls
 
 
 def test_structured_infeasible():
@@ -320,7 +342,19 @@ def test_array_certificate_matches_the_fraction_oracle(rng, monkeypatch):
     assert checked > 20 and refused > 3 * checked
 
 
-def test_highs_seam_returns_floats_or_no_guess():
+def hide_highs_binding(monkeypatch):
+    """Make scipy's own binding of HiGHS unimportable, so the seam takes the linprog route."""
+    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+
+
+@pytest.fixture(params=["direct", "linprog"])
+def highs_route(request, monkeypatch):
+    if request.param == "linprog":
+        hide_highs_binding(monkeypatch)
+    return request.param
+
+
+def test_highs_seam_returns_floats_or_no_guess(highs_route):
     a_ub = np.array([[-1.0, -1.0]])
     status, x, y = simplex._highs(a_ub, np.array([1.0, 2.0]), np.array([-1.0]))
     assert status == 0 and x == [1.0, 0.0] and y == [1.0]
@@ -328,6 +362,106 @@ def test_highs_seam_returns_floats_or_no_guess():
     # x0 >= 1 and x0 <= 0
     status, x, y = simplex._highs(np.array([[-1.0], [1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))
     assert (status, x, y) == (2, None, None)
+
+
+def test_highs_route_follows_the_scipy_version(monkeypatch):
+    # scipy ships its own binding of HiGHS, _highspy, from 1.15 on: there the
+    # seam must call HiGHS directly, before that (the floors job's scipy
+    # 1.10) through linprog, so neither route is ever taken silently
+    from scipy.optimize import linprog
+
+    routed = []
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: routed.append(1) or linprog(*args, **kwargs))
+    assert simplex._highs(np.array([[-1.0]]), np.array([1.0]), np.array([-1.0]))[:2] == (0, [1.0])
+    if tuple(map(int, scipy.__version__.split(".")[:2])) >= (1, 15):
+        from scipy.optimize._highspy._core import _Highs  # noqa: F401  (ImportError fails loudly)
+
+        assert routed == []
+    else:
+        assert routed == [1]
+
+
+def test_a_model_highs_rejects_is_never_run(monkeypatch):
+    # x0 >= 2^67: a row bound past 1e20, HiGHS's infinity, so HiGHS rejects
+    # the model; the seam reports it infeasible (status 2), as linprog does
+    runs = []
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:  # the linprog route: nothing to count
+        _core = None
+    else:
+
+        class CountingHighs(_core._Highs):
+            def run(self):
+                runs.append(1)
+                return super().run()
+
+        monkeypatch.setattr(_core, "_Highs", CountingHighs)
+    assert simplex._highs(np.array([[-1.0]]), np.array([1.0]), np.array([-(2.0**67)])) == (2, None, None)
+    assert runs == []
+    # x0 >= 2^60 is read and solved
+    assert simplex._highs(np.array([[-1.0]]), np.array([1.0]), np.array([-(2.0**60)]))[:2] == (0, [2.0**60])
+    assert len(runs) == (0 if _core is None else 1)
+
+
+def float_bits(values):
+    return None if values is None else [v.hex() for v in values]
+
+
+def test_direct_and_linprog_routes_return_the_same_bits(rng, monkeypatch):
+    """Every LP the seam sees, on both routes: the same status, and x and y
+    bit for bit (signed zeros included)."""
+    seen = patch_highs(monkeypatch, lambda k, *result: result)
+    for _ in range(30):
+        solve_min_nonneg(*random_structured_lp(rng))
+    solve_min_nonneg([{0: 1}, {0: -1}], [F(2), F(-1)], [F(1)])  # infeasible
+    graphs = [complete(5)] + [random_graph(rng, 5, 0.6) for _ in range(3)]
+    for g in graphs:
+        psi = cut_function(g)
+        optimal_sum_decomposition(psi)
+        optimal_diff_decomposition(psi)
+    big = len(seen)
+    optimal_sum_decomposition(scaled_cut_table(CUT5, 64))
+    assert seen[big][1] == (2, None, None)  # HiGHS rejects rhs past its infinity 1e20
+    monkeypatch.undo()
+    assert {result[0] for _, result in seen} == {0, 2}
+    direct = [simplex._highs(*args) for args, _ in seen]
+    hide_highs_binding(monkeypatch)
+    via_linprog = [simplex._highs(*args) for args, _ in seen]
+    assert via_linprog[big] == (2, None, None)
+    for (s1, x1, y1), (s2, x2, y2) in zip(direct, via_linprog):
+        assert (s1, float_bits(x1), float_bits(y1)) == (s2, float_bits(x2), float_bits(y2))
+
+
+# the cut function of this 5-vertex graph, scaled by 2^64, has values near
+# 2^66; with the weights 1/2 and 5/3 and scaled by 2^70, its sum LP has
+# the optimum 49 * 2^69 / 3, which no float holds
+CUT5 = [(0, 1, 2), (1, 2, 1), (2, 3, 3), (0, 3, 1), (3, 4, 5)]
+CUT5_THIRDS = [(0, 1, 2), (1, 2, F(1, 2)), (2, 3, 3), (0, 3, 1), (3, 4, F(5, 3))]
+
+
+def scaled_cut_table(edges, k):
+    f = cut_function(WeightedGraph.build(5, edges))
+    return SetFunction(f.ground, tuple(v * 2**k for v in f.values))
+
+
+@pytest.mark.parametrize(
+    "edges, k, value",
+    [(CUT5, 64, 12 * 2**64), (CUT5_THIRDS, 70, F(49 * 2**69, 3))],
+    ids=["2^64", "2^70-thirds"],
+)
+def test_huge_tables_certify_on_the_rescaled_retry(edges, k, value, monkeypatch):
+    # HiGHS rejects the LP and its elastic LP (rhs past 1e20); with b and c
+    # divided into [1, 2) by powers of two, the guess certifies and scales back
+    psi = scaled_cut_table(edges, k)
+    seen = patch_highs(monkeypatch, lambda k, *result: result)
+    calls = spy_exact(monkeypatch)
+    got = optimal_sum_decomposition(psi)
+    assert not calls
+    assert [result[0] for _, result in seen] == [2, 2, 0]
+    assert got.objective == value and got.reconstruct() == psi
+    small = optimal_sum_decomposition(scaled_cut_table(edges, 0))
+    assert got.objective == small.objective * 2**k
 
 
 def rounding_floats(rng):
