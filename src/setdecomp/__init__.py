@@ -13,15 +13,13 @@ from .core import (
     GroundSetError,
     Partition,
     PartitionError,
+    PreconditionError,
     SetFunction,
     format_rational,
-    global_submodularity_check,
     is_decreasing,
     is_increasing,
     is_modular,
-    is_modular_on_pair,
     is_submodular,
-    is_supermodular,
     linear_combine,
     norm_inf,
     popcount,
@@ -55,7 +53,6 @@ from .coverage import (
 )
 from .charges import (
     Charge,
-    PreconditionError,
     canonical_dual,
     double_dual,
     dual_wrt,

@@ -39,6 +39,7 @@ from .core import (
     Fraction,
     GroundSet,
     Partition,
+    PreconditionError,
     SetFunction,
     format_rational,
     popcount,
@@ -55,7 +56,7 @@ class EnumerationLimitError(ValueError):
     """Raised when an enumeration of tuples would exceed its size cap."""
 
 
-class NotNormalizedError(ValueError):
+class NotNormalizedError(PreconditionError):
     """Raised when an operation requires f(empty) = 0."""
 
 

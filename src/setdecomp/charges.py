@@ -20,6 +20,7 @@ from typing import List, Sequence, Tuple
 
 from .core import (
     GroundSet,
+    PreconditionError,
     SetFunction,
     _check_table,
     _fractions,
@@ -29,10 +30,6 @@ from .core import (
     scale_to_ints,
     to_rational,
 )
-
-
-class PreconditionError(ValueError):
-    """An envelope/dual operation was fed a function outside its domain."""
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from typing import Optional
 
 from . import __version__
 from . import alternating as alt
-from . import charges as ch
 from . import coverage as cov
 from . import decompose as dc
 from . import graphs as gr
@@ -38,6 +37,7 @@ from .core import (
     GroundSet,
     Partition,
     PartitionError,
+    PreconditionError,
     SetFunction,
     format_rational,
     norm_inf,
@@ -239,7 +239,7 @@ def cmd_decompose(args) -> int:
             report["phi"] = phi.to_json_dict()
             report["mu"] = mu.to_json_dict()
             report["seven_bound"] = seven.to_json_dict()
-    except (dc.DecompositionError, ch.PreconditionError, alt.NotNormalizedError) as exc:
+    except (dc.DecompositionError, PreconditionError) as exc:
         raise CliError(str(exc), EXIT_PRECONDITION)
     _emit(args, report)
     return EXIT_OK

@@ -124,6 +124,10 @@ class PartitionError(ValueError):
     pass
 
 
+class PreconditionError(ValueError):
+    """A public operation was fed a function outside its domain, e.g. f(empty) != 0."""
+
+
 @dataclass(frozen=True)
 class GroundSet:
     """A finite ground set; elements are the indices 0..n-1."""
@@ -234,6 +238,7 @@ class SetFunction:
         f._fill(ground, den, nums)
         return f
 
+    # the paper's normalized set functions, f(empty) = 0
     @classmethod
     def normalized(cls, ground: GroundSet, values: Sequence[RationalLike]) -> "SetFunction":
         f = cls(ground, values)
@@ -249,6 +254,7 @@ class SetFunction:
     def from_callable(cls, ground: GroundSet, fn) -> "SetFunction":
         return cls(ground, [fn(mask) for mask in ground.subsets()])
 
+    # f(X) = g(|X|): its alternating sums are the discrete derivatives of g
     @classmethod
     def cardinality_based(cls, ground: GroundSet, g: Sequence[RationalLike]) -> "SetFunction":
         """Build f(X) = g[|X|] from a table of n+1 values."""
@@ -263,9 +269,6 @@ class SetFunction:
     def __call__(self, mask: int) -> Fraction:
         self.ground.check_mask(mask)
         return self.values[mask]
-
-    def evaluate(self, mask: int) -> Fraction:
-        return self(mask)
 
     def __eq__(self, other) -> bool:
         return (
@@ -291,14 +294,17 @@ class SetFunction:
     def __neg__(self) -> "SetFunction":
         return linear_combine([(-1, self)])
 
+    # c * f: a nonnegative multiple stays in every class of the hierarchy
     def scale(self, c: RationalLike) -> "SetFunction":
         return linear_combine([(c, self)])
 
+    # f + c, the constant that normalize_at_empty takes off
     def shift(self, c: RationalLike) -> "SetFunction":
         """Add the constant c to every value."""
         p, q = _pair(c)
         return SetFunction.from_ints(self.ground, self.den * q, [v * q + p * self.den for v in self.nums])
 
+    # f - f(empty), the normalization the hierarchy, charges and decompositions require
     def normalize_at_empty(self) -> "SetFunction":
         """Shift so that the empty set gets value 0 (explicit, never implicit)."""
         return SetFunction.from_ints(self.ground, self.den, [v - self.nums[0] for v in self.nums])
@@ -340,6 +346,7 @@ class Partition:
     def q(self) -> int:
         return len(self.classes)
 
+    # the finest partition: the quotient along it is f itself
     @classmethod
     def singletons(cls, ground: GroundSet) -> "Partition":
         return cls(ground, tuple(1 << i for i in range(ground.n)))
@@ -506,11 +513,6 @@ def is_submodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]
     return False, _first_gap(f.nums, f.ground.n, False)
 
 
-def is_supermodular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
-    """Whether -f is submodular; witness is (X, u, v) on failure."""
-    return is_submodular(-f)
-
-
 def is_increasing(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
     """Monotone on all single-element extensions; witness is (X, u)."""
     if _shapes(f)["increasing"]:
@@ -530,19 +532,3 @@ def is_modular(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int, int]]]:
     if _shapes(f)["modular"]:
         return True, None
     return False, _first_gap(f.nums, f.ground.n, True)
-
-
-def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:
-    f.ground.check_mask(a)
-    f.ground.check_mask(b)
-    return f.nums[a] + f.nums[b] == f.nums[a & b] + f.nums[a | b]
-
-
-def global_submodularity_check(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
-    """Four-set definition over all pairs; O(4^n) oracle for the local test."""
-    vals = f.nums
-    for X in f.ground.subsets():
-        for Y in f.ground.subsets():
-            if vals[X] + vals[Y] < vals[X & Y] + vals[X | Y]:
-                return False, (X, Y)
-    return True, None

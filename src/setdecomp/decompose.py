@@ -6,13 +6,15 @@ psi = phi1 - phi2 with both parts increasing submodular.  Both fix
 phi1(empty) = phi2(empty) = 0.  The optimum minimizes phi1(J); the
 optimal values are the plus-norm and minus-norm of psi.
 
-Every optimum comes from :func:`setdecomp.simplex.solve_min_nonneg`: a
+Every optimum comes from the LP ladder of :mod:`setdecomp.simplex`: a
 HiGHS solution certified exactly over the rationals, or exact pivoting
 when certification fails, so returned objectives are exact.  The LP is
 built from index arithmetic on subset masks, straight into CSR arrays,
 with its right-hand sides gathered as ints over psi's common
-denominator; no row becomes a dict or a Fraction unless exact pivoting
-runs.  Decomposition LPs are capped at n <= 10 ground elements.
+denominator, and goes to the ladder's scaled entry
+(``simplex._solve_scaled``) as it is; no row becomes a dict or a
+Fraction unless exact pivoting runs.  Decomposition LPs are capped at
+n <= 10 ground elements.
 
 The full LP has one variable phi1(X) per nonempty X.  A sum LP may be
 posed in clique coordinates instead, over the graph H where uv is an
@@ -59,8 +61,9 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .alternating import _weak_pass
-from .charges import Charge, PreconditionError
+from .charges import Charge
 from .core import (
+    PreconditionError,
     SetFunction,
     _fractions,
     format_rational,
@@ -72,7 +75,7 @@ from .core import (
     to_rational,
 )
 from .coverage import _coefficient_ints, _coverage_function, _moebius, _zeta
-from .simplex import _INT64_LIMIT, ExactnessError, _CSRRows, _ScaledInts, solve_min_nonneg
+from .simplex import _INT64_LIMIT, ExactnessError, Scaled, _CSRRows, _scaled, _solve_scaled
 
 LP_MAX_N = 10
 
@@ -88,6 +91,7 @@ class Decomposition:
     kind: str  # "sum" or "diff"
     objective: Fraction
 
+    # psi = phi1 + phi2 (sum) or phi1 - phi2 (diff), the identity a decomposition satisfies
     def reconstruct(self) -> SetFunction:
         if self.kind == "sum":
             return self.phi1 + self.phi2
@@ -135,7 +139,7 @@ def _check_input(psi: SetFunction, kind: str) -> None:
 
 def _build_rows(
     psi: SetFunction, kind: str, c_bound: Optional[Fraction]
-) -> Tuple[_CSRRows, _ScaledInts, Optional[List[int]]]:
+) -> Tuple[_CSRRows, Scaled, Optional[List[int]]]:
     """Constraint system A x >= b of the decomposition LP, and its clique columns.
 
     In full coordinates, variable j is phi1 of mask j+1, phi1(empty) = 0
@@ -223,7 +227,7 @@ def _build_rows(
     if adj is not None:
         # the objective t >= phi1(J), on a column t read as "mask" g.size
         blocks.append((np.array([[g.size, g.full_mask]]), np.array([1, -1]), np.zeros(1, dtype=nums.dtype)))
-    rhs = _ScaledInts(psi.den * scale, np.concatenate([b for _, _, b in blocks]))
+    rhs = psi.den * scale, np.concatenate([b for _, _, b in blocks])
     if adj is not None:
         rows, cliques = _in_cliques(blocks, n, adj)
         return rows, rhs, cliques
@@ -298,7 +302,7 @@ def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
     rows, rhs, cliques = _build_rows(psi, kind, c_bound)
     costs = [0] * rows.ncols
     costs[-1] = 1  # phi1(J) in full coordinates, t in clique coordinates
-    status, value, x, _ = solve_min_nonneg(rows, rhs, costs)
+    status, value, x, _ = _solve_scaled(rows, rhs, _scaled(costs))
     if status != "optimal":
         return None
     den, nums = scale_to_ints(x)
@@ -414,6 +418,7 @@ class SevenBoundReport:
     norm_mu: Fraction
     checks: Dict[str, bool]
 
+    # the seven bound holds when each of its checks does
     @property
     def all_hold(self) -> bool:
         return all(self.checks.values())

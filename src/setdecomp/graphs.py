@@ -107,14 +107,6 @@ class WeightedGraph:
     def total_weight(self) -> Fraction:
         return sum((w for _, _, w in self.edges), _ZERO)
 
-    def weight_of(self, u: int, v: int) -> Fraction:
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edges:
-            if (a, b) == (u, v):
-                return w
-        return _ZERO
-
     def adjacency(self) -> List[int]:
         adj = [0] * self.n
         for u, v, _ in self.edges:
@@ -349,6 +341,7 @@ class CliqueWeights:
     graph: WeightedGraph
     weights: Dict[int, Fraction]
 
+    # i_{H,w'}, the induced function of the clique weights, which phi1 equals
     def induced(self) -> SetFunction:
         return SetFunction.from_ints(*_induced_ints(self.graph.n, self.weights.items()))
 

@@ -2,21 +2,23 @@
 
 :func:`solve_min_nonneg` solves every LP the library poses: min c.x
 subject to A x >= b, x >= 0, with c >= 0 and A given as sparse rows
-(decompositions, triangle cover, clique bound).  It holds A in CSR form
-as int arrays over one common denominator, scales b and c to ints once,
-and climbs one ladder: HiGHS solves the LP in floating point, its guess
-is rounded to scaled ints (a continued fraction walk in ints,
-:func:`_limit_denominator`), and the primal/dual pair is trusted only
-after an exact certificate passes (primal and dual feasibility, equal
-objectives), one pass over the arrays, in int64 when a bound on every
-sum and product fits and on Python ints otherwise; an LP that HiGHS
-reports infeasible is certified infeasible through its elastic
-relaxation.  ``_highs`` reaches HiGHS through scipy's own binding of
-it, ``scipy.optimize._highspy``, with the model and options ``linprog``
-would pass; a scipy without that binding goes through ``linprog``.
-When neither certifies, both run once more on the LP with b and c
-divided by the powers of two that bring max|b| and max|c| into [1, 2),
-and what certifies there scales back exactly.
+(triangle cover, clique bound).  It holds A in CSR form as int arrays
+over one common denominator, scales b and c to ints once, and hands
+them to :func:`_solve_scaled`, which the decomposition LPs, built
+already scaled, call directly.  That climbs one ladder: HiGHS solves
+the LP in floating point, its guess is rounded to scaled ints (a
+continued fraction walk in ints, :func:`_limit_denominator`), and the
+primal/dual pair is trusted only after an exact certificate passes
+(primal and dual feasibility, equal objectives), one pass over the
+arrays, in int64 when a bound on every sum and product fits and on
+Python ints otherwise; an LP that HiGHS reports infeasible is certified
+infeasible through its elastic relaxation.  ``_highs`` reaches HiGHS
+through scipy's own binding of it, ``scipy.optimize._highspy``, with
+the model and options ``linprog`` would pass; a scipy without that
+binding goes through ``linprog``.  When neither certifies, both run
+once more on the LP with b and c divided by the powers of two that
+bring max|b| and max|c| into [1, 2), and what certifies there scales
+back exactly.
 
 When that fails too, :func:`_solve_exact` is the one exact simplex.
 It pivots the dual LP max b.y, A^T y <= c, y >= 0 on a tableau of
@@ -256,26 +258,14 @@ class _CSRRows:
         )
 
 
-class _ScaledInts:
-    """The rationals nums[i] / den, read as Fractions only when iterated."""
-
-    __slots__ = ("den", "nums")
-
-    def __init__(self, den: int, nums):
-        self.den, self.nums = den, nums
-
-    def __len__(self) -> int:
-        return len(self.nums)
-
-    def __iter__(self):
-        return iter(_fractions(self.den, self.nums.tolist()))
-
-
-def _scaled(values) -> Scaled:
-    if isinstance(values, _ScaledInts):
-        return values.den, values.nums
+def _scaled(values: Sequence[Rational]) -> Scaled:
     den, nums = scale_to_ints(values)
     return den, _int_array(nums)
+
+
+def _rationals(s: Scaled) -> Tuple[Fraction, ...]:
+    den, nums = s
+    return _fractions(den, nums.tolist())
 
 
 def _limit_denominator(p: int, q: int, limit: int) -> Tuple[int, int]:
@@ -496,32 +486,39 @@ def solve_min_nonneg(
     """min costs.x subject to rows[i].x >= rhs[i], x >= 0, costs >= 0.
 
     rows holds one sparse row per constraint, a {column: coefficient}
-    map, and coefficients, rhs and costs are ints or Fractions; the
-    decomposition LPs pass their rows and rhs already scaled to int
-    arrays (``_CSRRows`` and ``_ScaledInts``).  Returns (status, value,
-    x, y) with status "optimal" or "infeasible"; for an optimum, y is an
-    optimal dual (one multiplier per row).
-
-    The rows, rhs and costs are scaled to ints once.  The rungs, in
-    order: HiGHS's guess, rounded and certified; if HiGHS finds the LP
-    infeasible, the always-feasible elastic LP min sum(s), A x + s >= b,
-    x, s >= 0, whose certified positive optimum proves infeasibility (its
-    dual is a Farkas vector); both once more with b and c rescaled by
-    powers of two; otherwise exact pivoting.
+    map, and coefficients, rhs and costs are ints or Fractions.  Returns
+    (status, value, x, y) with status "optimal" or "infeasible"; for an
+    optimum, y is an optimal dual (one multiplier per row).  The rows,
+    rhs and costs are scaled to ints once and solved by
+    :func:`_solve_scaled`.
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
-    a = rows if isinstance(rows, _CSRRows) else _CSRRows.from_maps(rows, len(costs))
-    if costs:  # HiGHS rejects an LP without variables
-        b, c = _scaled(rhs), _scaled(costs)
+    return _solve_scaled(_CSRRows.from_maps(rows, len(costs)), _scaled(rhs), _scaled(costs))
+
+
+def _solve_scaled(
+    a: _CSRRows, b: Scaled, c: Scaled
+) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
+    """:func:`solve_min_nonneg` on A, b and c >= 0 already scaled to ints,
+    which the decomposition LPs build that way.
+
+    The rungs, in order: HiGHS's guess, rounded and certified; if HiGHS
+    finds the LP infeasible, the always-feasible elastic LP min sum(s),
+    A x + s >= b, x, s >= 0, whose certified positive optimum proves
+    infeasibility (its dual is a Farkas vector); both once more with b
+    and c rescaled by powers of two; otherwise exact pivoting, on the
+    rows, b and c read back as Fractions.
+    """
+    if a.ncols:  # HiGHS rejects an LP without variables
         got = _float_rungs(a, b, c)
         if got is None:
             got = _rescaled_rungs(a, b, c)
         if got == "infeasible":
             return "infeasible", None, [], []
         if got is not None:
-            value, (dx, x), (dy, y) = got
-            return "optimal", value, list(_fractions(dx, x.tolist())), list(_fractions(dy, y.tolist()))
-    return _solve_exact(rows, rhs, costs)
+            value, x, y = got
+            return "optimal", value, list(_rationals(x)), list(_rationals(y))
+    return _solve_exact(a, _rationals(b), _rationals(c))

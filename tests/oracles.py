@@ -1,9 +1,11 @@
 """Reference implementations the tests compare the library against.
 
 Each is a direct, slow reading of a definition: tables parsed one value
-at a time, exponential enumerations, O(4^n) basis matrices, LP rows over
-Fraction values, LPs in the form their definitions give and coverage
-constructions over Fraction coefficients.  None runs in the library.
+at a time, the four-set submodularity test over all pairs, edge weights
+looked up edge by edge, exponential enumerations, O(4^n) basis matrices,
+LP rows over Fraction values, LPs in the form their definitions give and
+coverage constructions over Fraction coefficients.  None runs in the
+library.
 """
 
 from fractions import Fraction
@@ -41,6 +43,26 @@ def parse_per_value(values: Sequence) -> Tuple[int, Tuple[int, ...]]:
     den, nums = core._scale([core._pair(v) for v in values])
     g = gcd(den, *nums)
     return den // g, tuple(v // g for v in nums)
+
+
+# -- submodularity ------------------------------------------------------
+
+
+def is_modular_on_pair(f: SetFunction, a: int, b: int) -> bool:
+    """f(A) + f(B) == f(A & B) + f(A | B) for the masks a and b."""
+    f.ground.check_mask(a)
+    f.ground.check_mask(b)
+    return f.nums[a] + f.nums[b] == f.nums[a & b] + f.nums[a | b]
+
+
+def global_submodularity_check(f: SetFunction) -> Tuple[bool, Optional[Tuple[int, int]]]:
+    """Four-set definition over all pairs; O(4^n) oracle for the local test."""
+    vals = f.nums
+    for X in f.ground.subsets():
+        for Y in f.ground.subsets():
+            if vals[X] + vals[Y] < vals[X & Y] + vals[X | Y]:
+                return False, (X, Y)
+    return True, None
 
 
 # -- alternating sums ----------------------------------------------------
@@ -260,6 +282,13 @@ def decomposition_rows_fractions(
 
 
 # -- graph bounds --------------------------------------------------------
+
+
+def weight_of(g: WeightedGraph, u: int, v: int) -> Fraction:
+    """The weight of the edge uv, or 0 when g has no such edge."""
+    if u > v:
+        u, v = v, u
+    return next((w for a, b, w in g.edges if (a, b) == (u, v)), Fraction(0))
 
 
 def clique_bound_equality_lp(g: WeightedGraph) -> Fraction:

@@ -16,13 +16,10 @@ from setdecomp import (
     PartitionError,
     SetFunction,
     format_rational,
-    global_submodularity_check,
     is_decreasing,
     is_increasing,
     is_modular,
-    is_modular_on_pair,
     is_submodular,
-    is_supermodular,
     linear_combine,
     norm_inf,
     quotient,
@@ -32,6 +29,7 @@ from setdecomp import (
 from setdecomp import core
 from setdecomp.core import _fractions
 from conftest import random_coverage, random_set_function
+from oracles import global_submodularity_check, is_modular_on_pair
 
 
 def test_ground_set_limits():
@@ -209,7 +207,7 @@ def test_submodularity_predicates():
     assert is_modular(card)[0]
     assert is_submodular(capped)[0]
     assert not is_submodular(squared)[0]
-    assert is_supermodular(squared)[0]
+    assert is_submodular(-squared)[0]  # supermodular
     ok, witness = is_submodular(squared)
     assert not ok and witness is not None
     x, u, v = witness
@@ -228,6 +226,10 @@ def test_monotonicity_predicates():
     assert not ok
     x, u = witness
     assert (-card)(x | 1 << u) < (-card)(x)
+
+
+def is_supermodular(f):
+    return is_submodular(-f)
 
 
 PREDICATES = (is_submodular, is_supermodular, is_increasing, is_decreasing, is_modular)

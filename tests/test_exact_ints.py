@@ -27,12 +27,10 @@ from setdecomp import (
     canonical_dual,
     double_dual,
     dual_wrt,
-    global_submodularity_check,
     is_decreasing,
     is_increasing,
     is_modular,
     is_submodular,
-    is_supermodular,
     linear_combine,
     lower_charge,
     to_coefficients,
@@ -40,7 +38,7 @@ from setdecomp import (
 )
 from setdecomp.cli import main
 from conftest import random_coverage
-from oracles import basis_matrix_apply, inverse_matrix_apply, parse_per_value
+from oracles import basis_matrix_apply, global_submodularity_check, inverse_matrix_apply, parse_per_value
 
 DENOMINATORS = (1, 2, 3, 7, 10**6 + 3, 2**61 - 1)
 entries = st.builds(Fraction, st.integers(-4, 4), st.sampled_from(DENOMINATORS))
@@ -161,14 +159,14 @@ def test_predicates_match_fraction_loops(f):
     n, vals = f.ground.n, f.values
     neg = [-v for v in vals]
     expected = {
-        is_submodular: ref_first_gap(vals, n),
-        is_supermodular: ref_first_gap(neg, n),
-        is_modular: ref_first_gap(vals, n, modular=True),
-        is_increasing: ref_first_drop(vals, n),
-        is_decreasing: ref_first_drop(neg, n),
+        "submodular": (is_submodular(f), ref_first_gap(vals, n)),
+        "supermodular": (is_submodular(-f), ref_first_gap(neg, n)),
+        "modular": (is_modular(f), ref_first_gap(vals, n, modular=True)),
+        "increasing": (is_increasing(f), ref_first_drop(vals, n)),
+        "decreasing": (is_decreasing(f), ref_first_drop(neg, n)),
     }
-    for predicate, witness in expected.items():
-        assert predicate(f) == (witness is None, witness), predicate.__name__
+    for shape, (got, witness) in expected.items():
+        assert got == (witness is None, witness), shape
     if n <= 5:  # the four-set oracle is O(4^n)
         assert is_submodular(f)[0] == global_submodularity_check(f)[0]
 

@@ -3,10 +3,34 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
+
+import pytest
 
 import setdecomp
+from setdecomp import PreconditionError
 
 SOURCES = sorted(Path(setdecomp.__file__).parent.glob("*.py"))
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+# Public names that nothing in the package or the demos calls, kept because
+# the paper defines them; each value names the object in the paper
+PAPER_OBJECTS = {
+    "alt_sum": "V_f(A0; A1..Ak), the alternating sum that defines the hierarchy",
+    "is_weakly_k_alternating": "weak k-alternation: V_f <= 0 on every disjoint k-tuple",
+    "is_k_alternating": "k-alternation: weak l-alternation for every l <= k",
+    "is_weakly_infinite_alternating": "the class without monotonicity that holds cut functions",
+    "quotient": "f along a partition: g(I) = f(union of the classes in I)",
+    "symmetrize": "f(X) + f(J \\ X) + c; a cut function is i(J) minus that of i",
+    "extremal": "phi_A, the intersection indicators of the coverage basis",
+    "support_size_bound_check": "coverage coefficients on sets of fewer than k0 elements",
+    "dual_wrt": "the dual f(J \\ X) + eta(X) - f(J) by a majorizing charge eta",
+    "verify_cut_identities": "the modular-defect identities of the cut, induced and incident functions",
+    "recover_clique_weights": "phi1 = i_{H,w'}: the increasing sum part of a cut function",
+    "check_vertex_inequality": "deg(v) <= w'(v) + the w'(K) of the cliques K holding v",
+    "complete_graph_decomposition": "K_n's 1-bounded sum-decomposition, k(n - k) split at its argmax",
+    "complete_bipartite": "K_{a,b}: triangle-free, so its cut function's plus-norm is w(E)",
+}
 
 
 def test_no_assert_statements():
@@ -18,6 +42,30 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and found == []
+
+
+def _referenced_names():
+    """Every name and attribute the package's modules, other than
+    __init__, and the demos read."""
+    found = set()
+    for path in [p for p in SOURCES if p.name != "__init__.py"] + DEMOS:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+    return found
+
+
+def test_every_public_name_is_called_or_a_paper_object():
+    # a test oracle or an alias has no place in the package's namespace
+    public = {k for k, v in vars(setdecomp).items() if not k.startswith("_") and not isinstance(v, ModuleType)}
+    called = _referenced_names()
+    assert DEMOS
+    assert sorted(public - called - PAPER_OBJECTS.keys()) == []
+    # each entry is public, has no caller yet, and says what it is in the paper
+    stale = [k for k, place in PAPER_OBJECTS.items() if k not in public or k in called or not place]
+    assert stale == []
 
 
 def _calls():
@@ -118,8 +166,6 @@ def test_library_calls_build_no_fraction_view(tmp_path, monkeypatch):
     setdecomp.triangle_lps(g)
     setdecomp.complete_graph_decomposition(4)
     psi.shift(1).normalize_at_empty()
-    setdecomp.is_modular_on_pair(psi, 1, 2)
-    setdecomp.global_submodularity_check(psi)
     setdecomp.verify_cut_identities(g)
     assert len(built) >= 20
     assert [i for i, h in enumerate(built) if h._values is not None] == []
@@ -190,10 +236,12 @@ def test_check_loads_neither_numpy_nor_scipy(tmp_path):
 
 def test_benchmark_tracer_counts_one_structured_lp_and_one_highs_call(monkeypatch):
     # perfbench/spans.py counts a structured LP from the positional arguments
-    # of solve_min_nonneg, which a keyword call would leave at 0.  It counts
-    # HiGHS calls by wrapping scipy.optimize.linprog, which the LP layer
-    # calls only where scipy lacks its own HiGHS binding, so the one HiGHS
-    # solve of the traced run is counted here at the seam, simplex._highs
+    # of solve_min_nonneg, which a keyword call would leave at 0; the clique
+    # bound's edge-cover LP is one such call (a decomposition LP enters the
+    # ladder below it, at simplex._solve_scaled).  It counts HiGHS calls by
+    # wrapping scipy.optimize.linprog, which the LP layer calls only where
+    # scipy lacks its own HiGHS binding, so the one HiGHS solve of the
+    # traced run is counted here at the seam, simplex._highs
     import importlib.util
 
     import setdecomp.cli  # noqa: F401  (the tracer wraps every layer)
@@ -209,8 +257,53 @@ def test_benchmark_tracer_counts_one_structured_lp_and_one_highs_call(monkeypatc
     tracer = spans.Tracer()
     tracer.install()
     try:
-        setdecomp.optimal_sum_decomposition(setdecomp.cut_function(setdecomp.complete(4)))
+        setdecomp.clique_bound(setdecomp.complete(4))
     finally:
         tracer.uninstall()
     assert tracer.counts["simplex.structured_calls"] == 1
     assert len(solves) == 1
+
+
+def _normalized_entries():
+    f = setdecomp.cut_function(setdecomp.complete(3)).shift(1)
+    charge = setdecomp.Charge(f.ground, [2, 2, 2])
+    calls = {
+        "weak_violations": lambda: setdecomp.weak_violations(f),
+        "is_weakly_k_alternating": lambda: setdecomp.is_weakly_k_alternating(f, 2),
+        "is_k_alternating": lambda: setdecomp.is_k_alternating(f, 2),
+        "is_weakly_infinite_alternating": lambda: setdecomp.is_weakly_infinite_alternating(f),
+        "is_infinite_alternating": lambda: setdecomp.is_infinite_alternating(f),
+        "max_disjoint_alt_sum": lambda: setdecomp.max_disjoint_alt_sum(f),
+        "to_coefficients": lambda: setdecomp.to_coefficients(f),
+        "diff_decompose_canonical": lambda: setdecomp.diff_decompose_canonical(f),
+        "diff_decompose_uniform": lambda: setdecomp.diff_decompose_uniform(f),
+        "upper_charge": lambda: setdecomp.upper_charge(f),
+        "lower_charge": lambda: setdecomp.lower_charge(f),
+        "canonical_dual": lambda: setdecomp.canonical_dual(f),
+        "double_dual": lambda: setdecomp.double_dual(f),
+        "verify_lower_charge_maximality": lambda: setdecomp.verify_lower_charge_maximality(f),
+        "dual_wrt": lambda: setdecomp.dual_wrt(f, charge),
+        "optimal_sum_decomposition": lambda: setdecomp.optimal_sum_decomposition(f),
+        "optimal_diff_decomposition": lambda: setdecomp.optimal_diff_decomposition(f),
+        "c_bounded_feasible": lambda: setdecomp.c_bounded_feasible(f, "sum", 1),
+        "weakly_alt_canonical_decomposition": lambda: setdecomp.weakly_alt_canonical_decomposition(f),
+        "verify_seven_bound": lambda: setdecomp.verify_seven_bound(f),
+    }
+    return sorted(calls.items())
+
+
+@pytest.mark.parametrize("name, call", _normalized_entries(), ids=[name for name, _ in _normalized_entries()])
+def test_every_entry_refuses_a_nonzero_empty_value_with_one_type(name, call):
+    # a caller catches PreconditionError alone, whichever entry refused
+    with pytest.raises(PreconditionError, match="empty"):
+        call()
+
+
+@pytest.mark.parametrize("kind", ["sum", "coverage-diff"])
+def test_cli_decompose_refuses_a_nonzero_empty_value(kind, tmp_path, capsys):
+    from setdecomp.cli import main
+
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(setdecomp.cut_function(setdecomp.complete(3)).shift(1).to_json_dict()))
+    assert main(["decompose", str(path), "--kind", kind]) == 3
+    assert "empty" in capsys.readouterr().err
