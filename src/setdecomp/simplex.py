@@ -12,13 +12,12 @@ primal/dual pair is trusted only after an exact certificate passes
 (primal and dual feasibility, equal objectives), one pass over the
 arrays, in int64 when a bound on every sum and product fits and on
 Python ints otherwise; an LP that HiGHS reports infeasible is certified
-infeasible through its elastic relaxation.  ``_highs`` reaches HiGHS
-through scipy's own binding of it, ``scipy.optimize._highspy``, with
-the model and options ``linprog`` would pass; a scipy without that
-binding goes through ``linprog``.  When neither certifies, both run
-once more on the LP with b and c divided by the powers of two that
-bring max|b| and max|c| into [1, 2), and what certifies there scales
-back exactly.
+infeasible through its elastic relaxation.  ``_highs`` hands HiGHS the
+CSR rows as they are, through scipy's own binding of it,
+``scipy.optimize._highspy``.  When neither certifies, both run once
+more on the LP with b and c divided by the powers of two that bring
+max|b| and max|c| into [1, 2), and what certifies there scales back
+exactly.
 
 When that fails too, :func:`_solve_exact` is the one exact simplex.
 It pivots the dual LP max b.y, A^T y <= c, y >= 0 on a tableau of
@@ -236,13 +235,6 @@ class _CSRRows:
         for start, end in zip(ptr, ptr[1:]):
             yield dict(zip(cols[start:end], coefs[start:end]))
 
-    def negated_floats(self):
-        """-A as the float CSR matrix HiGHS reads, each entry -float(a)."""
-        from scipy.sparse import csr_matrix
-
-        data = -_quotients(self.nums, self.den)
-        return csr_matrix((data, self.indices, self.indptr), shape=(len(self), self.ncols))
-
     def with_slacks(self) -> "_CSRRows":
         """The rows of A x + s >= b: row i gains column ncols + i with coefficient 1."""
         import numpy as np
@@ -350,50 +342,41 @@ def _certify(a: _CSRRows, b: Scaled, c: Scaled, x: Scaled, y: Scaled) -> Optiona
     return Fraction(primal, dc * dx) if primal * db * dy == dual * dc * dx else None
 
 
-def _highs(a_ub, c, b):
-    """HiGHS on min c.x, a_ub x <= b, x >= 0: (status, x, y) with y >= 0
-    the multipliers of -a_ub x >= -b, as float lists, or (status, None,
-    None) when HiGHS reports no optimum.  Status 0 is an optimum and 2 an
-    infeasible LP or one HiGHS rejects, as ``linprog`` numbers them.
+def _highs(a: _CSRRows, c, b):
+    """HiGHS on min c.x, A x >= b, x >= 0, for float arrays c and b:
+    (status, x, y) with y >= 0 the multipliers of A x >= b, as float
+    lists, or (status, None, None) when HiGHS reports no optimum.  Status
+    0 is an optimum, 2 an infeasible LP or one HiGHS rejects, and 4 any
+    other outcome.
 
     HiGHS is reached through scipy's own binding of it, on a fresh
-    instance, with the model and options ``linprog(method="highs")``
-    passes: the CSC arrays of a_ub, rows in (-inf, b], columns in
-    [0, inf), presolve on, dual simplex, no output.  So x is its
-    ``col_value`` and y the negated ``row_dual``, the floats ``linprog``
-    would return.  A scipy without that binding goes through ``linprog``.
+    instance, with A's CSR arrays as a row-wise model of -A x <= -b:
+    entries -float(a), rows in (-inf, -b], columns in [0, inf), presolve
+    on, dual simplex, no output.  So x is its ``col_value`` and y the
+    negated ``row_dual``.
     """
-    try:
-        from scipy.optimize._highspy._core import (
-            HighsDebugLevel,
-            HighsLp,
-            HighsModelStatus,
-            HighsOptions,
-            HighsStatus,
-            MatrixFormat,
-            _Highs,
-            simplex_constants,
-        )
-    except ImportError:
-        from scipy.optimize import linprog
-
-        res = linprog(c, A_ub=a_ub, b_ub=b, bounds=(0, None), method="highs")
-        if not res.success:
-            return res.status, None, None
-        return res.status, res.x.tolist(), (-res.ineqlin.marginals).tolist()
     import numpy as np
-    from scipy.sparse import csc_array
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsLp,
+        HighsModelStatus,
+        HighsOptions,
+        HighsStatus,
+        MatrixFormat,
+        _Highs,
+        simplex_constants,
+    )
 
-    a = csc_array(a_ub)
-    m, n = a.shape
+    m, n = len(a), a.ncols
     lp = HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
     lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = MatrixFormat.kColwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = a.indptr, a.indices, a.data
+    lp.a_matrix_.format_ = MatrixFormat.kRowwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_ = a.indptr, a.indices
+    lp.a_matrix_.value_ = -_quotients(a.nums, a.den)
     lp.col_cost_ = c
     lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, np.inf)
-    lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), b
+    lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), -b
     options = HighsOptions()
     options.presolve = "on"
     options.output_flag = options.log_to_console = False
@@ -416,8 +399,8 @@ def _certified_guess(a: _CSRRows, b: Scaled, c: Scaled) -> Tuple[int, Optional[t
     """HiGHS's status on min c.x, A x >= b, x >= 0, and its guess (value,
     x, y), rounded to scaled ints, if that certifies, else None."""
     (db, bs), (dc, cs) = b, c
-    # these are float(a), float(c_j) and -float(b_i), bit for bit (-0.0 included)
-    status, xf, yf = _highs(a.negated_floats(), _quotients(cs, dc), -_quotients(bs, db))
+    # these are float(c_j) and float(b_i), bit for bit (-0.0 included)
+    status, xf, yf = _highs(a, _quotients(cs, dc), _quotients(bs, db))
     if xf is not None:
         for limit in (10**6, 10**12):
             x, y = _round(xf, limit), _round(yf, limit)
@@ -450,32 +433,13 @@ def _exponent(s: Scaled) -> int:
 
 
 def _times_power_of_two(s: Scaled, e: int) -> Scaled:
-    """The scaled rationals times 2^e, exactly."""
+    """The scaled rationals times 2^e, exactly; s itself when e is 0."""
     den, nums = s
+    if not e:
+        return s
     if e < 0:
         return den << -e, nums
     return den, _int_array([v << e for v in nums.tolist()])
-
-
-def _rescaled_rungs(a: _CSRRows, b: Scaled, c: Scaled):
-    """:func:`_float_rungs` once more, with b and c divided by the powers of
-    two 2^eb and 2^ec that bring max|b| and max|c| into [1, 2), or None
-    when both already lie there.
-
-    The float LP then differs from the first only in its exponents, so a
-    guess HiGHS could not make or round near 2^64 can certify here.  x,
-    y and the value of the scaled LP are those of the LP times 2^-eb,
-    2^-ec and 2^-(eb+ec), so what certifies scales back exactly, and so
-    does a proof of infeasibility.
-    """
-    eb, ec = _exponent(b), _exponent(c)
-    if not (eb or ec):
-        return None
-    got = _float_rungs(a, _times_power_of_two(b, -eb), _times_power_of_two(c, -ec))
-    if got is None or got == "infeasible":
-        return got
-    value, x, y = got
-    return value * Fraction(2) ** (eb + ec), _times_power_of_two(x, eb), _times_power_of_two(y, ec)
 
 
 def solve_min_nonneg(
@@ -509,16 +473,24 @@ def _solve_scaled(
     finds the LP infeasible, the always-feasible elastic LP min sum(s),
     A x + s >= b, x, s >= 0, whose certified positive optimum proves
     infeasibility (its dual is a Farkas vector); both once more with b
-    and c rescaled by powers of two; otherwise exact pivoting, on the
-    rows, b and c read back as Fractions.
+    and c divided by the powers of two 2^eb and 2^ec that bring max|b|
+    and max|c| into [1, 2), unless both already lie there; otherwise
+    exact pivoting, on the rows, b and c read back as Fractions.
+
+    The rescaled float LP differs from the first only in its exponents,
+    so a guess HiGHS could not make or round near 2^64 can certify
+    there.  Its x, y and value are those of the LP times 2^-eb, 2^-ec
+    and 2^-(eb+ec), so what certifies scales back exactly, and so does a
+    proof of infeasibility.
     """
     if a.ncols:  # HiGHS rejects an LP without variables
-        got = _float_rungs(a, b, c)
-        if got is None:
-            got = _rescaled_rungs(a, b, c)
-        if got == "infeasible":
-            return "infeasible", None, [], []
-        if got is not None:
-            value, x, y = got
-            return "optimal", value, list(_rationals(x)), list(_rationals(y))
+        for eb, ec in dict.fromkeys([(0, 0), (_exponent(b), _exponent(c))]):
+            got = _float_rungs(a, _times_power_of_two(b, -eb), _times_power_of_two(c, -ec))
+            if got == "infeasible":
+                return "infeasible", None, [], []
+            if got is not None:
+                value, x, y = got
+                value *= Fraction(2) ** (eb + ec)
+                x, y = _times_power_of_two(x, eb), _times_power_of_two(y, ec)
+                return "optimal", value, list(_rationals(x)), list(_rationals(y))
     return _solve_exact(a, _rationals(b), _rationals(c))

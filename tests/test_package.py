@@ -44,6 +44,25 @@ def test_no_assert_statements():
     assert SOURCES and found == []
 
 
+def test_one_route_to_highs():
+    # the LP layer hands HiGHS its CSR rows through scipy's own binding;
+    # linprog and scipy.sparse are references for the tests only
+    found = []
+    for path in SOURCES:
+        text = path.read_text()
+        if "linprog" in text:
+            found.append(f"{path.name}: linprog")
+        for node in ast.walk(ast.parse(text, str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):  # from scipy import sparse names scipy.sparse
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {m}" for m in names if m.startswith("scipy.sparse")]
+    assert SOURCES and found == []
+
+
 def _referenced_names():
     """Every name and attribute the package's modules, other than
     __init__, and the demos read."""
@@ -238,10 +257,10 @@ def test_benchmark_tracer_counts_one_structured_lp_and_one_highs_call(monkeypatc
     # perfbench/spans.py counts a structured LP from the positional arguments
     # of solve_min_nonneg, which a keyword call would leave at 0; the clique
     # bound's edge-cover LP is one such call (a decomposition LP enters the
-    # ladder below it, at simplex._solve_scaled).  It counts HiGHS calls by
-    # wrapping scipy.optimize.linprog, which the LP layer calls only where
-    # scipy lacks its own HiGHS binding, so the one HiGHS solve of the
-    # traced run is counted here at the seam, simplex._highs
+    # ladder below it, at simplex._solve_scaled).  The LP layer reaches
+    # HiGHS through scipy's own binding of it, not through anything the
+    # tracer wraps, so the one HiGHS solve of the traced run is counted
+    # here at the seam, simplex._highs
     import importlib.util
 
     import setdecomp.cli  # noqa: F401  (the tracer wraps every layer)

@@ -1,5 +1,4 @@
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
@@ -342,75 +341,58 @@ def test_array_certificate_matches_the_fraction_oracle(rng, monkeypatch):
     assert checked > 20 and refused > 3 * checked
 
 
-def hide_highs_binding(monkeypatch):
-    """Make scipy's own binding of HiGHS unimportable, so the seam takes the linprog route."""
-    monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
-
-
-@pytest.fixture(params=["direct", "linprog"])
-def highs_route(request, monkeypatch):
-    if request.param == "linprog":
-        hide_highs_binding(monkeypatch)
-    return request.param
-
-
-def test_highs_seam_returns_floats_or_no_guess(highs_route):
-    a_ub = np.array([[-1.0, -1.0]])
-    status, x, y = simplex._highs(a_ub, np.array([1.0, 2.0]), np.array([-1.0]))
+def test_highs_seam_returns_floats_or_no_guess():
+    # min x0 + 2 x1 subject to x0 + x1 >= 1
+    a = simplex._CSRRows.from_maps([{0: 1, 1: 1}], 2)
+    status, x, y = simplex._highs(a, np.array([1.0, 2.0]), np.array([1.0]))
     assert status == 0 and x == [1.0, 0.0] and y == [1.0]
     assert all(type(v) is float for v in x + y)
     # x0 >= 1 and x0 <= 0
-    status, x, y = simplex._highs(np.array([[-1.0], [1.0]]), np.array([1.0]), np.array([-1.0, 0.0]))
+    a = simplex._CSRRows.from_maps([{0: 1}, {0: -1}], 1)
+    status, x, y = simplex._highs(a, np.array([1.0]), np.array([1.0, 0.0]))
     assert (status, x, y) == (2, None, None)
-
-
-def test_highs_route_follows_the_scipy_version(monkeypatch):
-    # scipy ships its own binding of HiGHS, _highspy, from 1.15 on: there the
-    # seam must call HiGHS directly, before that (the floors job's scipy
-    # 1.10) through linprog, so neither route is ever taken silently
-    from scipy.optimize import linprog
-
-    routed = []
-    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: routed.append(1) or linprog(*args, **kwargs))
-    assert simplex._highs(np.array([[-1.0]]), np.array([1.0]), np.array([-1.0]))[:2] == (0, [1.0])
-    if tuple(map(int, scipy.__version__.split(".")[:2])) >= (1, 15):
-        from scipy.optimize._highspy._core import _Highs  # noqa: F401  (ImportError fails loudly)
-
-        assert routed == []
-    else:
-        assert routed == [1]
 
 
 def test_a_model_highs_rejects_is_never_run(monkeypatch):
     # x0 >= 2^67: a row bound past 1e20, HiGHS's infinity, so HiGHS rejects
-    # the model; the seam reports it infeasible (status 2), as linprog does
+    # the model; the seam reports it infeasible (status 2)
+    from scipy.optimize._highspy import _core
+
     runs = []
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:  # the linprog route: nothing to count
-        _core = None
-    else:
 
-        class CountingHighs(_core._Highs):
-            def run(self):
-                runs.append(1)
-                return super().run()
+    class CountingHighs(_core._Highs):
+        def run(self):
+            runs.append(1)
+            return super().run()
 
-        monkeypatch.setattr(_core, "_Highs", CountingHighs)
-    assert simplex._highs(np.array([[-1.0]]), np.array([1.0]), np.array([-(2.0**67)])) == (2, None, None)
+    monkeypatch.setattr(_core, "_Highs", CountingHighs)
+    x0 = simplex._CSRRows.from_maps([{0: 1}], 1)
+    assert simplex._highs(x0, np.array([1.0]), np.array([2.0**67])) == (2, None, None)
     assert runs == []
     # x0 >= 2^60 is read and solved
-    assert simplex._highs(np.array([[-1.0]]), np.array([1.0]), np.array([-(2.0**60)]))[:2] == (0, [2.0**60])
-    assert len(runs) == (0 if _core is None else 1)
+    assert simplex._highs(x0, np.array([1.0]), np.array([2.0**60]))[:2] == (0, [2.0**60])
+    assert len(runs) == 1
 
 
 def float_bits(values):
     return None if values is None else [v.hex() for v in values]
 
 
+def linprog_reference(a, c, b):
+    """scipy's linprog(method="highs") on min c.x, -A x <= -b, x >= 0, read
+    as the seam reads HiGHS: (status, x, y) or (status, None, None)."""
+    from scipy.sparse import csr_matrix
+
+    neg_a = csr_matrix((-simplex._quotients(a.nums, a.den), a.indices, a.indptr), shape=(len(a), a.ncols))
+    res = scipy.optimize.linprog(c, A_ub=neg_a, b_ub=-b, bounds=(0, None), method="highs")
+    if not res.success:
+        return res.status, None, None
+    return res.status, res.x.tolist(), (-res.ineqlin.marginals).tolist()
+
+
 def test_direct_and_linprog_routes_return_the_same_bits(rng, monkeypatch):
-    """Every LP the seam sees, on both routes: the same status, and x and y
-    bit for bit (signed zeros included)."""
+    """Every LP the seam sees, against linprog on the same -A, c and -b: the
+    same status, and x and y bit for bit (signed zeros included)."""
     seen = patch_highs(monkeypatch, lambda k, *result: result)
     for _ in range(30):
         solve_min_nonneg(*random_structured_lp(rng))
@@ -423,13 +405,9 @@ def test_direct_and_linprog_routes_return_the_same_bits(rng, monkeypatch):
     big = len(seen)
     optimal_sum_decomposition(scaled_cut_table(CUT5, 64))
     assert seen[big][1] == (2, None, None)  # HiGHS rejects rhs past its infinity 1e20
-    monkeypatch.undo()
     assert {result[0] for _, result in seen} == {0, 2}
-    direct = [simplex._highs(*args) for args, _ in seen]
-    hide_highs_binding(monkeypatch)
-    via_linprog = [simplex._highs(*args) for args, _ in seen]
-    assert via_linprog[big] == (2, None, None)
-    for (s1, x1, y1), (s2, x2, y2) in zip(direct, via_linprog):
+    for args, (s1, x1, y1) in seen:
+        s2, x2, y2 = linprog_reference(*args)
         assert (s1, float_bits(x1), float_bits(y1)) == (s2, float_bits(x2), float_bits(y2))
 
 
