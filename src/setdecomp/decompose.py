@@ -58,7 +58,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .alternating import _weak_pass
 from .charges import Charge
@@ -71,7 +72,6 @@ from .core import (
     is_increasing,
     is_submodular,
     norm_inf,
-    scale_to_ints,
     to_rational,
 )
 from .coverage import _coefficient_ints, _coverage_function, _moebius, _zeta
@@ -137,6 +137,62 @@ def _check_input(psi: SetFunction, kind: str) -> None:
         )
 
 
+class _Template(NamedTuple):
+    """The index arrays of a decomposition LP over n elements, which do not depend on psi."""
+
+    bits: "np.ndarray"  # 1 << u
+    masks: "np.ndarray"  # every subset mask, in order
+    free: "np.ndarray"  # free[X, u]: u is not in X
+    steps: "np.ndarray"  # a row (X + u, X) per X and u not in X, for X, then u
+    step_u: "np.ndarray"  # the u of each step
+    us: "np.ndarray"  # the pairs u < v, in triu order
+    vs: "np.ndarray"
+    quad_u: "np.ndarray"  # the u and v of each quad
+    quad_v: "np.ndarray"
+    quad_pair: "np.ndarray"  # the index of each quad's pair in us, vs
+    quads: "np.ndarray"  # a row (X+u, X+v, X+u+v, X) per X and pair u < v outside X, for X, then pair
+    box_masks: "np.ndarray"  # each nonempty mask three times, as one-entry rows
+    box_signs: "np.ndarray"  # -1, 1, -1 per nonempty mask, as one-entry rows
+    parity: "np.ndarray"  # (-1)^|X| per mask
+
+
+@lru_cache(maxsize=None)
+def _template(n: int) -> _Template:
+    """The :class:`_Template` of n <= LP_MAX_N elements, built on first use and
+    kept; its arrays are read-only, as every LP over n elements shares them."""
+    import numpy as np
+
+    bits = 1 << np.arange(n)
+    masks = np.arange(1 << n)
+    free = (masks[:, None] & bits) == 0
+    x, step_u = np.nonzero(free)
+    us, vs = np.triu_indices(n, 1)
+    qx, pair = np.nonzero(free[:, us] & free[:, vs])
+    qu, qv = bits[us[pair]], bits[vs[pair]]
+    parity = np.ones(1 << n, dtype=np.int64)
+    for u in range(n):
+        parity[~free[:, u]] *= -1
+    t = _Template(
+        bits=bits,
+        masks=masks,
+        free=free,
+        steps=np.stack([x | bits[step_u], x], axis=1),
+        step_u=step_u,
+        us=us,
+        vs=vs,
+        quad_u=us[pair],
+        quad_v=vs[pair],
+        quad_pair=pair,
+        quads=np.stack([qx | qu, qx | qv, qx | qu | qv, qx], axis=1),
+        box_masks=np.repeat(masks[1:], 3)[:, None],
+        box_signs=np.tile([-1, 1, -1], len(masks) - 1)[:, None],
+        parity=parity,
+    )
+    for a in t:
+        a.flags.writeable = False
+    return t
+
+
 def _build_rows(
     psi: SetFunction, kind: str, c_bound: Optional[Fraction]
 ) -> Tuple[_CSRRows, Scaled, Optional[List[int]]]:
@@ -146,10 +202,10 @@ def _build_rows(
     drops out, and the last variable phi1(J) is the objective.  Each row
     has at most 4 entries, all +-1.  The monotone steps of phi1 are
     merged with the steps forced by the shape of phi2, and likewise for
-    the local submodularity rows.  Every row is read off mask arithmetic
-    on index arrays, one block of rows at a time, and each right-hand
-    side is gathered from psi.nums as an int over psi.den (times the
-    denominator of c_bound).
+    the local submodularity rows.  Every row's masks come from the
+    :func:`_template` of n, one block of rows at a time, and each
+    right-hand side is gathered from psi.nums as an int over psi.den
+    (times the denominator of c_bound).
 
     A sum LP whose rows at representative points are fewer than 3/4 of
     all rows (see the module docstring) keeps only those and goes to
@@ -159,47 +215,40 @@ def _build_rows(
     import numpy as np
 
     g = psi.ground
-    n = g.n
+    t = _template(g.n)
     scale = 1 if c_bound is None else c_bound.denominator
     peak = max(map(abs, psi.nums))
     bound = 0 if c_bound is None else c_bound.numerator * peak
     # a right-hand side is at most four values of psi, or one plus the bound
     wide = 4 * peak * scale + bound >= _INT64_LIMIT
     nums = np.array(psi.nums, dtype=object if wide else np.int64) * scale
-    bits = 1 << np.arange(n)
-    masks = np.arange(g.size)
-    free = (masks[:, None] & bits) == 0  # free[X, u]: u is not in X
     # blocks of (masks, signs, rhs): row r has coefficient signs[r, k] on
     # phi1(masks[r, k]), in the order k runs, and a mask of 0 is no entry
     blocks = []
 
     # steps: phi1(X+u) - phi1(X) >= max(0, psi(X+u) - psi(X)), for X, then u
-    x, step_u = np.nonzero(free)
-    xu = x | bits[step_u]
-    blocks.append((np.stack([xu, x], axis=1), np.array([1, -1]), np.maximum(nums[xu] - nums[x], 0)))
+    xu, x = t.steps.T
+    blocks.append((t.steps, np.array([1, -1]), np.maximum(nums[xu] - nums[x], 0)))
 
     # local submodularity s(X,u,v) = phi1(X+u)+phi1(X+v)-phi1(X+u+v)-phi1(X),
     # for X, then u < v
-    us, vs = np.triu_indices(n, 1)
-    x, pair = np.nonzero(free[:, us] & free[:, vs])
-    xu, xv = x | bits[us[pair]], x | bits[vs[pair]]
-    xuv = xu | xv
+    xu, xv, xuv, x = t.quads.T
     s_psi = nums[xu] + nums[xv] - nums[xuv] - nums[x]
-    quads = np.stack([xu, xv, xuv, x], axis=1)
+    quads = t.quads
     signs = np.array([1, 1, -1, -1])
     adj = None
     if kind == "sum":
         # uv is an edge of H iff s_psi(., u, v) is not identically 0
-        edge = np.zeros(len(us), dtype=bool)
-        edge[pair[s_psi != 0]] = True
-        adj = np.zeros(n, dtype=np.int64)
-        np.bitwise_or.at(adj, us[edge], bits[vs[edge]])
-        np.bitwise_or.at(adj, vs[edge], bits[us[edge]])
+        edge = np.zeros(len(t.us), dtype=bool)
+        edge[t.quad_pair[s_psi != 0]] = True
+        adj = np.zeros(g.n, dtype=np.int64)
+        np.bitwise_or.at(adj, t.us[edge], t.bits[t.vs[edge]])
+        np.bitwise_or.at(adj, t.vs[edge], t.bits[t.us[edge]])
         # representative points: a step of u at X inside N_H(u), a pair
         # uv of H at X inside N_H(u) & N_H(v)
         m, sign, b = blocks[0]
-        steps = m[:, 1] & ~adj[step_u] == 0
-        keep = edge[pair] & (x & ~(adj[us[pair]] & adj[vs[pair]]) == 0)
+        steps = m[:, 1] & ~adj[t.step_u] == 0
+        keep = edge[t.quad_pair] & (x & ~(adj[t.quad_u] & adj[t.quad_v]) == 0)
         box = 0 if c_bound is None else 3 * (g.size - 1)
         # clique coordinates only when they drop a quarter of the rows,
         # the t row counted (see the module docstring)
@@ -222,14 +271,14 @@ def _build_rows(
         # is psi - phi1 (sum) or phi1 - psi (diff)
         v = nums[1:]
         box = np.stack([np.full_like(v, -bound), v - bound, -bound - v], axis=1).ravel()
-        blocks.append((np.repeat(masks[1:], 3)[:, None], np.tile([-1, 1, -1], g.size - 1)[:, None], box))
+        blocks.append((t.box_masks, t.box_signs, box))
 
     if adj is not None:
         # the objective t >= phi1(J), on a column t read as "mask" g.size
         blocks.append((np.array([[g.size, g.full_mask]]), np.array([1, -1]), np.zeros(1, dtype=nums.dtype)))
     rhs = psi.den * scale, np.concatenate([b for _, _, b in blocks])
     if adj is not None:
-        rows, cliques = _in_cliques(blocks, n, adj)
+        rows, cliques = _in_cliques(blocks, g.n, adj)
         return rows, rhs, cliques
     entries = [m > 0 for m, _, _ in blocks]
     indptr = np.zeros(sum(len(e) for e in entries) + 1, dtype=np.int64)
@@ -253,17 +302,16 @@ def _in_cliques(blocks, n: int, adj) -> Tuple[_CSRRows, List[int]]:
     """
     import numpy as np
 
+    t = _template(n)
     size = 1 << n
-    masks = np.arange(size)
+    masks = t.masks
     # a clique holds no vertex u together with a non-neighbour above u
     clique = np.ones(size, dtype=bool)
-    odd = np.zeros(size, dtype=np.int64)  # parity of |mask|
     for u in range(n):
         above = (size - 1) & ~adj[u] & ~((2 << u) - 1)
-        clique &= (masks >> u & 1 == 0) | (masks & above == 0)
-        odd ^= masks >> u & 1
+        clique &= t.free[:, u] | (masks & above == 0)
     cols = np.flatnonzero(clique)[1:]
-    signed = np.where(clique, 1 - 2 * odd, 0)
+    signed = np.where(clique, t.parity, 0)
     g = np.array(_zeta(signed.tolist(), n), dtype=np.int64)
     common = np.full(len(cols), size - 1)
     for u in range(n):
@@ -305,7 +353,7 @@ def _solve(psi: SetFunction, kind: str, c_bound: Optional[Fraction]):
     status, value, x, _ = _solve_scaled(rows, rhs, _scaled(costs))
     if status != "optimal":
         return None
-    den, nums = scale_to_ints(x)
+    den, nums = x[0], x[1].tolist()
     phi1 = SetFunction.from_ints(g, den, [0, *nums] if cliques is None else _lift(g.n, cliques, nums[:-1]))
     if phi1.nums[-1] != value * phi1.den:
         raise ExactnessError("LP optimum is not phi1(J)")

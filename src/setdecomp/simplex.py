@@ -14,10 +14,11 @@ arrays, in int64 when a bound on every sum and product fits and on
 Python ints otherwise; an LP that HiGHS reports infeasible is certified
 infeasible through its elastic relaxation.  ``_highs`` hands HiGHS the
 CSR rows as they are, through scipy's own binding of it,
-``scipy.optimize._highspy``.  When neither certifies, both run once
-more on the LP with b and c divided by the powers of two that bring
-max|b| and max|c| into [1, 2), and what certifies there scales back
-exactly.
+``scipy.optimize._highspy``, to one solver per thread: its options are
+set once, when it is made, and it reads each LP's numpy arrays in
+place.  When neither certifies, both run once more on the LP with b and
+c divided by the powers of two that bring max|b| and max|c| into
+[1, 2), and what certifies there scales back exactly.
 
 When that fails too, :func:`_solve_exact` is the one exact simplex.
 It pivots the dual LP max b.y, A^T y <= c, y >= 0 on a tableau of
@@ -32,6 +33,7 @@ directly on a small covering LP of the same form.
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import lcm
 from numbers import Rational
@@ -140,6 +142,10 @@ Scaled = Tuple[int, "np.ndarray"]  # (positive common denominator, numerators as
 
 _INT64_LIMIT = 2**63
 _FLOAT_EXACT = 2**53  # ints up to this size are exact in a float64
+_HIGHS_INDEX_LIMIT = 2**31  # HiGHS's counts and indices are int32
+
+# one HiGHS instance per thread, made by _highs on the thread's first LP
+_solvers = threading.local()
 
 
 def _int_array(values: Sequence[int]):
@@ -349,43 +355,38 @@ def _highs(a: _CSRRows, c, b):
     0 is an optimum, 2 an infeasible LP or one HiGHS rejects, and 4 any
     other outcome.
 
-    HiGHS is reached through scipy's own binding of it, on a fresh
-    instance, with A's CSR arrays as a row-wise model of -A x <= -b:
-    entries -float(a), rows in (-inf, -b], columns in [0, inf), presolve
-    on, dual simplex, no output.  So x is its ``col_value`` and y the
-    negated ``row_dual``.
+    HiGHS is reached through scipy's own binding of it, on this thread's
+    instance (:data:`_solvers`), whose options are passed once when it is
+    made: presolve on, dual simplex, no output.  Each LP replaces the
+    last through the binding's array overload of ``passModel``, which
+    reads the numpy buffers in place: A's CSR arrays as a row-wise model
+    of -A x <= -b, entries -float(a), rows in (-inf, -b], columns in
+    [0, inf), all continuous.  So x is its ``col_value`` and y the
+    negated ``row_dual``.  HiGHS counts in int32, so an LP with 2^31
+    rows, columns or entries raises ``ValueError``.
     """
     import numpy as np
-    from scipy.optimize._highspy._core import (
-        HighsDebugLevel,
-        HighsLp,
-        HighsModelStatus,
-        HighsOptions,
-        HighsStatus,
-        MatrixFormat,
-        _Highs,
-        simplex_constants,
-    )
+    from scipy.optimize._highspy._core import HighsModelStatus, HighsStatus, MatrixFormat, ObjSense
 
-    m, n = len(a), a.ncols
-    lp = HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = MatrixFormat.kRowwise
-    lp.a_matrix_.start_, lp.a_matrix_.index_ = a.indptr, a.indices
-    lp.a_matrix_.value_ = -_quotients(a.nums, a.den)
-    lp.col_cost_ = c
-    lp.col_lower_, lp.col_upper_ = np.zeros(n), np.full(n, np.inf)
-    lp.row_lower_, lp.row_upper_ = np.full(m, -np.inf), -b
-    options = HighsOptions()
-    options.presolve = "on"
-    options.output_flag = options.log_to_console = False
-    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
-    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
-    highs = _Highs()
-    if highs.passOptions(options) == HighsStatus.kError:
-        return 4, None, None
-    if highs.passModel(lp) == HighsStatus.kError:
+    m, n, nnz = len(a), a.ncols, len(a.indices)
+    if max(m, n, nnz) >= _HIGHS_INDEX_LIMIT:
+        raise ValueError(
+            f"HiGHS takes fewer than {_HIGHS_INDEX_LIMIT} rows, columns and entries; "
+            f"this LP has {m} rows, {n} columns and {nnz} entries"
+        )
+    highs = getattr(_solvers, "highs", None)
+    if highs is None:
+        highs = _new_highs()
+        if highs is None:
+            return 4, None, None
+        _solvers.highs = highs
+    passed = highs.passModel(
+        n, m, nnz, MatrixFormat.kRowwise, ObjSense.kMinimize, 0.0,
+        c, np.zeros(n), np.full(n, np.inf), np.full(m, -np.inf), -b,
+        a.indptr.astype(np.int32), a.indices.astype(np.int32), -_quotients(a.nums, a.den),
+        np.zeros(n, dtype=np.int32),  # HiGHS reads n entries, so an empty array would not do
+    )
+    if passed == HighsStatus.kError:
         return 2, None, None  # rejected unsolved, e.g. a bound at or past HiGHS's infinity 1e20
     ran = highs.run() != HighsStatus.kError
     status = highs.getModelStatus()
@@ -393,6 +394,25 @@ def _highs(a: _CSRRows, c, b):
         solution = highs.getSolution()
         return 0, solution.col_value, [-v for v in solution.row_dual]
     return (2 if status == HighsModelStatus.kInfeasible else 4), None, None
+
+
+def _new_highs():
+    """A HiGHS instance with the options of :func:`_highs`, or None if it refuses them."""
+    from scipy.optimize._highspy._core import (
+        HighsDebugLevel,
+        HighsOptions,
+        HighsStatus,
+        _Highs,
+        simplex_constants,
+    )
+
+    options = HighsOptions()
+    options.presolve = "on"
+    options.output_flag = options.log_to_console = False
+    options.highs_debug_level = HighsDebugLevel.kHighsDebugLevelNone
+    options.simplex_strategy = simplex_constants.SimplexStrategy.kSimplexStrategyDual
+    highs = _Highs()
+    return None if highs.passOptions(options) == HighsStatus.kError else highs
 
 
 def _certified_guess(a: _CSRRows, b: Scaled, c: Scaled) -> Tuple[int, Optional[tuple]]:
@@ -454,20 +474,24 @@ def solve_min_nonneg(
     (status, value, x, y) with status "optimal" or "infeasible"; for an
     optimum, y is an optimal dual (one multiplier per row).  The rows,
     rhs and costs are scaled to ints once and solved by
-    :func:`_solve_scaled`.
+    :func:`_solve_scaled`, and x and y are read back as Fractions.
     """
     if any(v < 0 for v in costs):
         raise ValueError("structured route requires nonnegative costs")
     if len(rhs) != len(rows):
         raise ValueError(f"{len(rhs)} right-hand sides for {len(rows)} rows")
-    return _solve_scaled(_CSRRows.from_maps(rows, len(costs)), _scaled(rhs), _scaled(costs))
+    status, value, x, y = _solve_scaled(_CSRRows.from_maps(rows, len(costs)), _scaled(rhs), _scaled(costs))
+    if status != "optimal":
+        return status, None, [], []
+    return status, value, list(_rationals(x)), list(_rationals(y))
 
 
 def _solve_scaled(
     a: _CSRRows, b: Scaled, c: Scaled
-) -> Tuple[str, Optional[Fraction], List[Fraction], List[Fraction]]:
+) -> Tuple[str, Optional[Fraction], Optional[Scaled], Optional[Scaled]]:
     """:func:`solve_min_nonneg` on A, b and c >= 0 already scaled to ints,
-    which the decomposition LPs build that way.
+    which the decomposition LPs build that way; x and y come back scaled
+    too, or as None when the LP is infeasible.
 
     The rungs, in order: HiGHS's guess, rounded and certified; if HiGHS
     finds the LP infeasible, the always-feasible elastic LP min sum(s),
@@ -487,10 +511,12 @@ def _solve_scaled(
         for eb, ec in dict.fromkeys([(0, 0), (_exponent(b), _exponent(c))]):
             got = _float_rungs(a, _times_power_of_two(b, -eb), _times_power_of_two(c, -ec))
             if got == "infeasible":
-                return "infeasible", None, [], []
+                return "infeasible", None, None, None
             if got is not None:
                 value, x, y = got
                 value *= Fraction(2) ** (eb + ec)
-                x, y = _times_power_of_two(x, eb), _times_power_of_two(y, ec)
-                return "optimal", value, list(_rationals(x)), list(_rationals(y))
-    return _solve_exact(a, _rationals(b), _rationals(c))
+                return "optimal", value, _times_power_of_two(x, eb), _times_power_of_two(y, ec)
+    status, value, x, y = _solve_exact(a, _rationals(b), _rationals(c))
+    if status != "optimal":
+        return status, None, None, None
+    return status, value, _scaled(x), _scaled(y)

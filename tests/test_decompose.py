@@ -130,8 +130,9 @@ def test_infeasible_box_is_certified_without_pivoting(monkeypatch):
 def test_int_right_hand_sides_match_the_fraction_rows(kind, c, rng):
     # the int sums over psi.den (times c's denominator) give the rows and
     # right-hand sides of one Fraction per row, in the same order
-    for _ in range(12):
-        n = rng.randint(1, 4)
+    # n = 1..6, each twice: 6 is the largest n of the benchmark's pool
+    for trial in range(12):
+        n = 1 + trial % 6
         dens = rng.sample(range(1, 7), rng.randint(1, 3))
         values = [F(0)] + [F(rng.randint(-9, 9), rng.choice(dens)) for _ in range(2**n - 1)]
         psi = SetFunction(GroundSet(n), values)
@@ -139,6 +140,25 @@ def test_int_right_hand_sides_match_the_fraction_rows(kind, c, rng):
         ref_rows, ref_rhs = decomposition_rows_fractions(psi, kind, c)
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in ref_rows]
         assert list(simplex._rationals(rhs)) == ref_rhs
+
+
+def test_rows_from_kept_templates_match_fresh_ones():
+    # the n-only arrays are built once per n and shared, so later LPs of
+    # any size read the same rows as LPs built on an empty cache
+    cycles = [WeightedGraph.build(n, [(u, (u + 1) % n, u + 1) for u in range(n)]) for n in (5, 7, 5, 3, 7)]
+    psis = [cut_function(g) for g in cycles]
+    calls = [(psi, kind, c) for psi in psis for kind in ("sum", "diff") for c in (None, F(3, 2))]
+    kept = [decompose._build_rows(*call) for call in calls]
+    for call, (rows, rhs, cliques) in zip(calls, kept):
+        decompose._template.cache_clear()
+        fresh_rows, fresh_rhs, fresh_cliques = decompose._build_rows(*call)
+        for field in ("indptr", "indices", "nums"):
+            assert getattr(rows, field).tolist() == getattr(fresh_rows, field).tolist()
+        assert rhs[0] == fresh_rhs[0] and rhs[1].tolist() == fresh_rhs[1].tolist() and cliques == fresh_cliques
+    assert any(cliques is not None for _, _, cliques in kept)
+    for array in decompose._template(5):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
 
 
 def test_sum_rejects_non_submodular():

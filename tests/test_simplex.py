@@ -1,4 +1,6 @@
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd
 
@@ -355,7 +357,8 @@ def test_highs_seam_returns_floats_or_no_guess():
 
 def test_a_model_highs_rejects_is_never_run(monkeypatch):
     # x0 >= 2^67: a row bound past 1e20, HiGHS's infinity, so HiGHS rejects
-    # the model; the seam reports it infeasible (status 2)
+    # the model; the seam reports it infeasible (status 2).  A fresh
+    # per-thread store makes the seam build its solver from CountingHighs
     from scipy.optimize._highspy import _core
 
     runs = []
@@ -366,6 +369,7 @@ def test_a_model_highs_rejects_is_never_run(monkeypatch):
             return super().run()
 
     monkeypatch.setattr(_core, "_Highs", CountingHighs)
+    monkeypatch.setattr(simplex, "_solvers", threading.local())
     x0 = simplex._CSRRows.from_maps([{0: 1}], 1)
     assert simplex._highs(x0, np.array([1.0]), np.array([2.0**67])) == (2, None, None)
     assert runs == []
@@ -388,6 +392,85 @@ def linprog_reference(a, c, b):
     if not res.success:
         return res.status, None, None
     return res.status, res.x.tolist(), (-res.ineqlin.marginals).tolist()
+
+
+def seam_lps(rng, count):
+    """(A, c, b) for count random LPs, as the ladder hands them to the seam."""
+    lps = []
+    for _ in range(count):
+        rows, rhs, costs = random_structured_lp(rng)
+        a = simplex._CSRRows.from_maps(rows, len(costs))
+        b, c = simplex._scaled(rhs), simplex._scaled(costs)
+        lps.append((a, simplex._quotients(c[1], c[0]), simplex._quotients(b[1], b[0])))
+    return lps
+
+
+def seam_bits(result):
+    status, x, y = result
+    return status, float_bits(x), float_bits(y)
+
+
+def test_one_solver_per_thread_answers_each_lp_afresh(rng, monkeypatch):
+    # one thread's solver takes a model HiGHS rejects, an infeasible LP,
+    # then optimal LPs; none of them leaves a trace on the next
+    monkeypatch.setattr(simplex, "_solvers", threading.local())
+    x0 = simplex._CSRRows.from_maps([{0: 1}], 1)
+    lps = [(x0, np.array([1.0]), np.array([2.0**67]))]
+    lps.append((simplex._CSRRows.from_maps([{0: 1}, {0: -1}], 1), np.array([1.0]), np.array([2.0, -1.0])))
+    lps += seam_lps(rng, 12)
+    statuses, solvers = [], []
+    for args in lps:
+        got = simplex._highs(*args)
+        assert seam_bits(got) == seam_bits(linprog_reference(*args))
+        statuses.append(got[0])
+        solvers.append(simplex._solvers.highs)
+    assert statuses[:2] == [2, 2] and 0 in statuses[2:]
+    assert all(solver is solvers[0] for solver in solvers)
+
+
+def test_two_threads_solve_as_one_does(rng):
+    # each worker thread builds its own solver on its first LP
+    lps = seam_lps(rng, 8)
+    serial = [seam_bits(simplex._highs(*args)) for args in lps]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = list(pool.map(lambda args: seam_bits(simplex._highs(*args)), lps))
+    assert threaded == serial and 0 in {status for status, _, _ in serial}
+
+
+def test_highs_counts_are_bounded_by_int32(monkeypatch):
+    # HiGHS reads the row starts and column indices as int32, which astype
+    # would wrap without a word; the seam refuses such an LP by name
+    monkeypatch.setattr(simplex, "_HIGHS_INDEX_LIMIT", 3)
+    a = simplex._CSRRows.from_maps([{0: 1}, {1: 1}], 2)
+    assert simplex._highs(a, np.array([1.0, 1.0]), np.array([1.0, 1.0]))[0] == 0
+    for rows, ncols, count in [
+        ([{0: 1}] * 3, 1, "3 rows"),
+        ([{2: 1}], 3, "3 columns"),
+        ([{0: 1, 1: 1, 2: 1}], 3, "3 entries"),
+    ]:
+        a = simplex._CSRRows.from_maps(rows, ncols)
+        with pytest.raises(ValueError, match=count):
+            simplex._highs(a, np.ones(ncols), np.ones(len(rows)))
+
+
+def test_scipy_binds_the_array_overload_of_pass_model():
+    # simplex._highs hands HiGHS its numpy buffers through this overload;
+    # a scipy without it fails here by name, not deep in a solve
+    from scipy.optimize._highspy import _core
+
+    i32 = np.int32
+    args = (1, 1, 1, _core.MatrixFormat.kRowwise, _core.ObjSense.kMinimize, 0.0,
+            np.ones(1), np.zeros(1), np.full(1, np.inf), np.full(1, -np.inf), np.full(1, -1.0),
+            np.array([0, 1], dtype=i32), np.zeros(1, dtype=i32), np.full(1, -1.0), np.zeros(1, dtype=i32))
+    try:
+        status = _core._Highs().passModel(*args)
+    except TypeError as error:
+        pytest.fail(
+            f"scipy {scipy.__version__}'s HiGHS binding has no 15-argument array overload of "
+            f"_Highs.passModel(num_col, num_row, num_nz, a_format, sense, offset, c, col_lower, "
+            f"col_upper, row_lower, row_upper, a_start, a_index, a_value, integrality): {error}"
+        )
+    assert status == _core.HighsStatus.kOk
 
 
 def test_direct_and_linprog_routes_return_the_same_bits(rng, monkeypatch):
