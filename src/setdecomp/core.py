@@ -17,9 +17,10 @@ parsing constructor reads only values a caller supplies (``normalized``,
 ``from_callable``, ``cardinality_based`` and ``from_json_dict``).
 A function's first shape predicate decides all four shapes (increasing,
 decreasing, modular, submodular) from one table of steps f(X + u) - f(X),
-compared list against list by built-ins, and the function keeps the four
-verdicts, so later predicate calls on it build no table.  A failed
-predicate finds its witness by scanning the ints in mask order.
+built by splitting off the lowest bit and compared by built-ins, and the
+function keeps the four verdicts, so later predicate calls on it build no
+table.  A failed predicate finds its witness by scanning the ints in mask
+order.
 """
 
 from __future__ import annotations
@@ -419,46 +420,40 @@ def scale_to_ints(values: Sequence[Rational]) -> Tuple[int, List[int]]:
 # and otherwise the lexicographically first counterexample in mask order.
 # On the first predicate call for a function, _shapes decides the four
 # shapes from one step table of f.nums: steps[u] lists f(X + u) - f(X)
-# over the sets X without u, in mask order, so monotonicity is a min or
-# max of each list, modularity min == max for each, and a local
-# submodularity gap f(X+u) + f(X+v) - f(X) - f(X+u+v) is the step of u at
-# X minus its step at X + v, compared for the two halves of steps[u] along
-# v.  Lists are built by slicing and compared by map over operator
-# functions, so no Python bytecode runs per entry.  The four verdicts are
-# kept on the function (SetFunction._verdicts); a failed predicate then
-# finds its witness by an ordered scan of f.nums (_first_gap or
-# _first_drop).
-
-
-def _halves(seq: Sequence[int], bit: int) -> Tuple[List[int], List[int]]:
-    """The entries whose index has ``bit`` clear, and those with it set, each in index order."""
-    b = 1 << bit
-    if 2 * b * b <= len(seq):
-        # few long strides: one slice per residue class modulo 2b
-        lo, hi = [0] * (len(seq) // 2), [0] * (len(seq) // 2)
-        for r in range(b):
-            lo[r::b] = seq[r :: 2 * b]
-            hi[r::b] = seq[r + b :: 2 * b]
-    else:
-        # few long blocks: one slice per block of b entries
-        lo, hi = [], []
-        for start in range(0, len(seq), 2 * b):
-            lo += seq[start : start + b]
-            hi += seq[start + b : start + 2 * b]
-    return lo, hi
+# over the sets X without u, so monotonicity is a min or max of each list,
+# modularity min == max for each, and a local submodularity gap f(X+u) +
+# f(X+v) - f(X) - f(X+u+v) is the step of u at X minus its step at X + v.
+# Each pass over a table takes its even and odd entries, the sets without
+# and with the lowest element, and puts the evens first, which rotates the
+# next element into the lowest bit; so neither the steps nor their halves
+# are in mask order.  Lists are compared by map over operator functions,
+# so no Python bytecode runs per entry.  The four verdicts are kept on the
+# function (SetFunction._verdicts); a failed predicate then finds its
+# witness by a scan of f.nums in mask order (_first_gap or _first_drop).
 
 
 def _steps(nums: Sequence[int], n: int) -> List[List[int]]:
-    """steps[u] for u = 0..n-1."""
-    return [list(map(sub, hi, lo)) for lo, hi in (_halves(nums, u) for u in range(n))]
+    """steps[u] for u = 0..n-1; bit j of its index is element u + 1 + j mod n."""
+    steps = []
+    for _ in range(n):
+        lo, hi = nums[::2], nums[1::2]
+        steps.append(list(map(sub, hi, lo)))
+        nums = lo + hi
+    return steps
 
 
 def _pairs_hold(steps: List[List[int]]) -> bool:
     """Whether the step of u at X is at least its step at X + v, for every
     pair u < v and every X without either."""
-    # bit j of the steps of u is element j + 1 for j >= u, so these are
-    # the pairs u < v; the pair v, u gives the same gaps
-    return all(all(map(ge, *_halves(step, j))) for u, step in enumerate(steps) for j in range(u, len(steps) - 1))
+    # rotation j of the steps of u splits off element u + 1 + j, so these
+    # are the pairs u < v; the pair v, u gives the same gaps
+    for u, step in enumerate(steps):
+        for _ in range(u + 1, len(steps)):
+            lo, hi = step[::2], step[1::2]
+            if not all(map(ge, lo, hi)):
+                return False
+            step = lo + hi
+    return True
 
 
 def _shapes(f: SetFunction) -> dict:

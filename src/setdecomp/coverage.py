@@ -81,19 +81,17 @@ def extremal(ground: GroundSet, a_mask: int) -> SetFunction:
 def _sweep(values: Sequence[int], n: int, op) -> List[int]:
     """For each element i in turn, out[X] = op(out[X], out[X - i]) for every X holding i.
 
-    Each pass is a few slice assignments, by stride or by block with the
-    rule of ``core._halves``, so no Python bytecode runs per entry.
+    Each pass splits the table by its lowest bit into the sets without
+    and with that element (even and odd entries), and appends the
+    combined odd entries to the even ones, which rotates the next element
+    into the lowest bit; after n passes every entry is back at its own
+    mask.  So no Python bytecode runs per entry.
     """
     out = list(values)
-    size = len(out)
-    for i in range(n):
-        b = 1 << i
-        if 2 * b * b <= size:
-            for r in range(b):
-                out[r + b :: 2 * b] = map(op, out[r + b :: 2 * b], out[r :: 2 * b])
-        else:
-            for start in range(0, size, 2 * b):
-                out[start + b : start + 2 * b] = map(op, out[start + b : start + 2 * b], out[start : start + b])
+    for _ in range(n):
+        out, hi = out[::2], out[1::2]
+        # map stops with hi, so it reads only the entries out had before
+        out += map(op, hi, out)
     return out
 
 

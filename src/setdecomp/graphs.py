@@ -265,7 +265,9 @@ def verify_cut_identities(
             raise GraphError("exhaustive identity check is capped at n <= 6")
         pairs = product(range(full + 1), repeat=2)
     else:
-        pairs = [(x, y)]
+        # the tables' ground set; a negative mask would read them from the end
+        ground = GroundSet(max(h.n, 1))
+        pairs = [(ground.check_mask(x), ground.check_mask(y))]
     d, i, e = cut_function(h), induced_function(h), incident_function(h)
 
     def defect(f: SetFunction, x: int, y: int) -> int:
@@ -399,6 +401,8 @@ def _modularity_witness_message(g: WeightedGraph, phi1: SetFunction) -> str:
 def check_vertex_inequality(g: WeightedGraph, weights: CliqueWeights, v: int) -> bool:
     """Weighted degree of v is at most w'(v) plus the sum of w'(K) over
     cliques containing v."""
+    if not (_is_int(v) and 0 <= v < g.n):
+        raise GraphError(f"vertex {v!r} is not in a graph on {g.n} vertices")
     deg = sum((w for a, b, w in g.edges if v in (a, b)), _ZERO)
     bound = weights.weights.get(1 << v, _ZERO)
     for mask, w in weights.weights.items():

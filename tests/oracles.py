@@ -155,6 +155,25 @@ def weak_violations_by_pairs(f: SetFunction) -> List[Optional[AlternatingWitness
     return out
 
 
+# -- subset-lattice transforms ------------------------------------------
+
+
+def submask_sums(values: Sequence[int], n: int, signed: bool = False) -> List[int]:
+    """out[X] = sum of values[B] over the submasks B of X, each enumerated
+    by B -> (B - 1) & X: O(3^n).  signed weighs each by (-1)^|X - B|, the
+    Moebius inversion of the plain sums."""
+    out = []
+    for X in range(1 << n):
+        total, B = 0, X
+        while True:
+            total += -values[B] if signed and popcount(X ^ B) & 1 else values[B]
+            if not B:
+                break
+            B = (B - 1) & X
+        out.append(total)
+    return out
+
+
 # -- explicit coverage basis matrices ------------------------------------
 
 

@@ -20,7 +20,7 @@ from setdecomp.coverage import diff_decompose_canonical, diff_decompose_uniform,
 from setdecomp.alternating import NotNormalizedError
 from setdecomp.graphs import cut_function
 from conftest import random_coverage, random_graph, random_set_function, random_signed_singletons
-from oracles import basis_matrix_apply, diff_decompose_by_fraction_signs, inverse_matrix_apply
+from oracles import basis_matrix_apply, diff_decompose_by_fraction_signs, inverse_matrix_apply, submask_sums
 
 
 def test_extremal_is_intersection_indicator():
@@ -58,6 +58,32 @@ def test_fast_route_equals_naive_matrices(rng):
             coeffs = to_coefficients(f)
             assert inverse_matrix_apply(f).alpha == coeffs.alpha
             assert basis_matrix_apply(f.ground, coeffs.alpha) == f
+
+
+def test_transforms_match_submask_sums():
+    # every element's pass, up to n = 12, against sums over each submask
+    rng = random.Random(12)
+    for n in range(1, 13):
+        values = [rng.randint(-9, 9) for _ in range(1 << n)]
+        assert coverage._zeta(values, n) == submask_sums(values, n), n
+        assert coverage._moebius(values, n) == submask_sums(values, n, signed=True), n
+
+
+def test_cut_function_coefficients_at_sixteen_vertices():
+    # d = sum over edges uv of w(2 phi_uv - phi_u - phi_v), so the
+    # coefficients are 2w on the edges and minus the weighted degree on
+    # the singletons; they give d back at the largest ground set
+    n = 16
+    g = random_graph(random.Random(16), n)
+    d = cut_function(g)
+    alpha = [Fraction(0)] * (1 << n)
+    for u, v, w in g.edges:
+        alpha[1 << u | 1 << v] += 2 * w
+        alpha[1 << u] -= w
+        alpha[1 << v] -= w
+    coeffs = to_coefficients(d)
+    assert coeffs.alpha == tuple(alpha)
+    assert from_coefficients(coeffs) == d
 
 
 def test_to_coefficients_requires_normalization():

@@ -13,6 +13,7 @@ function.
 
 import copy
 import json
+import random
 from fractions import Fraction
 from math import lcm
 
@@ -156,7 +157,14 @@ CARD = [X.bit_count() for X in range(64)]
 @example(SetFunction(GroundSet(3), [-c * c for c in CARD[:8]]))
 @example(SetFunction(GroundSet(3), [0, 1, 1, 2, 1, 3, 2, 3]))  # not submodular on the pair {0, 2} alone
 def test_predicates_match_fraction_loops(f):
-    n, vals = f.ground.n, f.values
+    _assert_predicates_match_fraction_loops(f)
+    if f.ground.n <= 5:  # the four-set oracle is O(4^n)
+        assert is_submodular(f)[0] == global_submodularity_check(f)[0]
+
+
+def _assert_predicates_match_fraction_loops(f, vals=None):
+    n = f.ground.n
+    vals = f.values if vals is None else vals
     neg = [-v for v in vals]
     expected = {
         "submodular": (is_submodular(f), ref_first_gap(vals, n)),
@@ -167,8 +175,36 @@ def test_predicates_match_fraction_loops(f):
     }
     for shape, (got, witness) in expected.items():
         assert got == (witness is None, witness), shape
-    if n <= 5:  # the four-set oracle is O(4^n)
-        assert is_submodular(f)[0] == global_submodularity_check(f)[0]
+    return {shape: got[0] for shape, (got, _) in expected.items()}
+
+
+def test_predicates_match_fraction_loops_up_to_twelve_elements():
+    # charge-tables runs at n = 9 and check --max-n reaches 16; a table
+    # spoiled at its top mask puts the witness at the end of mask order,
+    # and the pair tables fail at one pair only.  The loops read the
+    # ints: over one positive denominator they compare as the Fractions
+    # do, and Fraction sums would take seconds at n = 12
+    seen = set()
+    for n in range(9, 13):
+        rng = random.Random(n)
+        size, top = 1 << n, (1 << n) - 1
+        card = [X.bit_count() for X in range(size)]
+        atoms = [Fraction(rng.randint(-4, 4), rng.choice(DENOMINATORS)) for _ in range(n)]
+        edges = [(rng.randrange(1, size), rng.randint(1, 3)) for _ in range(4)]
+        coverage = [sum(w for e, w in edges if e & X) for X in range(size)]
+        pair = (1 if n % 2 else 1 << n - 2) | 1 << n - 1
+        for values, spoil in (
+            ([min(c, n // 2) for c in card], 1),  # concave of |X|: increasing, submodular
+            ([-v for v in coverage], 0),  # decreasing, supermodular
+            (charge_table(atoms, n), 0),  # modular
+            ([2 * c for c in card], -3),  # constant steps, falling at the top
+            # not submodular on the pair {0, n - 1} or {n - 2, n - 1} alone
+            ([int(X & pair == pair) for X in range(size)], 0),
+        ):
+            values[top] += spoil
+            f = SetFunction(GroundSet(n), values)
+            seen.update(_assert_predicates_match_fraction_loops(f, f.nums).items())
+    assert seen == {(shape, verdict) for shape, _ in seen for verdict in (True, False)}
 
 
 # -- coverage transform --------------------------------------------------

@@ -7,6 +7,7 @@ from setdecomp import (
     CliqueWeights,
     GraphError,
     GroundSet,
+    GroundSetError,
     SetFunction,
     WeightedGraph,
     WeightedHypergraph,
@@ -110,6 +111,15 @@ def test_cut_identities_refuse_a_lone_subset(pair):
     assert verify_cut_identities(complete(7), x=3, y=12)
 
 
+@pytest.mark.parametrize("x, y", [(-3, 5), (5, -1), (16, 3), (3, 1 << 20), (True, 1)])
+def test_cut_identities_refuse_masks_outside_the_ground_set(x, y):
+    # a negative mask would read the tables from their end, and one past
+    # the full mask past it
+    with pytest.raises(GroundSetError, match="invalid subset mask"):
+        verify_cut_identities(complete(4), x, y)
+    assert verify_cut_identities(complete(4), 15, 0)
+
+
 def test_max_cut_values():
     assert max_cut(complete(4))[0] == 4
     assert max_cut(cycle(5))[0] == 4
@@ -161,6 +171,13 @@ def test_vertex_inequality(rng):
         weights = recover_clique_weights(g, dec.phi1)
         for v in range(4):
             assert check_vertex_inequality(g, weights, v)
+
+
+@pytest.mark.parametrize("v", [4, 100, -1, True, 1.0])
+def test_vertex_inequality_refuses_a_vertex_outside_the_graph(v):
+    g = complete(4)
+    with pytest.raises(GraphError, match="not in a graph on 4 vertices"):
+        check_vertex_inequality(g, CliqueWeights(g, {}), v)
 
 
 def test_recovery_rejects_bad_phi1():
